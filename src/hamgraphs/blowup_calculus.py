@@ -394,19 +394,27 @@ def _B_sites(g):
     return out
 
 
+def _blowdown_options(g):
+    """Every blow-down site of g with the graph its rewrite leaves, as
+    (site, graph) pairs: the A sites, then C, D and B."""
+    yield from _A_sites(g)
+    yield from _C_sites(g)
+    yield from _D_sites(g)
+    yield from _B_sites(g)
+
+
 def blowdown_sites(g):
     """All recognized blow-down sites, with the size each one removes."""
     require_valid(g)
-    found = _A_sites(g) + _C_sites(g) + _D_sites(g) + _B_sites(g)
-    found.sort(key=lambda pair: (pair[0].pattern, pair[0].vertices,
-                                 pair[0].side))
-    return [site for site, _ in found]
+    sites = [site for site, _ in _blowdown_options(g)]
+    sites.sort(key=lambda s: (s.pattern, s.vertices, s.side))
+    return sites
 
 
 def blowdown(g, site):
     """Apply the inverse rewrite at a site found by blowdown_sites."""
     require_valid(g)
-    for cand, result in _A_sites(g) + _C_sites(g) + _D_sites(g) + _B_sites(g):
+    for cand, result in _blowdown_options(g):
         if cand == site:
             return result
     raise GraphError("not a blow-down site: %r" % (site,))
@@ -416,65 +424,66 @@ def _ordered_sites(cur):
     """All blow-down options of cur in preference order: A sites with the
     largest edge weight first, then C (smaller size, min side first), then
     D (min side first), then B (smaller size, max side first)."""
-    a = _A_sites(cur)
-    a.sort(key=lambda pair: (-_site_weight(cur, pair[0]), pair[0].vertices))
-    c = _C_sites(cur)
-    c.sort(key=lambda pair: (pair[0].lam, pair[0].side != "min",
-                             pair[0].vertices))
-    d = _D_sites(cur)
-    d.sort(key=lambda pair: (pair[0].side != "min",))
-    b = _B_sites(cur)
-    b.sort(key=lambda pair: (pair[0].lam, pair[0].side != "max",
-                             pair[0].vertices))
-    return a + c + d + b
+    within = {
+        "A": lambda s: (-_site_weight(cur, s), s.vertices),
+        "C": lambda s: (s.lam, s.side != "min", s.vertices),
+        "D": lambda s: (s.side != "min",),
+        "B": lambda s: (s.lam, s.side != "max", s.vertices),
+    }
+    return sorted(_blowdown_options(cur), key=lambda pair: (
+        "ACDB".index(pair[0].pattern), within[pair[0].pattern](pair[0])))
 
 
 def reduce_to_minimal(g):
     """Blow down until a graph of a minimal family remains.
 
     The same graph can admit several legitimate blow-down sequences ending
-    at different minimal models (minimal models are not unique).  The
-    search explores them all, stops each path at the first minimal-family
-    graph, and keeps the longest sequence; among equal lengths it prefers
-    the smaller terminal graph and then the preference order of
-    _ordered_sites.  Returns the minimal graph and the blow-down records.
+    at different minimal models (minimal models are not unique).  Every
+    path stops at the first minimal-family graph it meets.  A sequence
+    ranks by its number of steps that do not blow down a fixed surface
+    (pattern D, which the gradient sphere argument never needs), then by
+    its length, then by the smaller minimal graph.  The rank is a sum over
+    the steps, so the best sequence from a graph continues with a best
+    sequence from the graph after its first step: the search is a dynamic
+    program memoised on exact graph states (vertices with their ids and
+    labels, edges with their orientation), and expands each state once.
+    Among equally ranked options a state takes the first in _ordered_sites
+    order, which picks the same sequence as the first best one in
+    depth-first order.  Returns the minimal graph and the blow-down
+    records.
     """
     from .classify import match_minimal_family
     require_valid(g)
-    matched = {}
+    best = {}  # state -> (rank, first site or None, graph after it)
 
-    def is_minimal(cur):
-        key = str(sorted((v.id, v.kind, v.moment, v.area, v.genus)
-                         for v in cur.vertices.values())) + \
-            str(sorted((e.a, e.b, e.k) for e in cur.edges))
-        if key not in matched:
-            matched[key] = match_minimal_family(cur) is not None
-        return matched[key]
+    def solve(cur):
+        state = (frozenset(cur.vertices.values()), frozenset(cur.edges))
+        if state in best:
+            return best[state]
+        if match_minimal_family(cur) is not None:
+            choice = ((0, 0, -len(cur.vertices)), None, cur)
+        else:
+            options = _ordered_sites(cur)
+            if not options:
+                raise GraphError("internal failure: graph matches no minimal "
+                                 "family and admits no blow-down")
+            choice = None
+            for site, nxt in options:
+                (n_other, n_all, size), _, _ = solve(nxt)
+                rank = (n_other + (site.pattern != "D"), n_all + 1, size)
+                if choice is None or rank > choice[0]:
+                    choice = (rank, site, nxt)
+        best[state] = choice
+        return choice
 
-    best = None
-
-    def dfs(cur, records):
-        nonlocal best
-        if is_minimal(cur):
-            # rank a finished sequence: prefer many steps but penalize
-            # blowing down fixed surfaces (pattern D), which the gradient
-            # sphere argument never needs; then prefer the smaller model
-            n_d = sum(1 for s in records if s.pattern == "D")
-            key = (len(records) - n_d, len(records), -len(cur.vertices))
-            if best is None or key > best[0]:
-                best = (key, list(records), cur)
-            return
-        options = _ordered_sites(cur)
-        if not options:
-            raise GraphError("internal failure: graph matches no minimal "
-                             "family and admits no blow-down")
-        for site, nxt in options:
-            records.append(site)
-            dfs(nxt, records)
-            records.pop()
-
-    dfs(g, [])
-    return best[2], best[1]
+    steps = []
+    cur = g
+    while True:
+        _, site, nxt = solve(cur)
+        if site is None:
+            return nxt, steps
+        steps.append(site)
+        cur = nxt
 
 
 def _site_weight(g, site):

@@ -192,7 +192,6 @@ class EnumeratedGraph:
         self.graph = graph
         self.seed_key = seed_key
         self.depth = depth
-        self.provenances = {(seed_key, depth)}
 
     def __repr__(self):
         return "EnumeratedGraph(%s, depth=%d)" % (self.seed_key, self.depth)
@@ -215,7 +214,6 @@ def enumerate_graphs(seeds, max_blowups, lam_factor=Fraction(1, 2)):
         require_valid(g)
         digest = canonical_form(g, "exact").digest
         if digest in index:
-            index[digest].provenances.add((key, 0))
             continue
         rec = EnumeratedGraph(g, key, 0)
         index[digest] = rec
@@ -232,7 +230,6 @@ def enumerate_graphs(seeds, max_blowups, lam_factor=Fraction(1, 2)):
                                                sup * lam_factor)
                 digest = canonical_form(child, "exact").digest
                 if digest in index:
-                    index[digest].provenances.add((rec.seed_key, depth))
                     continue
                 child_rec = EnumeratedGraph(child, rec.seed_key, depth)
                 index[digest] = child_rec

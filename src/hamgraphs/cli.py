@@ -6,6 +6,7 @@ inputs produce byte-identical outputs.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -13,9 +14,9 @@ from fractions import Fraction
 
 from . import blowup_calculus, classify, dh_measure, homology, render
 from .chain_arith import ChainError
-from .graph_core import (GraphError, canonical_form, graph_from_json,
-                         graph_to_json, is_isomorphic, require_valid,
-                         validate_graph)
+from .graph_core import (DecoratedGraph, GraphError, canonical_form,
+                         graph_from_json, graph_to_json, is_isomorphic,
+                         require_valid, validate_graph)
 from .rational import fmt_rat, parse_rat
 from .toric_geometry import (graph_to_polygon, polygon_from_json,
                              polygon_to_graph, validate_delzant)
@@ -88,7 +89,7 @@ def _parse_seed(text):
 
 def _cmd_validate(ns):
     obj = _load_object(getattr(ns, "in"))
-    if hasattr(obj, "vertices") and isinstance(obj.vertices, dict):
+    if isinstance(obj, DecoratedGraph):
         problems = validate_graph(obj)
     else:
         problems = validate_delzant(obj)
@@ -249,6 +250,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(
         prog="hamgraphs",

@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .rational import fmt_rat, parse_rat
 
@@ -53,13 +54,52 @@ class Edge:
 
 
 class DecoratedGraph:
+    """A decorated graph, immutable after construction.
+
+    ``vertices`` is a read-only mapping from id to ``Vertex`` and ``edges``
+    a tuple.  Construction indexes the graph once: the (moment, id) level
+    order with its extrema, and the edges at each vertex, split into up and
+    down edges.  ``validate_graph`` computes its result at most once per
+    graph.
+    """
+
     def __init__(self, vertices, edges=()):
-        self.vertices = {}
+        by_id = {}
         for v in vertices:
-            if v.id in self.vertices:
+            if v.id in by_id:
                 raise ValidationError(["duplicate vertex id %r" % v.id])
-            self.vertices[v.id] = v
-        self.edges = list(edges)
+            by_id[v.id] = v
+        self.vertices = MappingProxyType(by_id)
+        self.edges = tuple(edges)
+        self._problems = None   # validate_graph's result, once computed
+        self._weights = {}      # vid -> isotropy weights
+        at = {vid: [] for vid in by_id}
+        up = {vid: [] for vid in by_id}
+        down = {vid: [] for vid in by_id}
+        for e in self.edges:
+            for end in {e.a, e.b}:
+                if end in at:
+                    at[end].append(e)
+        try:
+            order = sorted(by_id.values(), key=lambda v: (v.moment, v.id))
+            for e in self.edges:
+                if e.a in by_id and e.b in by_id:
+                    ya, yb = by_id[e.a].moment, by_id[e.b].moment
+                    if ya < yb:
+                        up[e.a].append(e)
+                        down[e.b].append(e)
+                    elif yb < ya:
+                        up[e.b].append(e)
+                        down[e.a].append(e)
+        except TypeError:
+            # moments that do not compare; validate_graph reports them
+            # before it needs the level order
+            order = []
+        self._order = tuple(order)
+        self._interior = tuple(v.id for v in order[1:-1])
+        self._at = {vid: tuple(es) for vid, es in at.items()}
+        self._up = {vid: tuple(es) for vid, es in up.items()}
+        self._down = {vid: tuple(es) for vid, es in down.items()}
 
     def vertex(self, vid):
         return self.vertices[vid]
@@ -68,36 +108,28 @@ class DecoratedGraph:
         return self.vertices[vid].moment
 
     def edges_at(self, vid):
-        return [e for e in self.edges if vid in (e.a, e.b)]
+        return self._at[vid]
 
     def up_edges(self, vid):
-        y = self.moment(vid)
-        return [e for e in self.edges_at(vid) if self.moment(e.other(vid)) > y]
+        return self._up[vid]
 
     def down_edges(self, vid):
-        y = self.moment(vid)
-        return [e for e in self.edges_at(vid) if self.moment(e.other(vid)) < y]
+        return self._down[vid]
 
     def min_vertex(self):
-        return min(self.vertices.values(), key=lambda v: (v.moment, v.id))
+        return self._order[0]
 
     def max_vertex(self):
-        return max(self.vertices.values(), key=lambda v: (v.moment, v.id))
+        return self._order[-1]
 
     def is_extremal(self, vid):
-        return vid in (self.min_vertex().id, self.max_vertex().id)
+        return vid in (self._order[0].id, self._order[-1].id)
 
     def interior_ids(self):
-        lo, hi = self.min_vertex().id, self.max_vertex().id
-        return [v.id for v in sorted(self.vertices.values(),
-                                     key=lambda v: (v.moment, v.id))
-                if v.id not in (lo, hi)]
+        return self._interior
 
     def surfaces(self):
         return [v for v in self.vertices.values() if v.kind == "surface"]
-
-    def copy(self):
-        return DecoratedGraph(self.vertices.values(), self.edges)
 
     def __repr__(self):
         return "DecoratedGraph(%d vertices, %d edges)" % (
@@ -105,7 +137,17 @@ class DecoratedGraph:
 
 
 def validate_graph(g):
-    """Return a list of human-readable problems; empty means valid."""
+    """Return a list of human-readable problems; empty means valid.
+
+    The problems are found once per graph and kept on it; each call returns
+    a fresh copy.
+    """
+    if g._problems is None:
+        g._problems = tuple(_problems(g))
+    return list(g._problems)
+
+
+def _problems(g):
     problems = []
     if not g.vertices:
         return ["graph has no vertices"]
@@ -190,8 +232,15 @@ def isotropy_weights(g, vid):
     """Weights of the circle action on the tangent space at a fixed point.
 
     Returned as an increasing pair of integers.  Missing edges contribute
-    weight 1; a fixed surface contributes weight 0.
+    weight 1; a fixed surface contributes weight 0.  Kept on the graph once
+    computed.
     """
+    if vid not in g._weights:
+        g._weights[vid] = _isotropy_weights(g, vid)
+    return g._weights[vid]
+
+
+def _isotropy_weights(g, vid):
     v = g.vertex(vid)
     lo, hi = g.min_vertex(), g.max_vertex()
     if v.kind == "surface":
@@ -468,15 +517,25 @@ def graph_to_json(g):
     return {"vertices": vertices, "edges": edges}
 
 
+def _json_int(d, key):
+    """The integer field d[key]: a JSON number with an integral value."""
+    value = d[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s = %r is not an integer" % (key, value))
+    return value
+
+
 def graph_from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
     try:
         vertices = [Vertex(str(d["id"]), d["kind"], parse_rat(d["moment"]),
                            parse_rat(d["area"]) if "area" in d else None,
-                           int(d["genus"]) if "genus" in d else None)
+                           _json_int(d, "genus") if "genus" in d else None)
                     for d in data["vertices"]]
-        edges = [Edge(str(d["a"]), str(d["b"]), int(d["k"]))
+        edges = [Edge(str(d["a"]), str(d["b"]), _json_int(d, "k"))
                  for d in data.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(["malformed graph JSON: %s" % exc]) from exc

@@ -199,3 +199,38 @@ def test_outputs_are_byte_identical(tent_path, tmp_path):
 def test_unreadable_input_exits_1(tmp_path):
     assert run(["dh", "--in", str(tmp_path / "missing.json"),
                 "--out", out_path(tmp_path)]) == 1
+
+
+def test_repeated_runs_keep_seeds_apart(tmp_path):
+    # the parser is built once per process; a second call must not see
+    # the --seed values of the first
+    for seed in ("cp2:1,2", "ruled:0,1"):
+        outdir = str(tmp_path / seed.replace(":", "_"))
+        assert run(["enumerate", "--seed", seed, "--out", outdir]) == 0
+    index = json.load(open(os.path.join(outdir, "index.json")))
+    assert [row["seed"] for row in index] == ["ruled#0"]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("k", 2.9), ("k", True), ("k", "3"), ("genus", 0.7), ("genus", None)])
+def test_non_integer_fields_exit_2(tmp_path, capsys, field, value):
+    data = graph_to_json(minimal_graph("hirzebruch", "right", 2, r=2, s=1))
+    target = data["edges"][0] if field == "k" else data["vertices"][0]
+    assert field in target
+    target[field] = value
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(data))
+    assert run(["validate", "--in", str(p), "--out",
+                out_path(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "is not an integer" in err and "Traceback" not in err
+
+
+def test_integral_float_fields_accepted(tmp_path):
+    data = graph_to_json(minimal_graph("hirzebruch", "right", 2, r=2, s=1))
+    data["edges"][0]["k"] = 2.0
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(data))
+    out = out_path(tmp_path)
+    assert run(["validate", "--in", str(p), "--out", out]) == 0
+    assert json.load(open(out)) == {"valid": True}

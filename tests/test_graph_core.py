@@ -17,6 +17,24 @@ def test_s2s2_graph_is_valid():
     assert validate_graph(s2s2_graph()) == []
 
 
+def test_graph_is_read_only_and_validation_returns_copies():
+    g = s2s2_graph()
+    with pytest.raises(TypeError):
+        g.vertices["x"] = Vertex("x", "point", F(0))
+    assert isinstance(g.edges, tuple)
+    problems = validate_graph(g)
+    problems.append("tampered")
+    assert validate_graph(g) == []
+
+
+def test_malformed_graph_is_built_and_reported():
+    g = DecoratedGraph([Vertex("a", "point", "x"), Vertex("b", "point", F(1))],
+                       [Edge("a", "zz", 2)])
+    problems = validate_graph(g)
+    assert any("moment is not rational" in msg for msg in problems)
+    assert any("unknown endpoint" in msg for msg in problems)
+
+
 def test_single_surface_is_invalid():
     g = DecoratedGraph([Vertex("s", "surface", F(0), area=F(1), genus=0)])
     assert validate_graph(g)
