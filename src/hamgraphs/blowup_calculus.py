@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         isotropy_weights, require_valid, validate_graph)
+                         _monotone_path, isotropy_weights, require_valid,
+                         validate_graph)
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,6 @@ def _aff_at(a, lam):
     return a[0] + a[1] * lam
 
 
-def _aff_lt(a, b):
-    """Compare affine functions in the small-lambda regime."""
-    return (a[0], a[1]) < (b[0], b[1])
-
-
 class SymbolicBlowup:
     """Blown-up graph with labels affine in the blow-up size."""
 
@@ -52,6 +48,7 @@ class SymbolicBlowup:
         self.order_pairs = self._carried_order()
 
     def _carried_order(self):
+        # affine pairs compare as tuples: the order for small lambda
         ids = list(self.vertices)
         mom = {vid: self.vertices[vid][1] for vid in ids}
         lo = min(ids, key=lambda v: (mom[v], v))
@@ -60,22 +57,6 @@ class SymbolicBlowup:
         for e in self.edges:
             incident[e.a].append(e.b)
             incident[e.b].append(e.a)
-
-        def chain(low, high):
-            stack, seen = [low], set()
-            while stack:
-                cur = stack.pop()
-                if cur == high:
-                    return True
-                if cur in seen:
-                    continue
-                seen.add(cur)
-                for w in incident[cur]:
-                    if _aff_lt(mom[cur], mom[w]) and (
-                            _aff_lt(mom[w], mom[high]) or w == high):
-                        stack.append(w)
-            return False
-
         pairs = []
         for v in ids:
             for w in ids:
@@ -83,8 +64,9 @@ class SymbolicBlowup:
                     continue
                 if mom[v] == mom[w]:
                     continue
-                a, b = (v, w) if _aff_lt(mom[v], mom[w]) else (w, v)
-                if a in (lo, hi) or b in (lo, hi) or chain(a, b):
+                a, b = (v, w) if mom[v] < mom[w] else (w, v)
+                if a in (lo, hi) or b in (lo, hi) or _monotone_path(
+                        a, b, mom.__getitem__, incident.__getitem__):
                     pairs.append((a, b))
         return pairs
 
@@ -269,21 +251,16 @@ def _merge_id(g, *parts):
     return _fresh(set(g.vertices), "+".join(parts))
 
 
-def _apply_A(g, e, m, n):
-    v_bot, v_top = (e.a, e.b) if g.moment(e.a) < g.moment(e.b) else (e.b, e.a)
-    lam = Fraction(g.moment(v_top) - g.moment(v_bot), e.k)
-    mu = g.moment(v_top) - m * lam
-    merged = _merge_id(g, v_bot, v_top)
-    vertices = [v for v in g.vertices.values() if v.id not in (v_bot, v_top)]
+def _merge(g, u, w, mu):
+    """g with the points u and w merged into one point at level mu and the
+    spheres between them dropped."""
+    merged = _merge_id(g, u, w)
+    vertices = [v for v in g.vertices.values() if v.id not in (u, w)]
     vertices.append(Vertex(merged, "point", mu))
-    edges = []
-    for ed in g.edges:
-        if ed is e:
-            continue
-        a = merged if ed.a in (v_bot, v_top) else ed.a
-        b = merged if ed.b in (v_bot, v_top) else ed.b
-        edges.append(Edge(a, b, ed.k))
-    return DecoratedGraph(vertices, edges), lam
+    edges = [Edge(merged if e.a in (u, w) else e.a,
+                  merged if e.b in (u, w) else e.b, e.k)
+             for e in g.edges if {e.a, e.b} != {u, w}]
+    return DecoratedGraph(vertices, edges)
 
 
 def _A_sites(g):
@@ -293,33 +270,15 @@ def _A_sites(g):
             continue
         v_bot, v_top = (e.a, e.b) if g.moment(e.a) < g.moment(e.b) \
             else (e.b, e.a)
-        ups = [x.k for x in g.up_edges(v_top)]
-        downs = [x.k for x in g.down_edges(v_bot)]
-        m = ups[0] if ups else 1
-        n = downs[0] if downs else 1
+        m = isotropy_weights(g, v_top)[1]
+        n = -isotropy_weights(g, v_bot)[0]
         if m + n != e.k:
             continue
-        result, lam = _apply_A(g, e, m, n)
+        lam = Fraction(g.moment(v_top) - g.moment(v_bot), e.k)
+        result = _merge(g, v_bot, v_top, g.moment(v_top) - m * lam)
         if _fully_valid(result):
             out.append((BlowdownSite("A", (v_bot, v_top), lam), result))
     return out
-
-
-def _apply_C(g, ext_id, q_id, n, d, side):
-    sgn = 1 if side == "min" else -1
-    lam = Fraction(abs(g.moment(q_id) - g.moment(ext_id)), d)
-    mu = g.moment(ext_id) - sgn * n * lam
-    merged = _merge_id(g, ext_id, q_id)
-    vertices = [v for v in g.vertices.values() if v.id not in (ext_id, q_id)]
-    vertices.append(Vertex(merged, "point", mu))
-    edges = []
-    for ed in g.edges:
-        if {ed.a, ed.b} == {ext_id, q_id}:
-            continue
-        a = merged if ed.a in (ext_id, q_id) else ed.a
-        b = merged if ed.b in (ext_id, q_id) else ed.b
-        edges.append(Edge(a, b, ed.k))
-    return DecoratedGraph(vertices, edges), lam
 
 
 def _C_sites(g):
@@ -328,6 +287,7 @@ def _C_sites(g):
         ext = g.min_vertex() if side == "min" else g.max_vertex()
         if ext.kind != "point":
             continue
+        sgn = 1 if side == "min" else -1
         a, b = sorted(abs(x) for x in isotropy_weights(g, ext.id))
         m = a + b
         seen = set()
@@ -336,18 +296,16 @@ def _C_sites(g):
                 continue
             seen.add((n, d))
             for q in g.interior_ids():
-                qups = [x.k for x in g.up_edges(q)]
-                qdowns = [x.k for x in g.down_edges(q)]
-                outward = (qups[0] if qups else 1) if side == "min" \
-                    else (qdowns[0] if qdowns else 1)
-                inward = (qdowns[0] if qdowns else 1) if side == "min" \
-                    else (qups[0] if qups else 1)
+                down, up = isotropy_weights(g, q)
+                outward, inward = (up, -down) if side == "min" \
+                    else (-down, up)
                 if outward != m or inward != d:
                     continue
                 linked = any({e.a, e.b} == {ext.id, q} for e in g.edges)
                 if (d >= 2) != linked:
                     continue
-                result, lam = _apply_C(g, ext.id, q, n, d, side)
+                lam = Fraction(abs(g.moment(q) - ext.moment), d)
+                result = _merge(g, ext.id, q, ext.moment - sgn * n * lam)
                 if lam > 0 and _fully_valid(result):
                     out.append((BlowdownSite("C", (ext.id, q), lam, side),
                                 result))
@@ -439,18 +397,18 @@ def reduce_to_minimal(g):
 
     The same graph can admit several legitimate blow-down sequences ending
     at different minimal models (minimal models are not unique).  Every
-    path stops at the first minimal-family graph it meets.  A sequence
-    ranks by its number of steps that do not blow down a fixed surface
-    (pattern D, which the gradient sphere argument never needs), then by
-    its length, then by the smaller minimal graph.  The rank is a sum over
-    the steps, so the best sequence from a graph continues with a best
-    sequence from the graph after its first step: the search is a dynamic
-    program memoised on exact graph states (vertices with their ids and
-    labels, edges with their orientation), and expands each state once.
-    Among equally ranked options a state takes the first in _ordered_sites
-    order, which picks the same sequence as the first best one in
-    depth-first order.  Returns the minimal graph and the blow-down
-    records.
+    path stops at the first minimal-family graph it meets.  The search
+    prefers the sequence with the most steps that do not blow down a fixed
+    surface (pattern D, which the gradient sphere argument never needs),
+    then the most steps, then the minimal graph with the fewest vertices.
+    The rank is a sum over the steps, so the best sequence from a graph
+    continues with a best sequence from the graph after its first step:
+    the search is a dynamic program memoised on exact graph states
+    (vertices with their ids and labels, edges with their orientation),
+    and expands each state once.  Among equally ranked options a state
+    takes the first in _ordered_sites order, which picks the same sequence
+    as the first best one in depth-first order.  Returns the minimal graph
+    and the blow-down records.
     """
     from .classify import match_minimal_family
     require_valid(g)

@@ -92,15 +92,23 @@ def mg_check(m, n, e, k):
     return m - n == -e * k
 
 
-def _default_seed(ks):
-    k1 = ks[0]
-    k2 = ks[1] if len(ks) > 1 else 1
-    if k1 == 1:
-        b1 = 0
-    else:
-        b1 = (-pow(k2, -1, k1)) % k1
-    b2 = (1 + b1 * k2) // k1
-    return b1, b2
+def _seed(k1, k2):
+    """The first normal b_1 = -k_2^{-1} mod k_1 of a chain whose first two
+    weights are k_1, k_2 (0 when k_1 = 1)."""
+    return 0 if k1 == 1 else (-pow(k2, -1, k1)) % k1
+
+
+def _normals(ks, b1):
+    """b_i with k_{i-1} b_i - b_{i-1} k_i = 1 along the weights ks, seeded
+    at b1."""
+    bs = [b1]
+    for i in range(1, len(ks)):
+        num = 1 + bs[i - 1] * ks[i]
+        if num % ks[i - 1] != 0:
+            raise ChainError("chain %r admits no integral normals with the "
+                             "forced seed" % (ks,))
+        bs.append(num // ks[i - 1])
+    return bs
 
 
 def b_sequence(c, b1=None, b2=None):
@@ -112,16 +120,10 @@ def b_sequence(c, b1=None, b2=None):
     require_valid_chain(c)
     ks = c.weights
     if b1 is None or b2 is None:
-        b1, b2 = _default_seed(ks)
-    if len(ks) == 1:
-        return [b1]
-    if ks[0] * b2 - b1 * ks[1] != 1:
+        b1 = _seed(ks[0], ks[1] if len(ks) > 1 else 1)
+    elif len(ks) > 1 and ks[0] * b2 - b1 * ks[1] != 1:
         raise ChainError("seed violates k_1 b_2 - b_1 k_2 = 1")
-    bs = [b1, b2]
-    for i in range(1, len(ks) - 1):
-        step = (ks[i + 1] + ks[i - 1]) // ks[i]
-        bs.append(-bs[i - 1] + step * bs[i])
-    return bs
+    return _normals(ks, b1)
 
 
 def chain_fan(c, b1=None, b2=None):

@@ -168,10 +168,7 @@ def classify_isolated(g):
     if any(v.kind != "point" for v in g.vertices.values()):
         raise GraphError("classify_isolated needs a graph with only "
                          "isolated fixed points")
-    ext = extend_graph(g)
-    if len(ext.branches) > 2:
-        raise GraphError("more than two chains; not a valid graph")
-    P = graph_to_polygon(g, ext)
+    P = graph_to_polygon(g)
     heights = [y for _, y in P.vertices]
     y_min, y_max = min(heights), max(heights)
     for p, q in P.edge_list():

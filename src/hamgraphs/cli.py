@@ -60,11 +60,19 @@ def _load_graph(path):
 def _load_object(path):
     """Graph, polygon, or density, recognized by JSON shape."""
     data = _read_json(path)
+    if not isinstance(data, dict):
+        raise CliError("malformed input JSON: the top level is a %s, not an "
+                       "object" % type(data).__name__, 2)
     if "breakpoints" in data:
-        return dh_measure.PiecewiseLinearDensity(
-            [parse_rat(b) for b in data["breakpoints"]],
-            [parse_rat(v) for v in data["values"]])
+        try:
+            return dh_measure.PiecewiseLinearDensity(
+                [parse_rat(b) for b in data["breakpoints"]],
+                [parse_rat(v) for v in data["values"]])
+        except (KeyError, TypeError) as exc:
+            raise CliError("malformed density JSON: %s" % exc, 2) from exc
     verts = data.get("vertices", [])
+    if not isinstance(verts, list):
+        raise CliError("malformed input JSON: vertices is not a list", 2)
     if verts and isinstance(verts[0], dict):
         return graph_from_json(data)
     return polygon_from_json(data)

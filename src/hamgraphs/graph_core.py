@@ -258,9 +258,11 @@ def _isotropy_weights(g, vid):
     return (-down, up)
 
 
-def _monotone_chain_exists(g, low, high):
-    """Is there a path of edges from low to high with increasing levels?"""
-    target = g.moment(high)
+def _monotone_path(low, high, level, neighbours):
+    """Is there a path from low to high along which the level strictly
+    increases?  level(v) gives a vertex's level (any totally ordered
+    values) and neighbours(v) the vertices joined to v by a sphere."""
+    target = level(high)
     stack = [low]
     seen = set()
     while stack:
@@ -270,10 +272,9 @@ def _monotone_chain_exists(g, low, high):
         if cur in seen:
             continue
         seen.add(cur)
-        y = g.moment(cur)
-        for e in g.edges_at(cur):
-            w = e.other(cur)
-            if y < g.moment(w) <= target:
+        y = level(cur)
+        for w in neighbours(cur):
+            if y < level(w) <= target:
                 stack.append(w)
     return False
 
@@ -292,7 +293,8 @@ def compare(g, vid, wid):
         return "incomparable"
     low, high = (vid, wid) if yv < yw else (wid, vid)
     related = (g.is_extremal(vid) or g.is_extremal(wid)
-               or _monotone_chain_exists(g, low, high))
+               or _monotone_path(low, high, g.moment, lambda v: [
+                   e.other(v) for e in g.edges_at(v)]))
     if not related:
         return "incomparable"
     return "less" if yv < yw else "greater"
@@ -470,35 +472,40 @@ def extend_graph(g):
         raise NoExtensionError("no arrangement of free spheres with at most "
                                "two chains exists")
     ext = ExtendedGraph(g, sorted(frees))
-    ext.branches = _branches(g, ext.free_edges)
+    ext.branches = [[lo] + [s[1] for s in c]
+                    for c in _chains(g, ext.free_edges)]
     if len(ext.branches) > 2:
         raise NoExtensionError("every arrangement needs more than two chains")
     return ext
 
 
-def _branches(g, frees):
+def _chains(g, frees):
+    """The chains of spheres from the minimum to the maximum, made of the
+    recorded edges and the given free (k = 1) spheres, (low id, high id)
+    pairs.  Each chain is a tuple of (low id, high id, k) spheres, bottom
+    to top.  Chains are sorted by their interior levels; direct
+    minimum-maximum spheres, the only ties, by k.
+    """
     lo, hi = g.min_vertex().id, g.max_vertex().id
+    spheres = [(low, e.other(low), e.k)
+               for low, ups in g._up.items() for e in ups]
+    spheres += [(low, high, 1) for low, high in frees]
     up_of = {}
     starts = []
-    for e in g.edges:
-        low, high = (e.a, e.b) if g.moment(e.a) < g.moment(e.b) else (e.b, e.a)
-        if low == lo:
-            starts.append(high)
+    for s in spheres:
+        if s[0] == lo:
+            starts.append(s)
         else:
-            up_of[low] = high
-    for low, high in frees:
-        if low == lo:
-            starts.append(high)
-        else:
-            up_of[low] = high
-    branches = []
-    for first in starts:
-        path = [lo, first]
-        while path[-1] != hi:
-            path.append(up_of[path[-1]])
-        branches.append(path)
-    branches.sort(key=lambda p: [(g.moment(v), v) for v in p[1:-1]])
-    return branches
+            up_of[s[0]] = s
+    chains = []
+    for s in starts:
+        chain = [s]
+        while chain[-1][1] != hi:
+            chain.append(up_of[chain[-1][1]])
+        chains.append(tuple(chain))
+    chains.sort(key=lambda c: ([(g.moment(s[1]), s[1]) for s in c[:-1]],
+                               [s[2] for s in c]))
+    return chains
 
 
 # -- JSON --------------------------------------------------------------------

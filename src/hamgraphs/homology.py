@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import blowup_calculus
 from .chain_arith import SURFACE_END, WeightChain, self_intersections
 from .dh_measure import extremal_self_intersections
-from .graph_core import GraphError, require_valid
+from .graph_core import GraphError, _chains, require_valid
 from .rational import fmt_rat
 
 BMIN, BMAX, FIBER = "Bmin", "Bmax", "F"
@@ -55,24 +55,9 @@ def _two_surface_shape(g):
 def _chain_structure(g):
     """Chains of invariant spheres, bottom to top, in deterministic order."""
     lo, hi = _two_surface_shape(g)
-    chains = []
-    for vid in g.interior_ids():
-        if g.down_edges(vid):
-            continue
-        path = [vid]
-        while True:
-            ups = g.up_edges(path[-1])
-            if not ups:
-                break
-            path.append(ups[0].other(path[-1]))
-        spheres = [Sphere(lo.id, path[0], 1)]
-        for a, b in zip(path, path[1:]):
-            k = next(e.k for e in g.up_edges(a) if e.other(a) == b)
-            spheres.append(Sphere(a, b, k))
-        spheres.append(Sphere(path[-1], hi.id, 1))
-        chains.append(tuple(spheres))
-    chains.sort(key=lambda c: (g.moment(c[0].north), c[0].north))
-    return tuple(chains)
+    frees = [(lo.id, vid) for vid in g.interior_ids() if not g.down_edges(vid)]
+    frees += [(vid, hi.id) for vid in g.interior_ids() if not g.up_edges(vid)]
+    return tuple(tuple(Sphere(*s) for s in c) for c in _chains(g, frees))
 
 
 def _labels(chains):

@@ -6,6 +6,11 @@ they travel as strings like "3/4" or "5" so nothing is ever rounded.
 
 from fractions import Fraction
 
+# fmt_rat cannot print an integer of more than 4300 digits (Python's limit
+# on int-to-str conversion), and building 10**n first costs time that
+# grows faster than n, so larger exponents are refused before parsing
+_MAX_EXPONENT = 4300
+
 
 def parse_rat(value):
     """Parse a rational from its JSON form ("p/q", "p", or an int)."""
@@ -17,6 +22,9 @@ def parse_rat(value):
         return value
     if isinstance(value, str):
         try:
+            _, e, exponent = value.lower().partition("e")
+            if e and abs(int(exponent)) > _MAX_EXPONENT:
+                raise ValueError("exponent out of range")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("not a rational: %r" % (value,)) from exc

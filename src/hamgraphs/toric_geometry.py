@@ -10,8 +10,8 @@ two chains, one drawn as the right boundary and one as the left.
 from fractions import Fraction
 from math import gcd
 
-from . import chain_arith
-from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
+from .chain_arith import ChainError, _normals, _seed
+from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _chains,
                          extend_graph, require_valid)
 from .rational import fmt_rat, parse_rat
 
@@ -152,48 +152,15 @@ def polygon_to_graph(P):
 
 # -- graph -> polygon --------------------------------------------------------
 
-def _branch_weight_lists(g, branches):
-    lo, hi = g.min_vertex().id, g.max_vertex().id
-    direct = sorted(e.k for e in g.edges if {e.a, e.b} == {lo, hi})
-    out = []
-    for path in branches:
-        if len(path) == 2:
-            out.append([direct.pop(0)] if direct else [1])
-            continue
-        ks = []
-        for u, v in zip(path, path[1:]):
-            stored = [e for e in g.edges if {e.a, e.b} == {u, v}]
-            ks.append(stored[0].k if stored else 1)
-        out.append(ks)
-    return out
-
-
-def _seed_pair(g, k1, k1p, k2_right):
+def _seed_pair(k1, k1p, k2_right):
     """Integers (b1, b1') for the bottom corner: det(u1' u1) = 1 for an
     isolated minimum, i.e. k1' b1 + k1 b1' = -1."""
-    if k1 == 1:
-        b1 = 0
-    elif k2_right is not None:
-        b1 = (-pow(k2_right, -1, k1)) % k1
-    else:
-        b1 = (-pow(k1p, -1, k1)) % k1
+    b1 = _seed(k1, k1p if k2_right is None else k2_right)
     num = -1 - k1p * b1
     if num % k1 != 0:
         raise GraphError("bottom corner is not smooth: weights %d, %d with "
                          "chain data admit no integral normals" % (k1, k1p))
     return b1, num // k1
-
-
-def _b_list(ks, b1):
-    """b_i with k_{i-1} b_i - b_{i-1} k_i = 1, seeded at b1."""
-    bs = [b1]
-    for i in range(1, len(ks)):
-        num = 1 + bs[i - 1] * ks[i]
-        if num % ks[i - 1] != 0:
-            raise GraphError("chain %r admits no integral normals with the "
-                             "forced seed" % (ks,))
-        bs.append(num // ks[i - 1])
-    return bs
 
 
 def graph_to_polygon(g, ext=None):
@@ -211,13 +178,18 @@ def graph_to_polygon(g, ext=None):
     if ext is None:
         ext = extend_graph(g)
     lo, hi = g.min_vertex(), g.max_vertex()
-    branches = [list(p) for p in ext.branches]
-    while len(branches) < 2:
-        branches.append([lo.id, hi.id])
-    if len(branches) > 2:
+    try:
+        chains = _chains(g, ext.free_edges)
+    except KeyError as exc:
+        raise GraphError("the free spheres of the extension do not join "
+                         "%s to the maximum" % exc) from exc
+    while len(chains) < 2:
+        chains.append(((lo.id, hi.id, 1),))
+    if len(chains) > 2:
         raise GraphError("more than two chains; no polygon exists")
-    right, left = branches
-    ks_r, ks_l = _branch_weight_lists(g, [right, left])
+    right, left = chains
+    ks_r = [k for _, _, k in right]
+    ks_l = [k for _, _, k in left]
 
     a_min = lo.area if lo.kind == "surface" else Fraction(0)
     a_max = hi.area if hi.kind == "surface" else Fraction(0)
@@ -233,22 +205,23 @@ def graph_to_polygon(g, ext=None):
         b1, b1p = 0, int(ext_data.e_min)
     else:
         k2_right = ks_r[1] if len(ks_r) > 1 else None
-        b1, b1p = _seed_pair(g, ks_r[0], ks_l[0], k2_right)
-    bs_r = _b_list(ks_r, b1)
-    bs_l = _b_list(ks_l, b1p)
+        b1, b1p = _seed_pair(ks_r[0], ks_l[0], k2_right)
+    try:
+        bs_r = _normals(ks_r, b1)
+        bs_l = _normals(ks_l, b1p)
+    except ChainError as exc:
+        raise GraphError(str(exc)) from exc
 
-    def side_points(path, ks, bs, x0, sign):
+    def side_points(chain, bs, x0, sign):
         pts = [(x0, lo.moment)]
         x = x0
-        for i in range(len(ks)):
-            t0 = g.moment(path[i])
-            t1 = g.moment(path[i + 1])
-            x = x + sign * Fraction(bs[i], ks[i]) * (t1 - t0)
-            pts.append((x, t1))
+        for (low, high, k), b in zip(chain, bs):
+            x = x + sign * Fraction(b, k) * (g.moment(high) - g.moment(low))
+            pts.append((x, g.moment(high)))
         return pts
 
-    pts_r = side_points(right, ks_r, bs_r, Fraction(0), -1)
-    pts_l = side_points(left, ks_l, bs_l, -a_min, +1)
+    pts_r = side_points(right, bs_r, Fraction(0), -1)
+    pts_l = side_points(left, bs_l, -a_min, +1)
 
     if hi.kind == "surface":
         gap = pts_r[-1][0] - pts_l[-1][0]

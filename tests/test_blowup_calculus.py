@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hamgraphs import (GraphError, blowdown, blowup, blowup_sites,
-                       blowup_symbolic, instantiate, is_isomorphic,
+                       blowup_symbolic, compare, instantiate, is_isomorphic,
                        match_minimal_family, max_size, minimal_graph,
                        monotone_check, reduce_to_minimal, validate_graph)
 from hamgraphs.blowup_calculus import blowdown_sites, site_for_vertex
@@ -98,6 +98,22 @@ def test_round_trip_small(enumerated_small):
                               if s.lam == lam]
                 assert any(is_isomorphic(blowdown(h, s), g)
                            for s in candidates)
+
+
+def test_carried_order_matches_compare(enumerated_small):
+    # the order a symbolic blow-up carries for small lambda is the partial
+    # order of the graph it gives at any admissible size
+    checked = 0
+    for rec in enumerated_small:
+        for site in blowup_sites(rec.graph):
+            sb = blowup_symbolic(rec.graph, site)
+            sup, _ = max_size(rec.graph, site)
+            h = instantiate(sb, sup / 2)
+            less = {(a, b) for a in h.vertices for b in h.vertices
+                    if compare(h, a, b) == "less"}
+            assert set(sb.order_pairs) == less, (rec, site)
+            checked += 1
+    assert checked > 900
 
 
 def test_blowup_order_independence():

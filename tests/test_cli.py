@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamgraphs import graph_to_json, minimal_graph
 from hamgraphs.cli import run
@@ -234,3 +239,55 @@ def test_integral_float_fields_accepted(tmp_path):
     out = out_path(tmp_path)
     assert run(["validate", "--in", str(p), "--out", out]) == 0
     assert json.load(open(out)) == {"valid": True}
+
+
+# -- malformed input ----------------------------------------------------------
+
+IN_COMMANDS = ["validate", "dh", "polygon2graph", "graph2polygon", "blowup",
+               "blowdown", "minimal", "classify", "homology", "render"]
+
+
+def run_on_stdin(argv, text):
+    """run(argv) with text on stdin: (return code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["validate", "render"])
+@pytest.mark.parametrize("doc", [
+    [], "x", 3, None, {"vertices": {"a": 1}}, {"vertices": 5},
+    {"breakpoints": ["0", "1"]}, {"breakpoints": 3, "values": []}])
+def test_malformed_object_exits_2(command, doc):
+    code, out, err = run_on_stdin([command], json.dumps(doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed ") and " JSON" in err
+
+
+JSON_KEYS = st.sampled_from(["vertices", "edges", "breakpoints", "values",
+                             "id", "kind", "moment", "area", "genus", "a",
+                             "b", "k"]) | st.text(max_size=3)
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["point", "surface", "0", "1/2", "3", "-1"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=16)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(doc=JSON_DOCS)
+def test_any_json_on_stdin_exits_cleanly(doc):
+    text = json.dumps(doc)
+    for command in IN_COMMANDS:
+        code, _, err = run_on_stdin([command], text)
+        assert code in (0, 1, 2), (command, text)
+        assert "Traceback" not in err
