@@ -186,19 +186,26 @@ def instantiate(sb, lam):
     return DecoratedGraph(vertices, sb.edges)
 
 
+def _constraints(sb):
+    """The (c0, c1) with c0 + c1*lambda > 0 for every order pair and area
+    label: the conditions checked by monotone_check."""
+    out = []
+    for v, w in sb.order_pairs:
+        mv, mw = sb.vertices[v][1], sb.vertices[w][1]
+        out.append((mw[0] - mv[0], mw[1] - mv[1]))
+    for vid, (kind, mom, area, genus) in sb.vertices.items():
+        if area is not None:
+            out.append(area)
+    return out
+
+
 def monotone_check(sb, lam):
     """True iff the blown-up labels at lambda respect the carried order
     strictly and all area labels stay positive."""
     lam = Fraction(lam)
     if lam <= 0:
         return False
-    for v, w in sb.order_pairs:
-        if not _aff_at(sb.vertices[v][1], lam) < _aff_at(sb.vertices[w][1], lam):
-            return False
-    for vid, (kind, mom, area, genus) in sb.vertices.items():
-        if area is not None and not _aff_at(area, lam) > 0:
-            return False
-    return True
+    return all(c0 + c1 * lam > 0 for c0, c1 in _constraints(sb))
 
 
 def max_size(g, site):
@@ -207,15 +214,11 @@ def max_size(g, site):
     The supremum is None when no constraint bounds lambda (cannot happen
     for valid compact graphs, but kept for safety).
     """
-    sb = blowup_symbolic(g, site)
-    constraints = []  # require c0 + c1*lambda > 0
-    for v, w in sb.order_pairs:
-        mv, mw = sb.vertices[v][1], sb.vertices[w][1]
-        constraints.append((mw[0] - mv[0], mw[1] - mv[1]))
-    for vid, (kind, mom, area, genus) in sb.vertices.items():
-        if area is not None:
-            constraints.append(area)
-    bounds = [Fraction(-c0, c1) for c0, c1 in constraints if c1 < 0]
+    return _max_size(blowup_symbolic(g, site))
+
+
+def _max_size(sb):
+    bounds = [Fraction(-c0, c1) for c0, c1 in _constraints(sb) if c1 < 0]
     if not bounds:
         return None, False
     sup = min(bounds)
@@ -224,28 +227,18 @@ def max_size(g, site):
 
 def blowup(g, vid, lam):
     """Blow up at the vertex by size lambda, refusing non-monotone sizes."""
-    site = site_for_vertex(g, vid)
-    sb = blowup_symbolic(g, site)
+    return _blowup(blowup_symbolic(g, site_for_vertex(g, vid)), lam)
+
+
+def _blowup(sb, lam):
     if not monotone_check(sb, lam):
-        sup, _ = max_size(g, site)
+        sup, _ = _max_size(sb)
         raise GraphError("monotonicity violated: lambda = %s is not in "
                          "(0, %s)" % (lam, sup))
-    result = instantiate(sb, lam)
-    return require_valid(result)
+    return require_valid(instantiate(sb, lam))
 
 
 # -- blow-down ---------------------------------------------------------------
-
-def _fully_valid(g):
-    from .dh_measure import extremal_self_intersections
-    if validate_graph(g):
-        return False
-    try:
-        extremal_self_intersections(g)
-    except GraphError:
-        return False
-    return True
-
 
 def _merge_id(g, *parts):
     return _fresh(set(g.vertices), "+".join(parts))
@@ -276,7 +269,7 @@ def _A_sites(g):
             continue
         lam = Fraction(g.moment(v_top) - g.moment(v_bot), e.k)
         result = _merge(g, v_bot, v_top, g.moment(v_top) - m * lam)
-        if _fully_valid(result):
+        if not validate_graph(result):
             out.append((BlowdownSite("A", (v_bot, v_top), lam), result))
     return out
 
@@ -306,7 +299,7 @@ def _C_sites(g):
                     continue
                 lam = Fraction(abs(g.moment(q) - ext.moment), d)
                 result = _merge(g, ext.id, q, ext.moment - sgn * n * lam)
-                if lam > 0 and _fully_valid(result):
+                if lam > 0 and not validate_graph(result):
                     out.append((BlowdownSite("C", (ext.id, q), lam, side),
                                 result))
     return out
@@ -324,7 +317,7 @@ def _D_sites(g):
         vertices = [v for v in g.vertices.values() if v.id != ext.id]
         vertices.append(Vertex(merged, "point", ext.moment - sgn * lam))
         result = DecoratedGraph(vertices, g.edges)
-        if _fully_valid(result):
+        if not validate_graph(result):
             out.append((BlowdownSite("D", (ext.id,), lam, side), result))
     return out
 
@@ -347,7 +340,7 @@ def _B_sites(g):
                     v = Vertex(v.id, v.kind, v.moment, v.area + lam, v.genus)
                 vertices.append(v)
             result = DecoratedGraph(vertices, g.edges)
-            if lam > 0 and _fully_valid(result):
+            if lam > 0 and not validate_graph(result):
                 out.append((BlowdownSite("B", (q,), lam, side), result))
     return out
 

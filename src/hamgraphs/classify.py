@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import blowup_calculus
+from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
                          canonical_form, extend_graph, flip, require_valid)
 from .toric_geometry import (affine_normal_form, graph_to_polygon,
@@ -124,12 +125,8 @@ def match_minimal_family(g):
     require_valid(g)
     surfaces = g.surfaces()
     interiors = g.interior_ids()
-    from .dh_measure import extremal_self_intersections
     if len(surfaces) == 2:
-        if interiors:
-            return None
-        ext = extremal_self_intersections(g)
-        return "ruled" if ext.e_min.denominator == 1 else None
+        return None if interiors else "ruled"
     if len(surfaces) == 1:
         lo, hi = g.min_vertex(), g.max_vertex()
         if len(g.vertices) == 2 and not g.edges:
@@ -140,6 +137,10 @@ def match_minimal_family(g):
                      for e in g.edges) and len(g.edges) <= 1
             if ok:
                 return "hirzebruch"
+        return None
+    # the minimal models with only isolated fixed points have three
+    # (the projective plane) or four (Hirzebruch surfaces)
+    if len(g.vertices) > 4:
         return None
     fan = polygon_to_fan(classify_isolated(g))
     kind = minimal_fan_type(fan)
@@ -220,11 +221,11 @@ def enumerate_graphs(seeds, max_blowups, lam_factor=Fraction(1, 2)):
         next_frontier = []
         for rec in frontier:
             for site in blowup_calculus.blowup_sites(rec.graph):
-                sup, _ = blowup_calculus.max_size(rec.graph, site)
+                sb = blowup_calculus.blowup_symbolic(rec.graph, site)
+                sup, _ = blowup_calculus._max_size(sb)
                 if sup is None or sup <= 0:
                     continue
-                child = blowup_calculus.blowup(rec.graph, site.vertex,
-                                               sup * lam_factor)
+                child = blowup_calculus._blowup(sb, sup * lam_factor)
                 digest = canonical_form(child, "exact").digest
                 if digest in index:
                     continue
@@ -267,16 +268,9 @@ def assign_labels(skeleton, moments, a_min, a_max, e_choice):
     lo, hi = g.min_vertex(), g.max_vertex()
     if lo.kind != "surface" or hi.kind != "surface":
         raise GraphError("assign_labels needs surface extrema")
-    from .dh_measure import _interior_products
-    s0 = sum(Fraction(1, mn) for _, mn in _interior_products(g))
-    s1 = sum(y * Fraction(1, mn) for y, mn in _interior_products(g))
-    if s0.denominator != 1:
-        raise GraphError("sum of 1/(m_p n_p) = %s is not an integer" % s0)
-    if e_min + e_max != -s0:
-        raise GraphError("e_min + e_max = %s but the interior weights "
-                         "demand %s" % (e_min + e_max, -s0))
-    b = -e_min * lo.moment - s1 - e_max * hi.moment
-    if a_min - a_max != b:
-        raise GraphError("a_min - a_max = %s but the labels demand %s"
-                         % (a_min - a_max, b))
+    # the two constraints have one solution, which validation solved
+    ext = extremal_self_intersections(g)
+    if (e_min, e_max) != (ext.e_min, ext.e_max):
+        raise GraphError("e_min, e_max = %s, %s but the labels demand %s, %s"
+                         % (e_min, e_max, ext.e_min, ext.e_max))
     return g

@@ -16,7 +16,7 @@ from . import blowup_calculus, classify, dh_measure, homology, render
 from .chain_arith import ChainError
 from .graph_core import (DecoratedGraph, GraphError, canonical_form,
                          graph_from_json, graph_to_json, is_isomorphic,
-                         require_valid, validate_graph)
+                         validate_graph)
 from .rational import fmt_rat, parse_rat
 from .toric_geometry import (graph_to_polygon, polygon_from_json,
                              polygon_to_graph, validate_delzant)
@@ -116,7 +116,7 @@ def _cmd_iso(ns):
 
 
 def _cmd_dh(ns):
-    g = require_valid(_load_graph(getattr(ns, "in")))
+    g = _load_graph(getattr(ns, "in"))
     rho = dh_measure.density(g)
     ext = dh_measure.extremal_self_intersections(g)
     _emit_json({"density": rho.to_json(),

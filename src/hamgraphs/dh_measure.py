@@ -16,7 +16,7 @@ is available through ``evaluate``.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph_core import GraphError, isotropy_weights, require_valid
+from .graph_core import _interior_products, require_valid
 from .rational import fmt_rat
 
 
@@ -57,47 +57,11 @@ class ExtremalData:
     e_max: Fraction
 
 
-def _interior_products(g):
-    """(level, m_p n_p) for each interior fixed point."""
-    out = []
-    for vid in g.interior_ids():
-        w1, w2 = isotropy_weights(g, vid)
-        out.append((g.moment(vid), (-w1) * w2))
-    return out
-
-
 def extremal_self_intersections(g):
-    """Self-intersections of the extremal sets, solved from the graph.
-
-    The two linear conditions are that rho vanishes identically above
-    y_max: its slope there gives e_min + e_max = -sum 1/(m_p n_p), and its
-    constant term gives y_min e_min + y_max e_max =
-    a_max - a_min - sum y_p/(m_p n_p).  When an extremum is an isolated
-    point with weights {n, n'}, the solution is cross-checked against the
-    closed form -1/(n n').
-    """
+    """Self-intersections of the extremal sets of a valid graph, solved from
+    its labels by ``validate_graph``."""
     require_valid(g)
-    lo, hi = g.min_vertex(), g.max_vertex()
-    if lo.moment == hi.moment:
-        raise GraphError("degenerate graph: y_min = y_max")
-    s0 = sum(Fraction(1, mn) for _, mn in _interior_products(g))
-    s1 = sum(Fraction(y * 1, mn) for y, mn in _interior_products(g))
-    a_min = lo.area if lo.kind == "surface" else Fraction(0)
-    a_max = hi.area if hi.kind == "surface" else Fraction(0)
-    e_max = Fraction(a_max - a_min - s1 + lo.moment * s0,
-                     hi.moment - lo.moment)
-    e_min = -s0 - e_max
-    if lo.kind == "point":
-        n, np_ = isotropy_weights(g, lo.id)
-        if e_min != Fraction(-1, n * np_):
-            raise GraphError("inconsistent graph: e_min = %s but the minimum "
-                             "has weights {%d, %d}" % (e_min, n, np_))
-    if hi.kind == "point":
-        m, mp_ = isotropy_weights(g, hi.id)
-        if e_max != Fraction(-1, m * mp_):
-            raise GraphError("inconsistent graph: e_max = %s but the maximum "
-                             "has weights {%d, %d}" % (e_max, m, mp_))
-    return ExtremalData(e_min, e_max)
+    return ExtremalData(*g._extremal)
 
 
 def density(g):

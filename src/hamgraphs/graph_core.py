@@ -60,7 +60,7 @@ class DecoratedGraph:
     a tuple.  Construction indexes the graph once: the (moment, id) level
     order with its extrema, and the edges at each vertex, split into up and
     down edges.  ``validate_graph`` computes its result at most once per
-    graph.
+    graph, and with it the extremal self-intersections.
     """
 
     def __init__(self, vertices, edges=()):
@@ -73,6 +73,7 @@ class DecoratedGraph:
         self.edges = tuple(edges)
         self._problems = None   # validate_graph's result, once computed
         self._weights = {}      # vid -> isotropy weights
+        self._extremal = None   # (e_min, e_max), solved by validate_graph
         at = {vid: [] for vid in by_id}
         up = {vid: [] for vid in by_id}
         down = {vid: [] for vid in by_id}
@@ -138,6 +139,10 @@ class DecoratedGraph:
 
 def validate_graph(g):
     """Return a list of human-readable problems; empty means valid.
+
+    The last stage solves the extremal self-intersections from the labels
+    and requires -1/(n n') at an isolated extremum with weights {n, n'} and
+    an integer at a fixed surface.
 
     The problems are found once per graph and kept on it; each call returns
     a fresh copy.
@@ -218,7 +223,50 @@ def _problems(g):
     genera = {v.genus for v in g.surfaces()}
     if len(genera) > 1:
         problems.append("fixed surfaces of different genus")
+    if problems:
+        return problems
+
+    g._extremal = _solve_extremal(g)
+    for ext, e in zip((lo, hi), g._extremal):
+        if ext.kind == "surface":
+            if e.denominator != 1:
+                problems.append("vertex %s: fixed surface has non-integer "
+                                "self-intersection %s" % (ext.id, fmt_rat(e)))
+        else:
+            w1, w2 = isotropy_weights(g, ext.id)
+            if e != Fraction(-1, w1 * w2):
+                problems.append("vertex %s: isolated extremum with weights "
+                                "{%d, %d} has self-intersection %s, not %s"
+                                % (ext.id, abs(w1), abs(w2), fmt_rat(e),
+                                   fmt_rat(Fraction(-1, w1 * w2))))
     return problems
+
+
+def _interior_products(g):
+    """(level, m_p n_p) for each interior fixed point."""
+    out = []
+    for vid in g.interior_ids():
+        w1, w2 = isotropy_weights(g, vid)
+        out.append((g.moment(vid), (-w1) * w2))
+    return out
+
+
+def _solve_extremal(g):
+    """(e_min, e_max), the self-intersections of the extremal sets.
+
+    The Duistermaat-Heckman density vanishes above y_max: its slope there
+    gives e_min + e_max = -sum 1/(m_p n_p), and its constant term gives
+    y_min e_min + y_max e_max = a_max - a_min - sum y_p/(m_p n_p).
+    """
+    lo, hi = g.min_vertex(), g.max_vertex()
+    products = _interior_products(g)
+    s0 = sum(Fraction(1, mn) for _, mn in products)
+    s1 = sum(Fraction(y, mn) for y, mn in products)
+    a_min = lo.area if lo.kind == "surface" else Fraction(0)
+    a_max = hi.area if hi.kind == "surface" else Fraction(0)
+    e_max = Fraction(a_max - a_min - s1 + lo.moment * s0,
+                     hi.moment - lo.moment)
+    return -s0 - e_max, e_max
 
 
 def require_valid(g):
@@ -534,15 +582,24 @@ def _json_int(d, key):
     return value
 
 
+def _json_str(d, key):
+    """The string field d[key]: a JSON string."""
+    value = d[key]
+    if not isinstance(value, str):
+        raise ValueError("%s = %r is not a string" % (key, value))
+    return value
+
+
 def graph_from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        vertices = [Vertex(str(d["id"]), d["kind"], parse_rat(d["moment"]),
+        vertices = [Vertex(_json_str(d, "id"), d["kind"],
+                           parse_rat(d["moment"]),
                            parse_rat(d["area"]) if "area" in d else None,
                            _json_int(d, "genus") if "genus" in d else None)
                     for d in data["vertices"]]
-        edges = [Edge(str(d["a"]), str(d["b"]), _json_int(d, "k"))
+        edges = [Edge(_json_str(d, "a"), _json_str(d, "b"), _json_int(d, "k"))
                  for d in data.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(["malformed graph JSON: %s" % exc]) from exc

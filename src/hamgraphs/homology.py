@@ -16,7 +16,6 @@ from . import blowup_calculus
 from .chain_arith import SURFACE_END, WeightChain, self_intersections
 from .dh_measure import extremal_self_intersections
 from .graph_core import GraphError, _chains, require_valid
-from .rational import fmt_rat
 
 BMIN, BMAX, FIBER = "Bmin", "Bmax", "F"
 
@@ -69,12 +68,7 @@ def _labels(chains):
 
 def intersection_matrix(g):
     """Integer pairing of the spanning curves of a two-surface graph."""
-    require_valid(g)
     ext = extremal_self_intersections(g)
-    if ext.e_min.denominator != 1 or ext.e_max.denominator != 1:
-        raise GraphError("extremal self-intersections %s, %s are not "
-                         "integers; no smooth two-surface model"
-                         % (fmt_rat(ext.e_min), fmt_rat(ext.e_max)))
     chains = _chain_structure(g)
     labels = _labels(chains)
     pos = {lab: i for i, lab in enumerate(labels)}
@@ -135,7 +129,7 @@ def class_values(g):
 def positivity_equiv(sb, lams):
     """Whether, for each lambda in lams, positivity of all class values of
     the instantiated blow-up agrees with the monotonicity check."""
-    sup, _ = blowup_calculus.max_size(sb.base, sb.site)
+    sup, _ = blowup_calculus._max_size(sb)
     if sup is None or sup <= 0:
         raise GraphError("site admits no blow-up at all")
     ref = blowup_calculus.instantiate(sb, sup / 2)

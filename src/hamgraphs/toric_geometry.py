@@ -43,8 +43,12 @@ class DelzantPolygon:
 
 def polygon_from_json(data):
     try:
+        points = data["vertices"]
+        for p in points:
+            if not isinstance(p, list) or len(p) != 2:
+                raise ValueError("vertex %r is not an array [x, y]" % (p,))
         return DelzantPolygon([(parse_rat(x), parse_rat(y))
-                               for x, y in data["vertices"]])
+                               for x, y in points])
     except (KeyError, TypeError, ValueError) as exc:
         raise PolygonError("malformed polygon JSON: %s" % exc) from exc
 
@@ -194,15 +198,10 @@ def graph_to_polygon(g, ext=None):
     a_min = lo.area if lo.kind == "surface" else Fraction(0)
     a_max = hi.area if hi.kind == "surface" else Fraction(0)
     if lo.kind == "surface":
-        if ks_r[0] != 1 or ks_l[0] != 1:
-            raise GraphError("weighted edge at a fixed surface")
-        ext_data = extremal_self_intersections(g)
-        if ext_data.e_min.denominator != 1:
-            raise GraphError("surface minimum with non-integer "
-                             "self-intersection %s" % ext_data.e_min)
-        # the width a_min - e_min (t - y_min) of the bottom strip equals
+        # both chains start with a free sphere (k1 = k1' = 1): the width
+        # a_min - e_min (t - y_min) of the bottom strip equals
         # x_right(t) - x_left(t) = a_min - (b1/k1 + b1'/k1') (t - y_min)
-        b1, b1p = 0, int(ext_data.e_min)
+        b1, b1p = 0, int(extremal_self_intersections(g).e_min)
     else:
         k2_right = ks_r[1] if len(ks_r) > 1 else None
         b1, b1p = _seed_pair(ks_r[0], ks_l[0], k2_right)
@@ -228,8 +227,6 @@ def graph_to_polygon(g, ext=None):
         if gap != a_max:
             raise GraphError("closure failure: top gap %s != area %s"
                              % (gap, a_max))
-        if ks_r[-1] != 1 or ks_l[-1] != 1:
-            raise GraphError("weighted edge at a fixed surface")
     else:
         if pts_r[-1] != pts_l[-1]:
             raise GraphError("closure failure: chains meet the maximum at "

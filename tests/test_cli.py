@@ -270,6 +270,48 @@ def test_malformed_object_exits_2(command, doc):
     assert err.startswith("error: malformed ") and " JSON" in err
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("polygon2graph", {"vertices": ["00", "20", "02"]}),
+    ("minimal", {"vertices": [
+        {"id": None, "kind": "surface", "moment": "0", "area": "1",
+         "genus": 0},
+        {"id": [1], "kind": "surface", "moment": "1", "area": "1",
+         "genus": 0}]}),
+])
+def test_non_string_ids_and_non_array_points_exit_2(command, doc):
+    code, out, err = run_on_stdin([command], json.dumps(doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed ") and " JSON" in err
+
+
+# two graphs whose labels break the extremal conditions: two points with
+# no edges (e_min = e_max = 0, not -1), and two spheres one level apart
+# (e_min = -1/2, e_max = 1/2, not integers)
+BAD_EXTREMA = [
+    ({"vertices": [{"id": "lo", "kind": "point", "moment": "0"},
+                   {"id": "hi", "kind": "point", "moment": "1"}]},
+     "vertex lo: isolated extremum with weights {1, 1} has "
+     "self-intersection 0, not -1"),
+    ({"vertices": [{"id": "lo", "kind": "surface", "moment": "0",
+                    "area": "1", "genus": 0},
+                   {"id": "hi", "kind": "surface", "moment": "1",
+                    "area": "3/2", "genus": 0}]},
+     "vertex lo: fixed surface has non-integer self-intersection -1/2"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "dh", "blowup", "minimal",
+                                     "homology", "graph2polygon"])
+@pytest.mark.parametrize("doc,first", BAD_EXTREMA)
+def test_every_command_rejects_bad_extrema_alike(command, doc, first):
+    code, out, err = run_on_stdin([command], json.dumps(doc))
+    assert code == 2 and "Traceback" not in err
+    if command == "validate":
+        assert json.loads(out)["problems"][0] == first
+    else:
+        assert out == "" and err.startswith("error: " + first + ";")
+
+
 JSON_KEYS = st.sampled_from(["vertices", "edges", "breakpoints", "values",
                              "id", "kind", "moment", "area", "genus", "a",
                              "b", "k"]) | st.text(max_size=3)

@@ -149,6 +149,19 @@ def test_extend_tent_two_branches():
 
 
 def test_extend_impossible_three_on_a_level():
+    # e_min = -3 and e_max = 0: valid, but each point needs its own chain
+    g = DecoratedGraph(
+        [Vertex("lo", "surface", F(0), area=F(10), genus=0),
+         Vertex("p1", "point", F(1)), Vertex("p2", "point", F(1)),
+         Vertex("p3", "point", F(1)),
+         Vertex("hi", "surface", F(2), area=F(13), genus=0)])
+    assert validate_graph(g) == []
+    with pytest.raises(NoExtensionError):
+        extend_graph(g)
+
+
+def test_three_on_a_level_with_weighted_spheres_is_invalid():
+    # the minimum has weights {1, 1}, but the labels give e_min = -41/24
     g = DecoratedGraph(
         [Vertex("lo", "point", F(0)),
          Vertex("p1", "point", F(1)), Vertex("p2", "point", F(1)),
@@ -156,9 +169,9 @@ def test_extend_impossible_three_on_a_level():
          Vertex("q1", "point", F(3, 2)), Vertex("q2", "point", F(3, 2)),
          Vertex("hi", "point", F(2))],
         [Edge("q1", "hi", 2), Edge("q2", "hi", 3)])
-    assert validate_graph(g) == []
-    with pytest.raises(NoExtensionError):
-        extend_graph(g)
+    assert validate_graph(g)[0] == (
+        "vertex lo: isolated extremum with weights {1, 1} has "
+        "self-intersection -41/24, not -1")
 
 
 def test_json_round_trip():
