@@ -40,9 +40,7 @@ def _aff_at(a, lam):
 class SymbolicBlowup:
     """Blown-up graph with labels affine in the blow-up size."""
 
-    def __init__(self, base, site, vertices, edges):
-        self.base = base
-        self.site = site
+    def __init__(self, vertices, edges):
         self.vertices = vertices  # id -> (kind, moment aff, area aff|None, genus)
         self.edges = edges
         self.order_pairs = self._carried_order()
@@ -71,32 +69,33 @@ class SymbolicBlowup:
         return pairs
 
 
+def _tag(g, vid):
+    """The local model of a blow-up at the vertex vid of g."""
+    v = g.vertex(vid)
+    lo = g.min_vertex().id
+    if v.kind == "surface":
+        return "SurfaceMin" if vid == lo else "SurfaceMax"
+    if vid == lo:
+        w11 = isotropy_weights(g, vid) == (1, 1)
+        return "IsolatedMin11" if w11 else "IsolatedMinDistinct"
+    if vid == g.max_vertex().id:
+        w11 = isotropy_weights(g, vid) == (-1, -1)
+        return "IsolatedMax11" if w11 else "IsolatedMaxDistinct"
+    return "Interior"
+
+
 def blowup_sites(g):
     """One blow-up site per vertex, tagged by the local model."""
     require_valid(g)
-    lo, hi = g.min_vertex().id, g.max_vertex().id
-    sites = []
-    for vid in sorted(g.vertices, key=lambda v: (g.moment(v), v)):
-        v = g.vertex(vid)
-        if v.kind == "surface":
-            tag = "SurfaceMin" if vid == lo else "SurfaceMax"
-        elif vid == lo:
-            w = isotropy_weights(g, vid)
-            tag = "IsolatedMin11" if w == (1, 1) else "IsolatedMinDistinct"
-        elif vid == hi:
-            w = isotropy_weights(g, vid)
-            tag = "IsolatedMax11" if w == (-1, -1) else "IsolatedMaxDistinct"
-        else:
-            tag = "Interior"
-        sites.append(BlowupSite(vid, tag))
-    return sites
+    return [BlowupSite(vid, _tag(g, vid))
+            for vid in sorted(g.vertices, key=lambda v: (g.moment(v), v))]
 
 
 def site_for_vertex(g, vid):
-    for s in blowup_sites(g):
-        if s.vertex == vid:
-            return s
-    raise GraphError("unknown vertex %r" % (vid,))
+    require_valid(g)
+    if vid not in g.vertices:
+        raise GraphError("unknown vertex %r" % (vid,))
+    return BlowupSite(vid, _tag(g, vid))
 
 
 def _fresh(base_ids, stem):
@@ -107,17 +106,19 @@ def _fresh(base_ids, stem):
 
 
 def blowup_symbolic(g, site):
-    """The blown-up graph with labels affine in lambda."""
+    """The blown-up graph with labels affine in lambda.  Only site.vertex
+    is read: the local model is decided from g."""
     require_valid(g)
     p = g.vertex(site.vertex)
     alpha = p.moment
     sym_vertices = {v.id: (v.kind, _aff(v.moment),
                            None if v.area is None else _aff(v.area), v.genus)
                     for v in g.vertices.values()}
-    edges = [e for e in g.edges if site.vertex not in (e.a, e.b)]
-    touched = [e for e in g.edges if site.vertex in (e.a, e.b)]
+    edges = [e for e in g.edges if p.id not in (e.a, e.b)]
+    touched = [e for e in g.edges if p.id in (e.a, e.b)]
     ids = set(sym_vertices)
-    tag = site.tag
+    tag = _tag(g, p.id)
+    sgn = -1 if "Max" in tag else 1
 
     def add(vid, kind, mom, area=None, genus=None):
         sym_vertices[vid] = (kind, mom, area, genus)
@@ -135,19 +136,12 @@ def blowup_symbolic(g, site):
             target = v_hi if g.moment(other) > alpha else v_lo
             edges.append(Edge(target, other, e.k))
         edges.append(Edge(v_lo, v_hi, m + n))
-    elif tag in ("SurfaceMin", "SurfaceMax"):
-        sgn = 1 if tag == "SurfaceMin" else -1
+    elif tag.startswith("Surface"):
         kind, mom, area, genus = sym_vertices[p.id]
         sym_vertices[p.id] = (kind, mom, (area[0], area[1] - 1), genus)
-        v_new = _fresh(ids, p.id + ".new")
-        add(v_new, "point", _aff(alpha, sgn))
-    elif tag in ("IsolatedMinDistinct", "IsolatedMaxDistinct"):
-        sgn = 1 if tag == "IsolatedMinDistinct" else -1
-        w = isotropy_weights(g, p.id)
-        n, m = sorted(abs(x) for x in w)
-        if n == m:
-            raise GraphError("vertex %s has weights {1,1}; use the 1,1 "
-                             "blow-up" % p.id)
+        add(_fresh(ids, p.id + ".new"), "point", _aff(alpha, sgn))
+    elif tag.endswith("Distinct"):
+        n, m = sorted(abs(x) for x in isotropy_weights(g, p.id))
         del sym_vertices[p.id]
         v_ext = _fresh(ids, p.id + ".lo" if sgn > 0 else p.id + ".hi")
         v_int = _fresh(ids, p.id + ".hi" if sgn > 0 else p.id + ".lo")
@@ -158,19 +152,14 @@ def blowup_symbolic(g, site):
             edges.append(Edge(target, e.other(p.id), e.k))
         if m - n >= 2:
             edges.append(Edge(v_ext, v_int, m - n))
-    elif tag in ("IsolatedMin11", "IsolatedMax11"):
-        sgn = 1 if tag == "IsolatedMin11" else -1
-        if isotropy_weights(g, p.id) not in ((1, 1), (-1, -1)):
-            raise GraphError("vertex %s does not have weights {1,1}" % p.id)
+    else:  # IsolatedMin11, IsolatedMax11: the point becomes a sphere
         genus = 0
         for s in g.surfaces():
             genus = s.genus
         del sym_vertices[p.id]
-        v_s = _fresh(ids, p.id + ".s")
-        add(v_s, "surface", _aff(alpha, sgn), _aff(0, 1), genus)
-    else:
-        raise GraphError("unknown blow-up tag %r" % (tag,))
-    return SymbolicBlowup(g, site, sym_vertices, edges)
+        add(_fresh(ids, p.id + ".s"), "surface", _aff(alpha, sgn), _aff(0, 1),
+            genus)
+    return SymbolicBlowup(sym_vertices, edges)
 
 
 def instantiate(sb, lam):
@@ -257,7 +246,6 @@ def _merge(g, u, w, mu):
 
 
 def _A_sites(g):
-    out = []
     for e in g.edges:
         if g.is_extremal(e.a) or g.is_extremal(e.b):
             continue
@@ -270,119 +258,87 @@ def _A_sites(g):
         lam = Fraction(g.moment(v_top) - g.moment(v_bot), e.k)
         result = _merge(g, v_bot, v_top, g.moment(v_top) - m * lam)
         if not validate_graph(result):
-            out.append((BlowdownSite("A", (v_bot, v_top), lam), result))
-    return out
+            yield ((0, -e.k, (v_bot, v_top)),
+                   BlowdownSite("A", (v_bot, v_top), lam), result)
 
 
-def _C_sites(g):
-    out = []
-    for side in ("min", "max"):
-        ext = g.min_vertex() if side == "min" else g.max_vertex()
-        if ext.kind != "point":
-            continue
-        sgn = 1 if side == "min" else -1
-        a, b = sorted(abs(x) for x in isotropy_weights(g, ext.id))
-        m = a + b
-        seen = set()
-        for n, d in ((a, b), (b, a)):
-            if (n, d) in seen:
+def _C_sites(g, side, ext, sgn):
+    a, b = sorted(abs(x) for x in isotropy_weights(g, ext.id))
+    for n, d in dict.fromkeys(((a, b), (b, a))):
+        for q in g.interior_ids():
+            down, up = isotropy_weights(g, q)
+            outward, inward = (up, -down) if sgn > 0 else (-down, up)
+            if outward != a + b or inward != d:
                 continue
-            seen.add((n, d))
-            for q in g.interior_ids():
-                down, up = isotropy_weights(g, q)
-                outward, inward = (up, -down) if side == "min" \
-                    else (-down, up)
-                if outward != m or inward != d:
-                    continue
-                linked = any({e.a, e.b} == {ext.id, q} for e in g.edges)
-                if (d >= 2) != linked:
-                    continue
-                lam = Fraction(abs(g.moment(q) - ext.moment), d)
-                result = _merge(g, ext.id, q, ext.moment - sgn * n * lam)
-                if lam > 0 and not validate_graph(result):
-                    out.append((BlowdownSite("C", (ext.id, q), lam, side),
-                                result))
-    return out
+            linked = any({e.a, e.b} == {ext.id, q} for e in g.edges)
+            if (d >= 2) != linked:
+                continue
+            lam = Fraction(abs(g.moment(q) - ext.moment), d)
+            result = _merge(g, ext.id, q, ext.moment - sgn * n * lam)
+            if not validate_graph(result):
+                yield ((1, lam, side != "min", (ext.id, q)),
+                       BlowdownSite("C", (ext.id, q), lam, side), result)
 
 
-def _D_sites(g):
-    out = []
-    for side in ("min", "max"):
-        ext = g.min_vertex() if side == "min" else g.max_vertex()
-        if ext.kind != "surface" or ext.genus != 0:
-            continue
-        sgn = 1 if side == "min" else -1
-        lam = ext.area
-        merged = _merge_id(g, ext.id)
-        vertices = [v for v in g.vertices.values() if v.id != ext.id]
-        vertices.append(Vertex(merged, "point", ext.moment - sgn * lam))
-        result = DecoratedGraph(vertices, g.edges)
-        if not validate_graph(result):
-            out.append((BlowdownSite("D", (ext.id,), lam, side), result))
-    return out
+def _D_sites(g, side, ext, sgn):
+    if ext.genus != 0:
+        return
+    vertices = [v for v in g.vertices.values() if v.id != ext.id]
+    vertices.append(Vertex(_merge_id(g, ext.id), "point",
+                           ext.moment - sgn * ext.area))
+    result = DecoratedGraph(vertices, g.edges)
+    if not validate_graph(result):
+        yield ((2, side != "min"),
+               BlowdownSite("D", (ext.id,), ext.area, side), result)
 
 
-def _B_sites(g):
-    out = []
+def _B_sites(g, side, ext, sgn):
     for q in g.interior_ids():
         if g.edges_at(q):
             continue
-        for side in ("min", "max"):
-            ext = g.min_vertex() if side == "min" else g.max_vertex()
-            if ext.kind != "surface":
-                continue
-            lam = abs(g.moment(q) - ext.moment)
-            vertices = []
-            for v in g.vertices.values():
-                if v.id == q:
-                    continue
-                if v.id == ext.id:
-                    v = Vertex(v.id, v.kind, v.moment, v.area + lam, v.genus)
-                vertices.append(v)
-            result = DecoratedGraph(vertices, g.edges)
-            if lam > 0 and not validate_graph(result):
-                out.append((BlowdownSite("B", (q,), lam, side), result))
-    return out
+        lam = abs(g.moment(q) - ext.moment)
+        vertices = [Vertex(v.id, v.kind, v.moment, v.area + lam, v.genus)
+                    if v.id == ext.id else v
+                    for v in g.vertices.values() if v.id != q]
+        result = DecoratedGraph(vertices, g.edges)
+        if not validate_graph(result):
+            yield ((3, lam, side != "max", (q,)),
+                   BlowdownSite("B", (q,), lam, side), result)
 
 
-def _blowdown_options(g):
+def _ordered_sites(g):
     """Every blow-down site of g with the graph its rewrite leaves, as
-    (site, graph) pairs: the A sites, then C, D and B."""
-    yield from _A_sites(g)
-    yield from _C_sites(g)
-    yield from _D_sites(g)
-    yield from _B_sites(g)
+    (site, graph) pairs in preference order: A sites with the largest edge
+    weight first, then C (smaller size, min side first), then D (min side
+    first), then B (smaller size, max side first).  Each site search
+    yields (preference key, site, graph); C sites lie at an isolated
+    extremum, D and B sites at a fixed surface."""
+    options = list(_A_sites(g))
+    for side, ext, sgn in (("min", g.min_vertex(), 1),
+                           ("max", g.max_vertex(), -1)):
+        if ext.kind == "point":
+            options += _C_sites(g, side, ext, sgn)
+        else:
+            options += _D_sites(g, side, ext, sgn)
+            options += _B_sites(g, side, ext, sgn)
+    options.sort(key=lambda option: option[0])
+    return [(site, result) for _, site, result in options]
 
 
 def blowdown_sites(g):
     """All recognized blow-down sites, with the size each one removes."""
     require_valid(g)
-    sites = [site for site, _ in _blowdown_options(g)]
-    sites.sort(key=lambda s: (s.pattern, s.vertices, s.side))
-    return sites
+    return sorted((site for site, _ in _ordered_sites(g)),
+                  key=lambda s: (s.pattern, s.vertices, s.side))
 
 
 def blowdown(g, site):
     """Apply the inverse rewrite at a site found by blowdown_sites."""
     require_valid(g)
-    for cand, result in _blowdown_options(g):
+    for cand, result in _ordered_sites(g):
         if cand == site:
             return result
     raise GraphError("not a blow-down site: %r" % (site,))
-
-
-def _ordered_sites(cur):
-    """All blow-down options of cur in preference order: A sites with the
-    largest edge weight first, then C (smaller size, min side first), then
-    D (min side first), then B (smaller size, max side first)."""
-    within = {
-        "A": lambda s: (-_site_weight(cur, s), s.vertices),
-        "C": lambda s: (s.lam, s.side != "min", s.vertices),
-        "D": lambda s: (s.side != "min",),
-        "B": lambda s: (s.lam, s.side != "max", s.vertices),
-    }
-    return sorted(_blowdown_options(cur), key=lambda pair: (
-        "ACDB".index(pair[0].pattern), within[pair[0].pattern](pair[0])))
 
 
 def reduce_to_minimal(g):
@@ -436,7 +392,3 @@ def reduce_to_minimal(g):
         steps.append(site)
         cur = nxt
 
-
-def _site_weight(g, site):
-    v_bot, v_top = site.vertices
-    return int((g.moment(v_top) - g.moment(v_bot)) / site.lam)

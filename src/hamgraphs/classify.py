@@ -9,11 +9,13 @@ arises from these by blow-ups.
 
 from fractions import Fraction
 from math import gcd
+from numbers import Rational
 
 from . import blowup_calculus
 from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         canonical_form, extend_graph, flip, require_valid)
+                         _json_int, _json_str, canonical_form, extend_graph,
+                         flip, require_valid)
 from .toric_geometry import (affine_normal_form, graph_to_polygon,
                              minimal_fan_type, outward_normal, polygon_to_fan)
 
@@ -22,9 +24,18 @@ def _edges(pairs):
     return [Edge(a, b, k) for a, b, k in pairs if k >= 2]
 
 
+def _integer(name, value):
+    """The integer parameter value; a GraphError names it otherwise."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, Rational) or value.denominator != 1:
+        raise GraphError("%s = %s is not an integer" % (name, value))
+    return int(value)
+
+
 def cp2_graph(m, n, alpha=0, beta=1):
     """Projective plane with the circle acting through weights (m, n)."""
-    m, n = int(m), int(n)
+    m, n = _integer("m", m), _integer("n", n)
     alpha, beta = Fraction(alpha), Fraction(beta)
     if m <= 0 or n <= 0 or gcd(m, n) != 1 or beta <= 0:
         raise GraphError("cp2 needs coprime positive m, n and beta > 0")
@@ -48,7 +59,7 @@ def cp2_surface_graph(alpha=0, lam=1):
 
 def hirzebruch_graph(variant, n, c=1, d=1, r=1, s=1, alpha=0):
     """Hirzebruch surface graphs; variant in {"left", "middle", "right"}."""
-    n, c, d = int(n), int(c), int(d)
+    n, c, d = _integer("n", n), _integer("c", c), _integer("d", d)
     r, s, alpha = Fraction(r), Fraction(s), Fraction(alpha)
     if r <= 0 or s <= 0:
         raise GraphError("hirzebruch needs r, s > 0")
@@ -90,7 +101,7 @@ def hirzebruch_graph(variant, n, c=1, d=1, r=1, s=1, alpha=0):
 
 def ruled_graph(g=0, n=0, r=1, s=1, alpha=0):
     """Ruled surface over a genus-g curve: two fixed surfaces, nothing else."""
-    g, n = int(g), int(n)
+    g, n = _integer("genus", g), _integer("n", n)
     r, s, alpha = Fraction(r), Fraction(s), Fraction(alpha)
     if g < 0 or r <= 0 or s <= 0 or r + n * s <= 0:
         raise GraphError("ruled needs g >= 0, r > 0, s > 0 and positive "
@@ -195,16 +206,13 @@ class EnumeratedGraph:
         return "EnumeratedGraph(%s, depth=%d)" % (self.seed_key, self.depth)
 
 
-def enumerate_graphs(seeds, max_blowups, lam_factor=Fraction(1, 2)):
+def enumerate_graphs(seeds, max_blowups):
     """Breadth-first closure of the seed graphs under blow-ups.
 
     seeds: list of (key, DecoratedGraph).  At every site the blow-up size
-    is lam_factor times the supremum of admissible sizes.  Graphs are
-    deduplicated by exact canonical form; output order is deterministic.
+    is half the supremum of admissible sizes.  Graphs are deduplicated by
+    exact canonical form; output order is deterministic.
     """
-    lam_factor = Fraction(lam_factor)
-    if not 0 < lam_factor < 1:
-        raise GraphError("lambda rule factor must lie in (0, 1)")
     out = []
     index = {}
     frontier = []
@@ -225,7 +233,7 @@ def enumerate_graphs(seeds, max_blowups, lam_factor=Fraction(1, 2)):
                 sup, _ = blowup_calculus._max_size(sb)
                 if sup is None or sup <= 0:
                     continue
-                child = blowup_calculus._blowup(sb, sup * lam_factor)
+                child = blowup_calculus._blowup(sb, sup / 2)
                 digest = canonical_form(child, "exact").digest
                 if digest in index:
                     continue
@@ -252,16 +260,19 @@ def assign_labels(skeleton, moments, a_min, a_max, e_choice):
     vertices = []
     levels = {vid: Fraction(m) for vid, m in moments.items()}
     y_min, y_max = min(levels.values()), max(levels.values())
-    for v in skeleton["vertices"]:
-        vid, kind = str(v["id"]), v["kind"]
-        if kind == "surface":
-            area = a_min if levels[vid] == y_min else a_max
-            vertices.append(Vertex(vid, kind, levels[vid], area=area,
-                                   genus=int(v.get("genus", 0))))
-        else:
-            vertices.append(Vertex(vid, kind, levels[vid]))
-    edges = [Edge(str(e["a"]), str(e["b"]), int(e["k"]))
-             for e in skeleton.get("edges", [])]
+    try:
+        for v in skeleton["vertices"]:
+            vid, kind = _json_str(v, "id"), v["kind"]
+            if kind == "surface":
+                area = a_min if levels[vid] == y_min else a_max
+                genus = _json_int(v, "genus") if "genus" in v else 0
+                vertices.append(Vertex(vid, kind, levels[vid], area, genus))
+            else:
+                vertices.append(Vertex(vid, kind, levels[vid]))
+        edges = [Edge(_json_str(e, "a"), _json_str(e, "b"), _json_int(e, "k"))
+                 for e in skeleton.get("edges", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphError("malformed skeleton: %s" % exc) from exc
     if a_min <= 0 or a_max <= 0:
         raise GraphError("area labels must be positive")
     g = require_valid(DecoratedGraph(vertices, edges))

@@ -112,7 +112,7 @@ def total_mass(rho):
     return total
 
 
-def check_concave_nonneg(rho, g=None):
+def check_concave_nonneg(rho):
     """Slopes must be non-increasing and values nonnegative on the support."""
     if any(v < 0 for v in rho.values):
         return False

@@ -9,7 +9,7 @@ reconstructed on demand by ``extend_graph``.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -458,16 +458,14 @@ def is_isomorphic(g1, g2, mode="exact"):
 
 @dataclass
 class ExtendedGraph:
-    base: DecoratedGraph
-    free_edges: list = field(default_factory=list)  # (low id, high id) pairs
-    branches: list = field(default_factory=list)    # vertex id paths, min..max
+    free_edges: list  # (low id, high id) pairs
+    branches: list    # vertex id paths, min..max
 
 
-def _free_capacity(g, vid, used):
-    v = g.vertex(vid)
-    if v.kind == "surface":
-        return 2 - used
-    return 2 - len(g.edges_at(vid)) - used
+def _free_capacity(g, vid, frees):
+    """How many more free spheres can meet the extremum vid.  At most two
+    spheres meet it: its edges and the free spheres already in frees."""
+    return 2 - len(g.edges_at(vid)) - sum(vid in f for f in frees)
 
 
 def extend_graph(g):
@@ -484,11 +482,11 @@ def extend_graph(g):
     need_up = [vid for vid in interiors if not g.up_edges(vid)]
     need_up.sort(key=lambda vid: (-g.moment(vid), vid))
 
-    def search(i, frees, used):
+    def search(i, frees):
         if i == len(need_up):
             # every remaining down-slot can only point at the minimum
             extra = []
-            cap_lo = _free_capacity(g, lo, 0)
+            cap_lo = _free_capacity(g, lo, frees)
             for vid in interiors:
                 has_down = bool(g.down_edges(vid)) or any(
                     h == vid for _, h in frees)
@@ -501,27 +499,25 @@ def extend_graph(g):
         v = need_up[i]
         yv = g.moment(v)
         candidates = []
-        if _free_capacity(g, hi, used.get(hi, 0)) > 0:
+        if _free_capacity(g, hi, frees) > 0:
             candidates.append(hi)
         for w in interiors:
             if g.moment(w) > yv and not g.down_edges(w) and not any(
                     high == w for _, high in frees):
                 candidates.append(w)
         for w in candidates:
-            used2 = dict(used)
-            used2[hi] = used.get(hi, 0) + (1 if w == hi else 0)
-            result = search(i + 1, frees + [(v, w)], used2)
+            result = search(i + 1, frees + [(v, w)])
             if result is not None:
                 return result
         return None
 
-    frees = search(0, [], {})
+    frees = search(0, [])
     if frees is None:
         raise NoExtensionError("no arrangement of free spheres with at most "
                                "two chains exists")
-    ext = ExtendedGraph(g, sorted(frees))
-    ext.branches = [[lo] + [s[1] for s in c]
-                    for c in _chains(g, ext.free_edges)]
+    frees.sort()
+    ext = ExtendedGraph(frees, [[lo] + [s[1] for s in c]
+                                for c in _chains(g, frees)])
     if len(ext.branches) > 2:
         raise NoExtensionError("every arrangement needs more than two chains")
     return ext

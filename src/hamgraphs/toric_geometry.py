@@ -167,7 +167,7 @@ def _seed_pair(k1, k1p, k2_right):
     return b1, num // k1
 
 
-def graph_to_polygon(g, ext=None):
+def graph_to_polygon(g):
     """A Delzant polygon whose vertical circle action has graph g.
 
     The two chains of the extension become the right and left boundary;
@@ -179,18 +179,10 @@ def graph_to_polygon(g, ext=None):
     for s in g.surfaces():
         if s.genus != 0:
             raise GraphError("graph with positive genus is not toric")
-    if ext is None:
-        ext = extend_graph(g)
     lo, hi = g.min_vertex(), g.max_vertex()
-    try:
-        chains = _chains(g, ext.free_edges)
-    except KeyError as exc:
-        raise GraphError("the free spheres of the extension do not join "
-                         "%s to the maximum" % exc) from exc
+    chains = _chains(g, extend_graph(g).free_edges)
     while len(chains) < 2:
         chains.append(((lo.id, hi.id, 1),))
-    if len(chains) > 2:
-        raise GraphError("more than two chains; no polygon exists")
     right, left = chains
     ks_r = [k for _, _, k in right]
     ks_l = [k for _, _, k in left]

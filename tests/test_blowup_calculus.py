@@ -6,7 +6,8 @@ from hamgraphs import (GraphError, blowdown, blowup, blowup_sites,
                        blowup_symbolic, compare, instantiate, is_isomorphic,
                        match_minimal_family, max_size, minimal_graph,
                        monotone_check, reduce_to_minimal, validate_graph)
-from hamgraphs.blowup_calculus import blowdown_sites, site_for_vertex
+from hamgraphs.blowup_calculus import (BlowupSite, blowdown_sites,
+                                       site_for_vertex)
 from conftest import chopped_square_graph, s2s2_graph, tent_graph
 
 F = Fraction
@@ -163,3 +164,15 @@ def test_symbolic_instantiate_matches_blowup():
     g = s2s2_graph()
     sb = blowup_symbolic(g, site_for_vertex(g, "a"))
     assert is_isomorphic(instantiate(sb, F(1, 3)), blowup(g, "a", F(1, 3)))
+
+
+def test_blowup_model_is_derived_from_the_graph():
+    g = s2s2_graph()
+    right = blowup_symbolic(g, site_for_vertex(g, "b"))
+    for wrong in ("SurfaceMin", "IsolatedMin11"):
+        sb = blowup_symbolic(g, BlowupSite("b", wrong))
+        assert sb.vertices == right.vertices
+        assert sb.edges == right.edges
+        assert sb.order_pairs == right.order_pairs
+    with pytest.raises(GraphError, match="unknown vertex"):
+        site_for_vertex(g, "nope")

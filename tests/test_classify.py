@@ -4,9 +4,9 @@ import pytest
 
 from hamgraphs import (GraphError, affine_normal_form, assign_labels,
                        canonical_form, classify_isolated, density,
-                       enumerate_graphs, is_isomorphic, is_toric_extendable,
-                       match_minimal_family, minimal_graph,
-                       polygon_pushforward, validate_graph)
+                       enumerate_graphs, graph_to_json, is_isomorphic,
+                       is_toric_extendable, match_minimal_family,
+                       minimal_graph, polygon_pushforward, validate_graph)
 from hamgraphs.toric_geometry import DelzantPolygon
 from conftest import (P, S2S2_POLYGONS, chopped_square_graph, s2s2_graph,
                       tent_graph, triangle)
@@ -26,6 +26,15 @@ def test_cp2_rejects_bad_weights():
         minimal_graph("cp2", 2, 4)
     with pytest.raises(GraphError):
         minimal_graph("cp2", 0, 1)
+
+
+def test_seed_parameters_must_be_integers():
+    with pytest.raises(GraphError, match="m = 3/2 is not an integer"):
+        minimal_graph("cp2", F(3, 2), 2)
+    with pytest.raises(GraphError, match="genus = 1/2 is not an integer"):
+        minimal_graph("ruled", F(1, 2), 1)
+    assert graph_to_json(minimal_graph("cp2", F(1), 2.0)) == \
+        graph_to_json(minimal_graph("cp2", 1, 2))
 
 
 def test_ruled_graph_genus_one():
@@ -145,6 +154,19 @@ def test_assign_labels_rejects_wrong_e_choice():
         assign_labels(CHOPPED_SKELETON, CHOPPED_MOMENTS, 6, 4, (-1, 0))
     with pytest.raises(GraphError):
         assign_labels(CHOPPED_SKELETON, CHOPPED_MOMENTS, 6, 4, (0, 0))
+
+
+def test_assign_labels_rejects_malformed_skeleton():
+    fractional_genus = {"vertices": [dict(CHOPPED_SKELETON["vertices"][0],
+                                          genus=0.7)]
+                        + CHOPPED_SKELETON["vertices"][1:], "edges": []}
+    with pytest.raises(GraphError, match="malformed skeleton.*genus"):
+        assign_labels(fractional_genus, CHOPPED_MOMENTS, 6, 4, (0, -1))
+    integer_id = {"vertices": CHOPPED_SKELETON["vertices"][:2]
+                  + [{"id": 1, "kind": "surface"}], "edges": []}
+    with pytest.raises(GraphError, match="malformed skeleton.*id"):
+        assign_labels(integer_id, dict(CHOPPED_MOMENTS, **{"1": 5}), 6, 4,
+                      (0, -1))
 
 
 def test_assign_labels_trivial_ruled():

@@ -154,6 +154,17 @@ def test_enumerate_without_seed_exits_1(tmp_path):
     assert run(["enumerate", "--out", out_path(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("seed,problem", [("cp2:1.5,2", "m = 3/2"),
+                                          ("ruled:0.5,1", "genus = 1/2")])
+def test_enumerate_refuses_non_integer_seed_parameters(tmp_path, capsys,
+                                                        seed, problem):
+    assert run(["enumerate", "--seed", seed, "--max-blowups", "0",
+                "--out", out_path(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "%s is not an integer" % problem in err
+    assert "Traceback" not in err
+
+
 def test_classify_command(tmp_path):
     p = tmp_path / "g.json"
     p.write_text(json.dumps(graph_to_json(s2s2_graph())))

@@ -7,7 +7,7 @@ search must return the same minimal graph and the same step records.
 
 from fractions import Fraction
 
-from hamgraphs import (GraphError, blowup, graph_to_json,
+from hamgraphs import (GraphError, blowdown_sites, blowup, graph_to_json,
                        match_minimal_family, minimal_graph, reduce_to_minimal)
 from hamgraphs.blowup_calculus import _ordered_sites
 
@@ -76,3 +76,30 @@ def test_six_fold_surface_chain_reduces_to_ruled():
     minimal, steps = reduce_to_minimal(surface_chain(6))
     assert len(steps) == 6
     assert match_minimal_family(minimal) == "ruled"
+
+
+def documented_preference(g, site):
+    """A first, largest edge weight first; then C, smaller size first and
+    min side first; then D, min side first; then B, smaller size first and
+    max side first."""
+    if site.pattern == "A":
+        k, = [e.k for e in g.edges if {e.a, e.b} == set(site.vertices)]
+        return (0, -k, site.vertices)
+    if site.pattern == "C":
+        return (1, site.lam, site.side != "min", site.vertices)
+    if site.pattern == "D":
+        return (2, site.side != "min")
+    return (3, site.lam, site.side != "max", site.vertices)
+
+
+def test_blowdown_preference_order(enumerated_small):
+    patterns = set()
+    for rec in enumerated_small:
+        g = rec.graph
+        ordered = [site for site, _ in _ordered_sites(g)]
+        listed = blowdown_sites(g)
+        assert len(ordered) == len(listed) and set(ordered) == set(listed)
+        keys = [documented_preference(g, site) for site in ordered]
+        assert keys == sorted(keys)
+        patterns.update(site.pattern for site in ordered)
+    assert patterns == set("ABCD")

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamgraphs import (DecoratedGraph, Edge, GraphError, PolygonError, Vertex,
+from hamgraphs import (DecoratedGraph, Edge, PolygonError, Vertex,
                        affine_normal_form, density, graph_to_polygon,
                        is_isomorphic, minimal_graph,
                        polygon_affine_equivalent, polygon_chop,
@@ -64,13 +64,6 @@ def test_graph_to_polygon_cp2():
     assert validate_delzant(Q) == []
     assert len(Q.vertices) == 3
     assert total_mass(polygon_pushforward(Q)) == F(1, 2)
-
-
-def test_graph_to_polygon_rejects_incomplete_extension():
-    from hamgraphs.graph_core import ExtendedGraph
-    g = s2s2_graph()
-    with pytest.raises(GraphError, match="do not join"):
-        graph_to_polygon(g, ExtendedGraph(g))
 
 
 def test_width_matches_density_at_breakpoints():
