@@ -325,17 +325,22 @@ def _ordered_sites(g):
     return [(site, result) for _, site, result in options]
 
 
+def _listed_sites(g):
+    """The (site, graph) pairs of _ordered_sites for a valid g, in the
+    order blowdown_sites lists them: by pattern, vertices and side."""
+    require_valid(g)
+    return sorted(_ordered_sites(g), key=lambda option: (
+        option[0].pattern, option[0].vertices, option[0].side))
+
+
 def blowdown_sites(g):
     """All recognized blow-down sites, with the size each one removes."""
-    require_valid(g)
-    return sorted((site for site, _ in _ordered_sites(g)),
-                  key=lambda s: (s.pattern, s.vertices, s.side))
+    return [site for site, _ in _listed_sites(g)]
 
 
 def blowdown(g, site):
     """Apply the inverse rewrite at a site found by blowdown_sites."""
-    require_valid(g)
-    for cand, result in _ordered_sites(g):
+    for cand, result in _listed_sites(g):
         if cand == site:
             return result
     raise GraphError("not a blow-down site: %r" % (site,))

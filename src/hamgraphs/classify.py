@@ -197,10 +197,14 @@ def classify_isolated(g):
 # -- enumeration -------------------------------------------------------------
 
 class EnumeratedGraph:
-    def __init__(self, graph, seed_key, depth):
+    """A class found by enumerate_graphs; digest is the exact canonical
+    form's digest of graph."""
+
+    def __init__(self, graph, seed_key, depth, digest):
         self.graph = graph
         self.seed_key = seed_key
         self.depth = depth
+        self.digest = digest
 
     def __repr__(self):
         return "EnumeratedGraph(%s, depth=%d)" % (self.seed_key, self.depth)
@@ -221,7 +225,7 @@ def enumerate_graphs(seeds, max_blowups):
         digest = canonical_form(g, "exact").digest
         if digest in index:
             continue
-        rec = EnumeratedGraph(g, key, 0)
+        rec = EnumeratedGraph(g, key, 0, digest)
         index[digest] = rec
         out.append(rec)
         frontier.append(rec)
@@ -237,7 +241,7 @@ def enumerate_graphs(seeds, max_blowups):
                 digest = canonical_form(child, "exact").digest
                 if digest in index:
                     continue
-                child_rec = EnumeratedGraph(child, rec.seed_key, depth)
+                child_rec = EnumeratedGraph(child, rec.seed_key, depth, digest)
                 index[digest] = child_rec
                 out.append(child_rec)
                 next_frontier.append(child_rec)

@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from . import blowup_calculus, classify, dh_measure, homology, render
 from .chain_arith import ChainError
-from .graph_core import (DecoratedGraph, GraphError, canonical_form,
-                         graph_from_json, graph_to_json, is_isomorphic,
-                         validate_graph)
+from .graph_core import (DecoratedGraph, GraphError, graph_from_json,
+                         graph_to_json, is_isomorphic, validate_graph)
 from .rational import fmt_rat, parse_rat
 from .toric_geometry import (graph_to_polygon, polygon_from_json,
                              polygon_to_graph, validate_delzant)
@@ -161,16 +160,17 @@ def _cmd_blowup(ns):
 
 def _cmd_blowdown(ns):
     g = _load_graph(getattr(ns, "in"))
-    sites = blowup_calculus.blowdown_sites(g)
-    rows = [{"pattern": s.pattern, "vertices": list(s.vertices),
-             "lambda": fmt_rat(s.lam), "side": s.side} for s in sites]
     if ns.site is None:
+        rows = [{"pattern": s.pattern, "vertices": list(s.vertices),
+                 "lambda": fmt_rat(s.lam), "side": s.side}
+                for s in blowup_calculus.blowdown_sites(g)]
         _emit_json({"sites": rows}, ns.out)
         return 0
-    if not 0 <= ns.site < len(sites):
+    # the rewrites come with the listed sites, so none is built twice
+    options = blowup_calculus._listed_sites(g)
+    if not 0 <= ns.site < len(options):
         raise CliError("site index out of range", 1)
-    _emit_json(graph_to_json(blowup_calculus.blowdown(g, sites[ns.site])),
-               ns.out)
+    _emit_json(graph_to_json(options[ns.site][1]), ns.out)
     return 0
 
 
@@ -198,10 +198,9 @@ def _cmd_enumerate(ns):
     if outdir:
         os.makedirs(outdir, exist_ok=True)
     for i, rec in enumerate(recs):
-        digest = canonical_form(rec.graph, "exact").digest
-        name = "class_%04d_%s.json" % (i, digest)
+        name = "class_%04d_%s.json" % (i, rec.digest)
         index.append({"file": name, "seed": rec.seed_key,
-                      "blowups": rec.depth, "digest": digest})
+                      "blowups": rec.depth, "digest": rec.digest})
         if outdir:
             with open(os.path.join(outdir, name), "w") as fh:
                 json.dump(graph_to_json(rec.graph), fh, indent=2,

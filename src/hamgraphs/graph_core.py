@@ -9,6 +9,7 @@ reconstructed on demand by ``extend_graph``.
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -379,21 +380,39 @@ def canonical_form(g, mode="exact"):
     mode "exact" keeps moment levels as given; mode "shift" first translates
     the graph so its minimum level is 0, so graphs differing by a moment-map
     constant agree.
+
+    Colour refinement splits the vertices by label and by the colours of
+    their neighbours.  While a class stays tied, the search individualises
+    its vertices in turn and keeps the smallest listing, but it tries only
+    one vertex of each class of twins: vertices with the same label and
+    the same multiset of incident (k, neighbour id) pairs (the first step
+    of McKay and Piperno, "Practical graph isomorphism, II", 2014).
+    Swapping two twins is an automorphism, since it maps the edges at one
+    onto the edges at the other; twins share a level, so in a valid graph
+    no edge joins them.  The swap fixes every other vertex, and so every
+    vertex individualised so far.  Refinement commutes with automorphisms,
+    so the swap carries the search below one twin onto the search below
+    the other, and both give the same listing.  k twin points thus cost k
+    individualisations, not k! orders.
+
+    Listings and digests stay the same from one version to the next,
+    because the digests name enumerated class files.
     """
     if mode not in ("exact", "shift"):
         raise ValueError("mode must be 'exact' or 'shift'")
     offset = -min(v.moment for v in g.vertices.values()) if mode == "shift" else 0
-
-    def label(v):
-        return "%s|%s|%s|%s" % (
-            v.kind, fmt_rat(v.moment + offset),
-            "-" if v.area is None else fmt_rat(v.area),
-            "-" if v.genus is None else v.genus)
+    labels = {vid: "%s|%s|%s|%s" % (
+        v.kind, fmt_rat(v.moment + offset),
+        "-" if v.area is None else fmt_rat(v.area),
+        "-" if v.genus is None else v.genus)
+        for vid, v in g.vertices.items()}
 
     incident = {vid: [] for vid in g.vertices}
     for e in g.edges:
         incident[e.a].append((e.k, e.b))
         incident[e.b].append((e.k, e.a))
+    twin_key = {vid: (labels[vid], frozenset(Counter(around).items()))
+                for vid, around in incident.items()}
 
     def refine(colors):
         # Weisfeiler-Leman refinement; classes only ever split, so a
@@ -410,38 +429,43 @@ def canonical_form(g, mode="exact"):
             colors = new
 
     def listing(colors):
-        order = sorted(g.vertices,
-                       key=lambda vid: (label(g.vertex(vid)), colors[vid]))
+        order = sorted(g.vertices, key=lambda vid: (labels[vid], colors[vid]))
         index = {vid: i for i, vid in enumerate(order)}
-        lines = []
-        for vid in order:
-            lines.append("vertex %d %s" % (index[vid], label(g.vertex(vid))))
+        lines = ["vertex %d %s" % (i, labels[vid])
+                 for i, vid in enumerate(order)]
         for a, b, k in sorted((min(index[e.a], index[e.b]),
                                max(index[e.a], index[e.b]), e.k)
                               for e in g.edges):
             lines.append("edge %d %d k=%d" % (a, b, k))
         return "\n".join(lines)
 
-    def canon(colors):
-        colors = refine(colors)
-        classes = {}
-        for vid, c in colors.items():
-            classes.setdefault(c, []).append(vid)
-        tied = [classes[c] for c in sorted(classes) if len(classes[c]) > 1]
-        if not tied:
-            return listing(colors)
-        # individualize each vertex of the first tied class in turn and
-        # keep the smallest resulting listing
-        best = None
-        for vid in tied[0]:
-            forked = dict(colors)
-            forked[vid] += "!"
-            text = canon(forked)
-            if best is None or text < best:
-                best = text
-        return best
+    def individualised(colors, vid):
+        forked = dict(colors)
+        forked[vid] += "!"
+        return forked
 
-    text = canon({vid: label(v) for vid, v in g.vertices.items()})
+    def canon(colors):
+        while True:
+            colors = refine(colors)
+            classes = {}
+            for vid, c in colors.items():
+                classes.setdefault(c, []).append(vid)
+            tied = [classes[c] for c in sorted(classes)
+                    if len(classes[c]) > 1]
+            if not tied:
+                return listing(colors)
+            # individualise one vertex per twin class of the first tied
+            # class and keep the smallest resulting listing; a class of
+            # twins alone needs no branching
+            tries = {}
+            for vid in tied[0]:
+                tries.setdefault(twin_key[vid], vid)
+            if len(tries) > 1:
+                return min(canon(individualised(colors, vid))
+                           for vid in tries.values())
+            colors = individualised(colors, tied[0][0])
+
+    text = canon(dict(labels))
     return CanonicalForm(hashlib.sha256(text.encode()).hexdigest(), text)
 
 
@@ -460,6 +484,7 @@ def is_isomorphic(g1, g2, mode="exact"):
 class ExtendedGraph:
     free_edges: list  # (low id, high id) pairs
     branches: list    # vertex id paths, min..max
+    chains: list      # the chains of _chains(g, free_edges)
 
 
 def _free_capacity(g, vid, frees):
@@ -516,8 +541,9 @@ def extend_graph(g):
         raise NoExtensionError("no arrangement of free spheres with at most "
                                "two chains exists")
     frees.sort()
-    ext = ExtendedGraph(frees, [[lo] + [s[1] for s in c]
-                                for c in _chains(g, frees)])
+    chains = _chains(g, frees)
+    ext = ExtendedGraph(frees, [[lo] + [s[1] for s in c] for c in chains],
+                        chains)
     if len(ext.branches) > 2:
         raise NoExtensionError("every arrangement needs more than two chains")
     return ext

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from .chain_arith import ChainError, _normals, _seed
-from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _chains,
+from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
                          extend_graph, require_valid)
 from .rational import fmt_rat, parse_rat
 
@@ -180,7 +180,7 @@ def graph_to_polygon(g):
         if s.genus != 0:
             raise GraphError("graph with positive genus is not toric")
     lo, hi = g.min_vertex(), g.max_vertex()
-    chains = _chains(g, extend_graph(g).free_edges)
+    chains = list(extend_graph(g).chains)
     while len(chains) < 2:
         chains.append(((lo.id, hi.id, 1),))
     right, left = chains

@@ -132,6 +132,7 @@ def test_enumerate_is_deterministic():
 
 def test_enumerate_dedups_isomorphic_children(enumerated_small):
     digests = [canonical_form(rec.graph).digest for rec in enumerated_small]
+    assert digests == [rec.digest for rec in enumerated_small]
     assert len(digests) == len(set(digests))
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamgraphs import graph_to_json, minimal_graph
+from hamgraphs import blowdown, blowdown_sites, graph_to_json, minimal_graph
 from hamgraphs.cli import run
 from conftest import CHOPPED_SQUARE, S2S2_POLYGONS, s2s2_graph, tent_graph
 
@@ -122,8 +122,9 @@ def test_blowup_missing_lambda_exits_1(hirzebruch_path, tmp_path):
 
 def test_blowdown_and_minimal(tmp_path):
     from conftest import chopped_square_graph
+    g = chopped_square_graph()
     p = tmp_path / "g.json"
-    p.write_text(json.dumps(graph_to_json(chopped_square_graph())))
+    p.write_text(json.dumps(graph_to_json(g)))
     out = out_path(tmp_path)
     assert run(["blowdown", "--in", str(p), "--out", out]) == 0
     sites = json.load(open(out))["sites"]
@@ -132,6 +133,12 @@ def test_blowdown_and_minimal(tmp_path):
     assert run(["blowdown", "--in", str(p), "--site", "0",
                 "--out", out]) == 0
     assert len(json.load(open(out))["vertices"]) == 2
+    for i, site in enumerate(blowdown_sites(g)):
+        assert run(["blowdown", "--in", str(p), "--site", str(i),
+                    "--out", out]) == 0
+        assert json.load(open(out)) == graph_to_json(blowdown(g, site))
+    assert run(["blowdown", "--in", str(p), "--site", str(len(sites)),
+                "--out", out]) == 1
     assert run(["minimal", "--in", str(p), "--out", out]) == 0
     rep = json.load(open(out))
     assert rep["family"] == "ruled" and len(rep["steps"]) == 1

@@ -8,6 +8,7 @@ from hamgraphs import (DecoratedGraph, Edge, NoExtensionError, Vertex,
                        graph_from_json, graph_to_json, is_isomorphic,
                        isotropy_weights, minimal_graph, polygon_to_graph,
                        shift, validate_graph)
+from hamgraphs.graph_core import _chains
 from conftest import TENT_POLYGONS, s2s2_graph, tent_graph
 
 F = Fraction
@@ -146,6 +147,7 @@ def test_extend_tent_two_branches():
     ext = extend_graph(tent_graph())
     assert len(ext.branches) == 2
     assert sorted(ext.branches) == [["lo", "a", "hi"], ["lo", "b", "hi"]]
+    assert ext.chains == _chains(tent_graph(), ext.free_edges)
 
 
 def test_extend_impossible_three_on_a_level():
