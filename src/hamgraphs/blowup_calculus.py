@@ -364,7 +364,7 @@ def reduce_to_minimal(g):
     as the first best one in depth-first order.  Returns the minimal graph
     and the blow-down records.
     """
-    from .classify import match_minimal_family
+    from .classify import _minimal_family
     require_valid(g)
     best = {}  # state -> (rank, first site or None, graph after it)
 
@@ -372,10 +372,12 @@ def reduce_to_minimal(g):
         state = (frozenset(cur.vertices.values()), frozenset(cur.edges))
         if state in best:
             return best[state]
-        if match_minimal_family(cur) is not None:
+        family, options = _minimal_family(cur)
+        if family is not None:
             choice = ((0, 0, -len(cur.vertices)), None, cur)
         else:
-            options = _ordered_sites(cur)
+            if options is None:
+                options = _ordered_sites(cur)
             if not options:
                 raise GraphError("internal failure: graph matches no minimal "
                                  "family and admits no blow-down")

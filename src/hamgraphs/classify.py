@@ -17,7 +17,7 @@ from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
                          _json_int, _json_str, canonical_form, extend_graph,
                          flip, require_valid)
 from .toric_geometry import (affine_normal_form, graph_to_polygon,
-                             minimal_fan_type, outward_normal, polygon_to_fan)
+                             outward_normal)
 
 
 def _edges(pairs):
@@ -129,37 +129,39 @@ def minimal_graph(family, *args, flipped=False, **kw):
 def match_minimal_family(g):
     """Name of the minimal family g belongs to, or None.
 
-    Matching is up to flip; the redundant middle Hirzebruch graphs with
-    c = 1 are covered because recognition of graphs with only isolated
-    fixed points goes through the normal fan of their polygon.
+    Matching is up to flip.  A graph with only isolated fixed points is
+    decided from the graph: three fixed points are the projective plane,
+    four are a Hirzebruch surface exactly when the graph has no blow-down
+    site, and more are never minimal.
     """
     require_valid(g)
+    return _minimal_family(g)[0]
+
+
+def _minimal_family(g):
+    """(match_minimal_family(g), sites) for a valid g, where sites is the
+    blowup_calculus._ordered_sites list when deciding built it, else None."""
     surfaces = g.surfaces()
     interiors = g.interior_ids()
     if len(surfaces) == 2:
-        return None if interiors else "ruled"
+        return (None if interiors else "ruled"), None
     if len(surfaces) == 1:
         lo, hi = g.min_vertex(), g.max_vertex()
         if len(g.vertices) == 2 and not g.edges:
-            return "cp2-surface"
+            return "cp2-surface", None
         if len(g.vertices) == 3 and len(interiors) == 1:
             point_ext = hi if lo.kind == "surface" else lo
             ok = all({e.a, e.b} == {interiors[0], point_ext.id}
                      for e in g.edges) and len(g.edges) <= 1
             if ok:
-                return "hirzebruch"
-        return None
-    # the minimal models with only isolated fixed points have three
-    # (the projective plane) or four (Hirzebruch surfaces)
-    if len(g.vertices) > 4:
-        return None
-    fan = polygon_to_fan(classify_isolated(g))
-    kind = minimal_fan_type(fan)
-    if kind == "cp2":
-        return "cp2"
-    if kind.startswith("hirzebruch"):
-        return "hirzebruch"
-    return None
+                return "hirzebruch", None
+        return None, None
+    if len(g.vertices) == 3:
+        return "cp2", None
+    if len(g.vertices) == 4:
+        sites = blowup_calculus._ordered_sites(g)
+        return (None if sites else "hirzebruch"), sites
+    return None, None
 
 
 def is_toric_extendable(g):

@@ -487,6 +487,10 @@ class ExtendedGraph:
     chains: list      # the chains of _chains(g, free_edges)
 
 
+_NO_ARRANGEMENT = ("no arrangement of free spheres with at most two chains "
+                   "exists")
+
+
 def _free_capacity(g, vid, frees):
     """How many more free spheres can meet the extremum vid.  At most two
     spheres meet it: its edges and the free spheres already in frees."""
@@ -499,11 +503,16 @@ def extend_graph(g):
 
     The search backtracks over the choices, preferring to attach interior
     points directly to the extrema, so the result is deterministic.  Raises
-    NoExtensionError when no such arrangement exists.
+    NoExtensionError when no such arrangement exists.  Each chain is
+    strictly monotone, so two chains hold at most two points of a level:
+    three interior points on one level are refused before the search.
     """
     require_valid(g)
     lo, hi = g.min_vertex().id, g.max_vertex().id
     interiors = g.interior_ids()
+    levels = [g.moment(vid) for vid in interiors]  # in level order
+    if any(y == y2 for y, y2 in zip(levels, levels[2:])):
+        raise NoExtensionError(_NO_ARRANGEMENT)
     need_up = [vid for vid in interiors if not g.up_edges(vid)]
     need_up.sort(key=lambda vid: (-g.moment(vid), vid))
 
@@ -538,8 +547,7 @@ def extend_graph(g):
 
     frees = search(0, [])
     if frees is None:
-        raise NoExtensionError("no arrangement of free spheres with at most "
-                               "two chains exists")
+        raise NoExtensionError(_NO_ARRANGEMENT)
     frees.sort()
     chains = _chains(g, frees)
     ext = ExtendedGraph(frees, [[lo] + [s[1] for s in c] for c in chains],

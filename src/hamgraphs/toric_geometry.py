@@ -346,46 +346,3 @@ def validate_fan(F):
     if not problems and crossings != 1:
         problems.append("rays do not wind around the origin exactly once")
     return problems
-
-
-def require_valid_fan(F):
-    problems = validate_fan(F)
-    if problems:
-        raise PolygonError("; ".join(problems))
-    return F
-
-
-def fan_blowdown_sites(F):
-    require_valid_fan(F)
-    n = len(F)
-    return [i for i in range(n)
-            if (F[(i - 1) % n][0] + F[(i + 1) % n][0],
-                F[(i - 1) % n][1] + F[(i + 1) % n][1]) == tuple(F[i])]
-
-
-def fan_blowdown(F, i):
-    if i not in fan_blowdown_sites(F):
-        raise PolygonError("ray %d is not a blow-down site" % i)
-    G = list(F[:i]) + list(F[i + 1:])
-    return require_valid_fan(G)
-
-
-def minimal_fan_type(F):
-    """"cp2", "hirzebruch:n", or "not-minimal"."""
-    require_valid_fan(F)
-    if fan_blowdown_sites(F):
-        return "not-minimal"
-    if len(F) == 3:
-        return "cp2"
-    if len(F) == 4:
-        for i in range(2):
-            u, w = F[i], F[i + 2]
-            if (u[0] + w[0], u[1] + w[1]) == (0, 0):
-                a, b = F[(i + 1) % 4], F[(i + 3) % 4]
-                s = (a[0] + b[0], a[1] + b[1])
-                # s is an integer multiple of u since det(u, s) = 0
-                if det2(u, s) != 0:
-                    continue
-                c = s[0] * u[0] + s[1] * u[1]
-                return "hirzebruch:%d" % abs(c)
-    return "not-minimal"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from hamgraphs import (GraphError, blowdown, blowup, blowup_sites,
                        blowup_symbolic, compare, instantiate, is_isomorphic,
                        match_minimal_family, max_size, minimal_graph,
-                       monotone_check, reduce_to_minimal, validate_graph)
+                       monotone_check, reduce_to_minimal, toric_geometry,
+                       validate_graph)
 from hamgraphs.blowup_calculus import (BlowupSite, blowdown_sites,
                                        site_for_vertex)
 from conftest import chopped_square_graph, s2s2_graph, tent_graph
@@ -158,6 +160,24 @@ def test_s2s2_already_minimal():
     minimal, steps = reduce_to_minimal(s2s2_graph())
     assert steps == []
     assert match_minimal_family(s2s2_graph()) is not None
+
+
+def test_reduce_builds_no_polygon(enumerated, monkeypatch):
+    # minimal models are recognised from the graph, so the search needs no
+    # Delzant polygon; refuse one in every module that binds the builder
+    original = toric_geometry.graph_to_polygon
+
+    def refuse(g):
+        raise AssertionError("reduce_to_minimal built a polygon")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "hamgraphs" and \
+                getattr(module, "graph_to_polygon", None) is original:
+            monkeypatch.setattr(module, "graph_to_polygon", refuse)
+    for rec in enumerated:
+        minimal, steps = reduce_to_minimal(rec.graph)
+        assert len(steps) == rec.depth
+        assert match_minimal_family(minimal) is not None
 
 
 def test_symbolic_instantiate_matches_blowup():

@@ -6,7 +6,8 @@ from hamgraphs import (GraphError, affine_normal_form, assign_labels,
                        canonical_form, classify_isolated, density,
                        enumerate_graphs, graph_to_json, is_isomorphic,
                        is_toric_extendable, match_minimal_family,
-                       minimal_graph, polygon_pushforward, validate_graph)
+                       minimal_graph, polygon_pushforward, reduce_to_minimal,
+                       validate_graph)
 from hamgraphs.toric_geometry import DelzantPolygon
 from conftest import (P, S2S2_POLYGONS, chopped_square_graph, s2s2_graph,
                       tent_graph, triangle)
@@ -71,6 +72,22 @@ def test_match_minimal_families():
     assert match_minimal_family(s2s2_graph()) is not None
     assert match_minimal_family(chopped_square_graph()) is None
     assert match_minimal_family(tent_graph()) is not None
+
+
+@pytest.mark.parametrize("args, family, patterns", [
+    (("left", 0), "hirzebruch", []),
+    (("left", 2), "hirzebruch", []),
+    (("left", 3, 2, 1), "hirzebruch", []),
+    # n = 1 is the projective plane blown up at its minimum
+    (("left", 1), None, ["C"]),
+    (("left", 1, 1, 2), None, ["C"]),
+])
+def test_hirzebruch_minimality(args, family, patterns):
+    g = minimal_graph("hirzebruch", *args)
+    assert match_minimal_family(g) == family
+    minimal, steps = reduce_to_minimal(g)
+    assert [s.pattern for s in steps] == patterns
+    assert match_minimal_family(minimal) == (family or "cp2")
 
 
 def test_is_toric_extendable():

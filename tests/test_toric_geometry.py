@@ -9,8 +9,6 @@ from hamgraphs import (DecoratedGraph, Edge, PolygonError, Vertex,
                        polygon_from_json, polygon_pushforward,
                        polygon_to_fan, polygon_to_graph, total_mass,
                        validate_delzant, validate_fan)
-from hamgraphs.toric_geometry import (fan_blowdown, fan_blowdown_sites,
-                                      minimal_fan_type)
 from conftest import (CHOPPED_SHEARED, CHOPPED_SQUARE, P, PENTAGON,
                       PENTAGON_CHOPS, S2S2_POLYGONS, SHEARED, SQUARE_6x5,
                       TENT_POLYGONS, chopped_square_graph, s2s2_graph,
@@ -157,34 +155,10 @@ def test_round_trip_corpus(corpus_polygons):
     assert skipped == 0
 
 
-def test_fans():
-    assert minimal_fan_type([(0, 1), (-1, -1), (1, 0)]) == "cp2"
-    fan = [(1, 0), (1, 1), (0, 1), (-1, -1)]
-    assert validate_fan(fan) == []
-    assert fan_blowdown_sites(fan) == [1]
-    down = fan_blowdown(fan, 1)
-    assert minimal_fan_type(down) == "cp2"
-    for n in (0, 2, 3):
-        fan = [(-1, n), (0, -1), (1, 0), (0, 1)]
-        assert minimal_fan_type(fan) == "hirzebruch:%d" % n
-    # n = 1 is the blown-up projective plane, so it is not minimal
-    assert minimal_fan_type([(-1, 1), (0, -1), (1, 0), (0, 1)]) == \
-        "not-minimal"
-    with pytest.raises(PolygonError):
-        fan_blowdown([(0, 1), (-1, -1), (1, 0)], 0)
-
-
 def test_polygon_to_fan():
     fan = polygon_to_fan(P((0, 0), (1, 0), (1, 1), (0, 1)))
     assert validate_fan(fan) == []
     assert set(fan) == {(0, 1), (-1, 0), (0, -1), (1, 0)}
-
-
-def test_every_big_fan_has_a_blowdown_site(corpus_polygons):
-    for Q in corpus_polygons:
-        fan = polygon_to_fan(Q)
-        if len(fan) > 4:
-            assert fan_blowdown_sites(fan)
 
 
 def test_polygon_json_round_trip():
