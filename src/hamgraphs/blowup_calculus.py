@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         _monotone_path, isotropy_weights, require_valid,
-                         validate_graph)
+                         isotropy_weights, require_valid, validate_graph)
 
 
 @dataclass(frozen=True)
@@ -38,35 +37,47 @@ def _aff_at(a, lam):
 
 
 class SymbolicBlowup:
-    """Blown-up graph with labels affine in the blow-up size."""
+    """Blown-up graph with labels affine in the blow-up size.  order_pairs
+    is the full order the vertices carry for small lambda, as (lower,
+    upper) id pairs; constraints is built from it once (_constraints)."""
 
     def __init__(self, vertices, edges):
         self.vertices = vertices  # id -> (kind, moment aff, area aff|None, genus)
         self.edges = edges
         self.order_pairs = self._carried_order()
+        self.constraints = self._constraints()
 
     def _carried_order(self):
-        # affine pairs compare as tuples: the order for small lambda
-        ids = list(self.vertices)
-        mom = {vid: self.vertices[vid][1] for vid in ids}
-        lo = min(ids, key=lambda v: (mom[v], v))
-        hi = max(ids, key=lambda v: (mom[v], v))
-        incident = {vid: [] for vid in ids}
-        for e in self.edges:
-            incident[e.a].append(e.b)
-            incident[e.b].append(e.a)
-        pairs = []
-        for v in ids:
-            for w in ids:
-                if v >= w:
-                    continue
-                if mom[v] == mom[w]:
-                    continue
-                a, b = (v, w) if mom[v] < mom[w] else (w, v)
-                if a in (lo, hi) or b in (lo, hi) or _monotone_path(
-                        a, b, mom.__getitem__, incident.__getitem__):
-                    pairs.append((a, b))
-        return pairs
+        # affine pairs compare as tuples: the order for small lambda.  One
+        # sweep from the top: above[v] holds every vertex that a chain of
+        # spheres with strictly rising levels reaches from v.
+        mom = {vid: v[1] for vid, v in self.vertices.items()}
+        ids = sorted(mom, key=lambda v: (mom[v], v))
+        up = {vid: [] for vid in ids}
+        for e in self.edges:  # a sphere joins two different levels
+            a, b = sorted((e.a, e.b), key=mom.__getitem__)
+            up[a].append(b)
+        above = {}
+        for v in reversed(ids):
+            above[v] = set(up[v]).union(*(above[w] for w in up[v]))
+        ends = (ids[0], ids[-1])
+        return [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+                if mom[a] != mom[b]
+                and (a in ends or b in ends or b in above[a])]
+
+    def _constraints(self):
+        """The (c0, c1) with c0 + c1*lambda > 0 for every area label and
+        every order pair whose levels have different slopes.  A pair with
+        equal slopes differs by a positive constant, so it never bounds
+        lambda and is left out."""
+        out = []
+        for v, w in self.order_pairs:
+            mv, mw = self.vertices[v][1], self.vertices[w][1]
+            if mv[1] != mw[1]:
+                out.append((mw[0] - mv[0], mw[1] - mv[1]))
+        out += [area for _, _, area, _ in self.vertices.values()
+                if area is not None]
+        return out
 
 
 def _tag(g, vid):
@@ -175,43 +186,32 @@ def instantiate(sb, lam):
     return DecoratedGraph(vertices, sb.edges)
 
 
-def _constraints(sb):
-    """The (c0, c1) with c0 + c1*lambda > 0 for every order pair and area
-    label: the conditions checked by monotone_check."""
-    out = []
-    for v, w in sb.order_pairs:
-        mv, mw = sb.vertices[v][1], sb.vertices[w][1]
-        out.append((mw[0] - mv[0], mw[1] - mv[1]))
-    for vid, (kind, mom, area, genus) in sb.vertices.items():
-        if area is not None:
-            out.append(area)
-    return out
-
-
 def monotone_check(sb, lam):
     """True iff the blown-up labels at lambda respect the carried order
     strictly and all area labels stay positive."""
     lam = Fraction(lam)
     if lam <= 0:
         return False
-    return all(c0 + c1 * lam > 0 for c0, c1 in _constraints(sb))
+    return all(c0 + c1 * lam > 0 for c0, c1 in sb.constraints)
 
 
 def max_size(g, site):
     """(supremum of admissible blow-up sizes, attainable flag).
 
     The supremum is None when no constraint bounds lambda (cannot happen
-    for valid compact graphs, but kept for safety).
+    for valid compact graphs, but kept for safety); the flag says whether
+    a blow-up of exactly that size passes monotone_check.
     """
-    return _max_size(blowup_symbolic(g, site))
+    sb = blowup_symbolic(g, site)
+    sup = _max_size(sb)
+    return sup, sup is not None and monotone_check(sb, sup)
 
 
 def _max_size(sb):
-    bounds = [Fraction(-c0, c1) for c0, c1 in _constraints(sb) if c1 < 0]
-    if not bounds:
-        return None, False
-    sup = min(bounds)
-    return sup, monotone_check(sb, sup) if sup > 0 else False
+    """The supremum of admissible blow-up sizes of sb, or None when no
+    constraint bounds lambda."""
+    return min((-c0 / c1 for c0, c1 in sb.constraints if c1 < 0),
+               default=None)
 
 
 def blowup(g, vid, lam):
@@ -221,9 +221,8 @@ def blowup(g, vid, lam):
 
 def _blowup(sb, lam):
     if not monotone_check(sb, lam):
-        sup, _ = _max_size(sb)
         raise GraphError("monotonicity violated: lambda = %s is not in "
-                         "(0, %s)" % (lam, sup))
+                         "(0, %s)" % (lam, _max_size(sb)))
     return require_valid(instantiate(sb, lam))
 
 

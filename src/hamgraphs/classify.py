@@ -236,7 +236,7 @@ def enumerate_graphs(seeds, max_blowups):
         for rec in frontier:
             for site in blowup_calculus.blowup_sites(rec.graph):
                 sb = blowup_calculus.blowup_symbolic(rec.graph, site)
-                sup, _ = blowup_calculus._max_size(sb)
+                sup = blowup_calculus._max_size(sb)
                 if sup is None or sup <= 0:
                     continue
                 child = blowup_calculus._blowup(sb, sup / 2)

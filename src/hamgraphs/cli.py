@@ -189,6 +189,9 @@ def _cmd_minimal(ns):
 def _cmd_enumerate(ns):
     if not ns.seed:
         raise CliError("at least one --seed is required", 1)
+    if ns.max_blowups < 0:
+        raise CliError("--max-blowups must be at least 0, not %d"
+                       % ns.max_blowups, 1)
     seeds = [_parse_seed(s) for s in ns.seed]
     seeds = [("%s#%d" % (fam, i), g)
              for i, (fam, g) in enumerate(seeds)]

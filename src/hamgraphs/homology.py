@@ -129,7 +129,7 @@ def class_values(g):
 def positivity_equiv(sb, lams):
     """Whether, for each lambda in lams, positivity of all class values of
     the instantiated blow-up agrees with the monotonicity check."""
-    sup, _ = blowup_calculus._max_size(sb)
+    sup = blowup_calculus._max_size(sb)
     if sup is None or sup <= 0:
         raise GraphError("site admits no blow-up at all")
     ref = blowup_calculus.instantiate(sb, sup / 2)

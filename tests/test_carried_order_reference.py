@@ -1,0 +1,67 @@
+"""The carried order and the blow-up bound against the pairwise search they
+replaced.
+
+The reference below decides every vertex pair of a symbolic blow-up with
+its own monotone-path search, and builds the constraint list from every
+order pair, equal slopes included.  The one-sweep order must list the same
+pairs, and the constraints a SymbolicBlowup keeps must give the same bound
+and the same monotonicity answers as the full list.
+"""
+
+from hamgraphs import blowup_sites, blowup_symbolic, monotone_check
+from hamgraphs.blowup_calculus import _max_size
+from hamgraphs.graph_core import _monotone_path
+
+
+def reference_order(sb):
+    ids = list(sb.vertices)
+    mom = {vid: sb.vertices[vid][1] for vid in ids}
+    lo = min(ids, key=lambda v: (mom[v], v))
+    hi = max(ids, key=lambda v: (mom[v], v))
+    incident = {vid: [] for vid in ids}
+    for e in sb.edges:
+        incident[e.a].append(e.b)
+        incident[e.b].append(e.a)
+    pairs = set()
+    for v in ids:
+        for w in ids:
+            if v >= w or mom[v] == mom[w]:
+                continue
+            a, b = (v, w) if mom[v] < mom[w] else (w, v)
+            if a in (lo, hi) or b in (lo, hi) or _monotone_path(
+                    a, b, mom.__getitem__, incident.__getitem__):
+                pairs.add((a, b))
+    return pairs
+
+
+def full_constraints(sb, pairs):
+    out = []
+    for v, w in sorted(pairs):
+        mv, mw = sb.vertices[v][1], sb.vertices[w][1]
+        out.append((mw[0] - mv[0], mw[1] - mv[1]))
+    out += [area for _, _, area, _ in sb.vertices.values()
+            if area is not None]
+    return out
+
+
+def reference_check(constraints, lam):
+    return lam > 0 and all(c0 + c1 * lam > 0 for c0, c1 in constraints)
+
+
+def test_order_and_bound_match_reference(enumerated_small):
+    sites = 0
+    for rec in enumerated_small:
+        for site in blowup_sites(rec.graph):
+            sb = blowup_symbolic(rec.graph, site)
+            pairs = reference_order(sb)
+            assert len(sb.order_pairs) == len(set(sb.order_pairs))
+            assert set(sb.order_pairs) == pairs, (rec, site)
+            full = full_constraints(sb, pairs)
+            sup = min((-c0 / c1 for c0, c1 in full if c1 < 0), default=None)
+            assert sup is not None and _max_size(sb) == sup, (rec, site)
+            roots = {-c0 / c1 for c0, c1 in full if c1 != 0}
+            for lam in {sup / 2, sup, 2 * sup} | roots:
+                assert monotone_check(sb, lam) == \
+                    reference_check(full, lam), (rec, site, lam)
+            sites += 1
+    assert sites > 900

@@ -161,6 +161,14 @@ def test_enumerate_without_seed_exits_1(tmp_path):
     assert run(["enumerate", "--out", out_path(tmp_path)]) == 1
 
 
+def test_enumerate_refuses_negative_depth(tmp_path, capsys):
+    outdir = tmp_path / "classes"
+    assert run(["enumerate", "--seed", "cp2:1,2", "--max-blowups", "-1",
+                "--out", str(outdir)]) == 1
+    assert "--max-blowups must be at least 0" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("seed,problem", [("cp2:1.5,2", "m = 3/2"),
                                           ("ruled:0.5,1", "genus = 1/2")])
 def test_enumerate_refuses_non_integer_seed_parameters(tmp_path, capsys,
