@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         isotropy_weights, require_valid, validate_graph)
+                         _extremal_pair, isotropy_weights, require_valid)
 
 
 @dataclass(frozen=True)
@@ -245,6 +245,17 @@ def _merge(g, u, w, mu):
 
 
 def _A_sites(g):
+    """Pattern A: an edge of weight k = m + n between two interior points,
+    the upper one with up weight m and the lower one with down weight n,
+    becomes one interior point with weights (-n, m).  The result of a
+    valid g is valid.  The upper point's weights (-k, m) are coprime, so
+    gcd(n, m) = gcd(k, m) = 1.  The merged level lies strictly between
+    the two points, so the merged point keeps their other edges as one up
+    and one down edge, and every other vertex keeps its weights.  The
+    extremal self-intersections depend on the interior points only
+    through s0 = sum 1/(m_p n_p) and s1 = sum y_p/(m_p n_p), and both stay
+    the same: 1/(mn) = 1/(mk) + 1/(nk), and the merged level is
+    (n y_top + m y_bot)/k."""
     for e in g.edges:
         if g.is_extremal(e.a) or g.is_extremal(e.b):
             continue
@@ -256,12 +267,23 @@ def _A_sites(g):
             continue
         lam = Fraction(g.moment(v_top) - g.moment(v_bot), e.k)
         result = _merge(g, v_bot, v_top, g.moment(v_top) - m * lam)
-        if not validate_graph(result):
-            yield ((0, -e.k, (v_bot, v_top)),
-                   BlowdownSite("A", (v_bot, v_top), lam), result)
+        yield ((0, -e.k, (v_bot, v_top)),
+               BlowdownSite("A", (v_bot, v_top), lam), result)
 
 
 def _C_sites(g, side, ext, sgn):
+    """Pattern C: the isolated extremum ext with weights {n, d} and an
+    interior point q with weight n + d outward and d inward, joined by an
+    edge of weight d when d >= 2, merge into one extremum with weights
+    {n, n + d}, n times the size beyond ext.  The result of a valid g is
+    valid.  The merged point lies beyond ext, so it is the unique
+    extremum; it takes ext's other edge and q's outward edge, and every
+    other vertex keeps its weights.  gcd(n, n + d) = gcd(n, d) = 1.
+    Removing q takes 1/(d (n + d)) from s0 and its level share from s1,
+    which together with the new extremal level leaves the other
+    extremum's self-intersection as it was.  Then e_min + e_max = -s0
+    gives the merged point -1/(nd) + 1/(d (n + d)) = -1/(n (n + d)), as
+    its weights demand."""
     a, b = sorted(abs(x) for x in isotropy_weights(g, ext.id))
     for n, d in dict.fromkeys(((a, b), (b, a))):
         for q in g.interior_ids():
@@ -274,24 +296,34 @@ def _C_sites(g, side, ext, sgn):
                 continue
             lam = Fraction(abs(g.moment(q) - ext.moment), d)
             result = _merge(g, ext.id, q, ext.moment - sgn * n * lam)
-            if not validate_graph(result):
-                yield ((1, lam, side != "min", (ext.id, q)),
-                       BlowdownSite("C", (ext.id, q), lam, side), result)
+            yield ((1, lam, side != "min", (ext.id, q)),
+                   BlowdownSite("C", (ext.id, q), lam, side), result)
 
 
 def _D_sites(g, side, ext, sgn):
-    if ext.genus != 0:
+    """Pattern D: the extremal fixed surface ext becomes an isolated
+    extremum with weights {1, 1}, one area beyond it.  This is the inverse
+    of a blow-up exactly when ext is an exceptional sphere: genus 0 and
+    self-intersection -1 (McDuff, "The structure of rational and ruled
+    symplectic 4-manifolds", JAMS 3, 1990).  Solved from the labels, the
+    new point has self-intersection -1, as its weights demand, exactly
+    when ext had -1; the other extremum then keeps its own."""
+    if ext.genus != 0 or _extremal_pair(g)[side == "max"] != -1:
         return
     vertices = [v for v in g.vertices.values() if v.id != ext.id]
     vertices.append(Vertex(_merge_id(g, ext.id), "point",
                            ext.moment - sgn * ext.area))
-    result = DecoratedGraph(vertices, g.edges)
-    if not validate_graph(result):
-        yield ((2, side != "min"),
-               BlowdownSite("D", (ext.id,), ext.area, side), result)
+    yield ((2, side != "min"),
+           BlowdownSite("D", (ext.id,), ext.area, side),
+           DecoratedGraph(vertices, g.edges))
 
 
 def _B_sites(g, side, ext, sgn):
+    """Pattern B: an interior point q without edges is absorbed into the
+    extremal fixed surface ext, whose area grows by q's distance to it.
+    The result of a valid g is valid: q has weights (-1, 1) and touches no
+    other vertex, and the self-intersection of ext rises by exactly 1
+    while the other extremum keeps its own, so both stay integers."""
     for q in g.interior_ids():
         if g.edges_at(q):
             continue
@@ -299,10 +331,9 @@ def _B_sites(g, side, ext, sgn):
         vertices = [Vertex(v.id, v.kind, v.moment, v.area + lam, v.genus)
                     if v.id == ext.id else v
                     for v in g.vertices.values() if v.id != q]
-        result = DecoratedGraph(vertices, g.edges)
-        if not validate_graph(result):
-            yield ((3, lam, side != "max", (q,)),
-                   BlowdownSite("B", (q,), lam, side), result)
+        yield ((3, lam, side != "max", (q,)),
+               BlowdownSite("B", (q,), lam, side),
+               DecoratedGraph(vertices, g.edges))
 
 
 def _ordered_sites(g):
@@ -311,7 +342,8 @@ def _ordered_sites(g):
     weight first, then C (smaller size, min side first), then D (min side
     first), then B (smaller size, max side first).  Each site search
     yields (preference key, site, graph); C sites lie at an isolated
-    extremum, D and B sites at a fixed surface."""
+    extremum, D and B sites at a fixed surface.  No rewrite is validated:
+    each search's docstring shows why its graphs are valid when g is."""
     options = list(_A_sites(g))
     for side, ext, sgn in (("min", g.min_vertex(), 1),
                            ("max", g.max_vertex(), -1)):

@@ -7,6 +7,7 @@ genus-g curve (two fixed surfaces, no interior points).  Everything else
 arises from these by blow-ups.
 """
 
+import inspect
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
@@ -122,7 +123,16 @@ _FAMILIES = {
 def minimal_graph(family, *args, flipped=False, **kw):
     if family not in _FAMILIES:
         raise GraphError("unknown minimal family %r" % (family,))
-    g = _FAMILIES[family](*args, **kw)
+    build = _FAMILIES[family]
+    sig = inspect.signature(build)
+    try:
+        sig.bind(*args, **kw)
+    except TypeError:
+        params = sig.parameters.values()
+        raise GraphError("%s takes %d to %d parameters (%s), not %d" % (
+            family, sum(p.default is p.empty for p in params), len(params),
+            ", ".join(p.name for p in params), len(args) + len(kw))) from None
+    g = build(*args, **kw)
     return flip(g) if flipped else g
 
 

@@ -118,11 +118,12 @@ def _cmd_dh(ns):
     g = _load_graph(getattr(ns, "in"))
     rho = dh_measure.density(g)
     ext = dh_measure.extremal_self_intersections(g)
+    # the picture first, so a failed write leaves no JSON behind
+    if ns.svg:
+        _write(render.density_svg(rho), ns.svg)
     _emit_json({"density": rho.to_json(),
                 "e_min": fmt_rat(ext.e_min), "e_max": fmt_rat(ext.e_max),
                 "total_mass": fmt_rat(dh_measure.total_mass(rho))}, ns.out)
-    if ns.svg:
-        _write(render.density_svg(rho), ns.svg)
     return 0
 
 

@@ -16,7 +16,7 @@ is available through ``evaluate``.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph_core import _interior_products, require_valid
+from .graph_core import _extremal_pair, _interior_products, require_valid
 from .rational import fmt_rat
 
 
@@ -61,7 +61,7 @@ def extremal_self_intersections(g):
     """Self-intersections of the extremal sets of a valid graph, solved from
     its labels by ``validate_graph``."""
     require_valid(g)
-    return ExtremalData(*g._extremal)
+    return ExtremalData(*_extremal_pair(g))
 
 
 def density(g):

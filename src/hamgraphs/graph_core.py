@@ -61,7 +61,7 @@ class DecoratedGraph:
     a tuple.  Construction indexes the graph once: the (moment, id) level
     order with its extrema, and the edges at each vertex, split into up and
     down edges.  ``validate_graph`` computes its result at most once per
-    graph, and with it the extremal self-intersections.
+    graph, and ``_extremal_pair`` the extremal self-intersections.
     """
 
     def __init__(self, vertices, edges=()):
@@ -74,7 +74,7 @@ class DecoratedGraph:
         self.edges = tuple(edges)
         self._problems = None   # validate_graph's result, once computed
         self._weights = {}      # vid -> isotropy weights
-        self._extremal = None   # (e_min, e_max), solved by validate_graph
+        self._extremal = None   # (e_min, e_max), once solved
         at = {vid: [] for vid in by_id}
         up = {vid: [] for vid in by_id}
         down = {vid: [] for vid in by_id}
@@ -227,8 +227,7 @@ def _problems(g):
     if problems:
         return problems
 
-    g._extremal = _solve_extremal(g)
-    for ext, e in zip((lo, hi), g._extremal):
+    for ext, e in zip((lo, hi), _extremal_pair(g)):
         if ext.kind == "surface":
             if e.denominator != 1:
                 problems.append("vertex %s: fixed surface has non-integer "
@@ -268,6 +267,15 @@ def _solve_extremal(g):
     e_max = Fraction(a_max - a_min - s1 + lo.moment * s0,
                      hi.moment - lo.moment)
     return -s0 - e_max, e_max
+
+
+def _extremal_pair(g):
+    """(e_min, e_max) of g, solved once and kept on the graph.  Needs a
+    graph that passes validate_graph up to its extremal stage, such as a
+    valid graph or a blow-down of one."""
+    if g._extremal is None:
+        g._extremal = _solve_extremal(g)
+    return g._extremal
 
 
 def require_valid(g):

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from hamgraphs import (GraphError, blowdown, blowup, blowup_sites,
-                       blowup_symbolic, compare, instantiate, is_isomorphic,
-                       match_minimal_family, max_size, minimal_graph,
-                       monotone_check, reduce_to_minimal, toric_geometry,
-                       validate_graph)
+                       blowup_symbolic, compare, extremal_self_intersections,
+                       instantiate, is_isomorphic, match_minimal_family,
+                       max_size, minimal_graph, monotone_check,
+                       reduce_to_minimal, toric_geometry, validate_graph)
 from hamgraphs.blowup_calculus import (BlowupSite, blowdown_sites,
                                        site_for_vertex)
 from conftest import chopped_square_graph, s2s2_graph, tent_graph
@@ -135,6 +135,32 @@ def test_chopped_square_blowdown_options():
     assert sorted(v.area for v in toward_max.surfaces()) == [6, 6]
     toward_min = blowdown(g, [s for s in sites if s.side == "min"][0])
     assert sorted(v.area for v in toward_min.surfaces()) == [4, 9]
+
+
+# (family, parameters, sides with an exceptional fixed sphere): ruled(0, n)
+# has e_min = -n and e_max = n, ruled(1, 1) has genus 1, and the fixed
+# sphere of cp2-surface is a line, with e = +1
+EXCEPTIONAL_SPHERES = [
+    ("ruled", (0, 0), set()), ("ruled", (0, 1), {"min"}),
+    ("ruled", (0, 2), set()), ("ruled", (1, 1), set()),
+    ("cp2-surface", (), set()),
+]
+
+
+@pytest.mark.parametrize("family, params, sides", EXCEPTIONAL_SPHERES)
+@pytest.mark.parametrize("flipped", [False, True])
+def test_d_site_iff_exceptional_sphere(family, params, sides, flipped):
+    # a fixed sphere blows down to a point exactly when it is exceptional:
+    # genus 0 and self-intersection -1
+    g = minimal_graph(family, *params, flipped=flipped)
+    ext = extremal_self_intersections(g)
+    exceptional = {side for side, v, e in (
+        ("min", g.min_vertex(), ext.e_min), ("max", g.max_vertex(), ext.e_max))
+        if v.kind == "surface" and v.genus == 0 and e == -1}
+    if flipped:
+        sides = {{"min": "max", "max": "min"}[side] for side in sides}
+    assert exceptional == sides
+    assert {s.side for s in blowdown_sites(g) if s.pattern == "D"} == sides
 
 
 def test_tent_has_no_blowdown_sites():

@@ -180,6 +180,26 @@ def test_enumerate_refuses_non_integer_seed_parameters(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed,count", [("cp2:1", 1),
+                                        ("cp2:1,1,0,1,extra", 5)])
+def test_enumerate_refuses_wrong_parameter_count(tmp_path, capsys, seed,
+                                                 count):
+    assert run(["enumerate", "--seed", seed, "--max-blowups", "0",
+                "--out", out_path(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cp2 takes 2 to 4 parameters (m, n, alpha, beta), not %d" \
+        % count in err
+    assert "Traceback" not in err
+
+
+def test_dh_failed_svg_write_prints_nothing(tent_path, tmp_path, capsys):
+    svg = str(tmp_path / "missing" / "rho.svg")
+    assert run(["dh", "--in", tent_path, "--svg", svg]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot write %s" % svg in err
+
+
 def test_classify_command(tmp_path):
     p = tmp_path / "g.json"
     p.write_text(json.dumps(graph_to_json(s2s2_graph())))
