@@ -3,8 +3,8 @@
 Blowing up at a fixed point rewrites the graph locally; the new moment and
 area labels are affine functions of the blow-up size lambda.  A symbolic
 blow-up keeps them as affine pairs (c0, c1) meaning c0 + c1*lambda, together
-with the partial order the vertices carry for small lambda, so admissible
-sizes can be computed exactly.
+with the constraints on lambda that keep the order the vertices carry for
+small lambda, so admissible sizes can be computed exactly.
 """
 
 from dataclasses import dataclass
@@ -29,55 +29,57 @@ class BlowdownSite:
 
 
 def _aff(c0, c1=0):
-    return (Fraction(c0), Fraction(c1))
+    """The label c0 + c1*lambda, with c0 a Fraction and c1 an int."""
+    return (c0 if isinstance(c0, Fraction) else Fraction(c0), c1)
 
 
 def _aff_at(a, lam):
-    return a[0] + a[1] * lam
+    return a[0] + lam * a[1] if a[1] else a[0]
+
+
+def _reach(v, step):
+    """The vertices that repeated steps (id -> ids) reach from v."""
+    seen, todo = set(), [v]
+    while todo:
+        new = set(step[todo.pop()]) - seen
+        seen |= new
+        todo += new
+    return seen
 
 
 class SymbolicBlowup:
-    """Blown-up graph with labels affine in the blow-up size.  order_pairs
-    is the full order the vertices carry for small lambda, as (lower,
-    upper) id pairs; constraints is built from it once (_constraints)."""
+    """Blown-up graph with labels affine in the blow-up size lambda, which
+    compare as tuples in their order for small lambda.  constraints holds
+    the (c0, c1) with c0 + c1*lambda > 0 for each area label and each
+    comparable pair (one is extremal, or a chain of spheres with strictly
+    rising levels joins them) whose slopes differ; equal slopes never bound
+    lambda.  Only the one or two new points move, so only their pairs are
+    built, in O(V + E): with every vertex when the point is extremal, else
+    with the extrema and the vertices a rising or falling chain reaches."""
 
     def __init__(self, vertices, edges):
         self.vertices = vertices  # id -> (kind, moment aff, area aff|None, genus)
         self.edges = edges
-        self.order_pairs = self._carried_order()
-        self.constraints = self._constraints()
-
-    def _carried_order(self):
-        # affine pairs compare as tuples: the order for small lambda.  One
-        # sweep from the top: above[v] holds every vertex that a chain of
-        # spheres with strictly rising levels reaches from v.
-        mom = {vid: v[1] for vid, v in self.vertices.items()}
-        ids = sorted(mom, key=lambda v: (mom[v], v))
-        up = {vid: [] for vid in ids}
-        for e in self.edges:  # a sphere joins two different levels
-            a, b = sorted((e.a, e.b), key=mom.__getitem__)
+        mom = {vid: v[1] for vid, v in vertices.items()}
+        up, down = {vid: [] for vid in mom}, {vid: [] for vid in mom}
+        for e in edges:  # a sphere joins two different levels
+            a, b = (e.a, e.b) if mom[e.a] < mom[e.b] else (e.b, e.a)
             up[a].append(b)
-        above = {}
-        for v in reversed(ids):
-            above[v] = set(up[v]).union(*(above[w] for w in up[v]))
-        ends = (ids[0], ids[-1])
-        return [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
-                if mom[a] != mom[b]
-                and (a in ends or b in ends or b in above[a])]
-
-    def _constraints(self):
-        """The (c0, c1) with c0 + c1*lambda > 0 for every area label and
-        every order pair whose levels have different slopes.  A pair with
-        equal slopes differs by a positive constant, so it never bounds
-        lambda and is left out."""
-        out = []
-        for v, w in self.order_pairs:
-            mv, mw = self.vertices[v][1], self.vertices[w][1]
-            if mv[1] != mw[1]:
-                out.append((mw[0] - mv[0], mw[1] - mv[1]))
-        out += [area for _, _, area, _ in self.vertices.values()
-                if area is not None]
-        return out
+            down[b].append(a)
+        ends = {pick(mom, key=mom.__getitem__) for pick in (min, max)}
+        out, done = [], set()
+        for v, (c0, c1) in mom.items():
+            if not c1:
+                continue
+            near = mom if v in ends else \
+                ends | _reach(v, up) | _reach(v, down)
+            for w, (d0, d1) in mom.items():
+                if d1 != c1 and w in near and w not in done:
+                    out.append((d0 - c0, d1 - c1) if (d0, d1) > (c0, c1)
+                               else (c0 - d0, c1 - d1))
+            done.add(v)
+        self.constraints = out + [area for _, _, area, _ in vertices.values()
+                                  if area is not None]
 
 
 def _tag(g, vid):
@@ -130,18 +132,13 @@ def blowup_symbolic(g, site):
     ids = set(sym_vertices)
     tag = _tag(g, p.id)
     sgn = -1 if "Max" in tag else 1
-
-    def add(vid, kind, mom, area=None, genus=None):
-        sym_vertices[vid] = (kind, mom, area, genus)
-
     if tag == "Interior":
         wdn, wup = isotropy_weights(g, p.id)
         n, m = -wdn, wup
         del sym_vertices[p.id]
-        v_hi = _fresh(ids, p.id + ".hi")
-        v_lo = _fresh(ids, p.id + ".lo")
-        add(v_hi, "point", _aff(alpha, m))
-        add(v_lo, "point", _aff(alpha, -n))
+        v_hi, v_lo = _fresh(ids, p.id + ".hi"), _fresh(ids, p.id + ".lo")
+        sym_vertices[v_hi] = ("point", _aff(alpha, m), None, None)
+        sym_vertices[v_lo] = ("point", _aff(alpha, -n), None, None)
         for e in touched:
             other = e.other(p.id)
             target = v_hi if g.moment(other) > alpha else v_lo
@@ -150,26 +147,25 @@ def blowup_symbolic(g, site):
     elif tag.startswith("Surface"):
         kind, mom, area, genus = sym_vertices[p.id]
         sym_vertices[p.id] = (kind, mom, (area[0], area[1] - 1), genus)
-        add(_fresh(ids, p.id + ".new"), "point", _aff(alpha, sgn))
+        sym_vertices[_fresh(ids, p.id + ".new")] = (
+            "point", _aff(alpha, sgn), None, None)
     elif tag.endswith("Distinct"):
         n, m = sorted(abs(x) for x in isotropy_weights(g, p.id))
         del sym_vertices[p.id]
         v_ext = _fresh(ids, p.id + ".lo" if sgn > 0 else p.id + ".hi")
         v_int = _fresh(ids, p.id + ".hi" if sgn > 0 else p.id + ".lo")
-        add(v_ext, "point", _aff(alpha, sgn * n))
-        add(v_int, "point", _aff(alpha, sgn * m))
+        sym_vertices[v_ext] = ("point", _aff(alpha, sgn * n), None, None)
+        sym_vertices[v_int] = ("point", _aff(alpha, sgn * m), None, None)
         for e in touched:
             target = v_ext if e.k == n else v_int
             edges.append(Edge(target, e.other(p.id), e.k))
         if m - n >= 2:
             edges.append(Edge(v_ext, v_int, m - n))
     else:  # IsolatedMin11, IsolatedMax11: the point becomes a sphere
-        genus = 0
-        for s in g.surfaces():
-            genus = s.genus
+        genus = next((s.genus for s in g.surfaces()), 0)
         del sym_vertices[p.id]
-        add(_fresh(ids, p.id + ".s"), "surface", _aff(alpha, sgn), _aff(0, 1),
-            genus)
+        sym_vertices[_fresh(ids, p.id + ".s")] = (
+            "surface", _aff(alpha, sgn), _aff(0, 1), genus)
     return SymbolicBlowup(sym_vertices, edges)
 
 
@@ -178,30 +174,23 @@ def instantiate(sb, lam):
     lam = Fraction(lam)
     if lam <= 0:
         raise GraphError("blow-up size must be positive")
-    vertices = []
-    for vid, (kind, mom, area, genus) in sb.vertices.items():
-        vertices.append(Vertex(vid, kind, _aff_at(mom, lam),
-                               None if area is None else _aff_at(area, lam),
-                               genus))
-    return DecoratedGraph(vertices, sb.edges)
+    return DecoratedGraph(
+        [Vertex(vid, kind, _aff_at(mom, lam),
+                None if area is None else _aff_at(area, lam), genus)
+         for vid, (kind, mom, area, genus) in sb.vertices.items()], sb.edges)
 
 
 def monotone_check(sb, lam):
     """True iff the blown-up labels at lambda respect the carried order
     strictly and all area labels stay positive."""
     lam = Fraction(lam)
-    if lam <= 0:
-        return False
-    return all(c0 + c1 * lam > 0 for c0, c1 in sb.constraints)
+    return lam > 0 and all(c0 + lam * c1 > 0 for c0, c1 in sb.constraints)
 
 
 def max_size(g, site):
-    """(supremum of admissible blow-up sizes, attainable flag).
-
-    The supremum is None when no constraint bounds lambda (cannot happen
-    for valid compact graphs, but kept for safety); the flag says whether
-    a blow-up of exactly that size passes monotone_check.
-    """
+    """(supremum of admissible blow-up sizes, or None when no constraint
+    bounds lambda; whether a blow-up of exactly that size passes
+    monotone_check)."""
     sb = blowup_symbolic(g, site)
     sup = _max_size(sb)
     return sup, sup is not None and monotone_check(sb, sup)
@@ -220,10 +209,21 @@ def blowup(g, vid, lam):
 
 
 def _blowup(sb, lam):
+    """sb at the size lam, refused unless monotone_check passes.  A blow-up
+    of a valid graph is valid, so it is marked valid, not validated.  Each
+    model inverts a blow-down proved valid in its site search: Interior A,
+    Surface B, Distinct C, 11 D.  At an admissible lam the carried order
+    holds strictly: every sphere keeps its side, the extrema stay unique,
+    old vertices keep their weights and new ones are coprime.  The far
+    extremum keeps its e; the near one keeps it (Interior: s0, s1 stay),
+    loses exactly 1 (Surface), gets -1/(n (m - n)) (Distinct, weights
+    {n, m - n}) or becomes a sphere with e = -1 (11)."""
     if not monotone_check(sb, lam):
         raise GraphError("monotonicity violated: lambda = %s is not in "
                          "(0, %s)" % (lam, _max_size(sb)))
-    return require_valid(instantiate(sb, lam))
+    g = instantiate(sb, lam)
+    g._problems = ()  # validate_graph's cached result: no problems
+    return g
 
 
 # -- blow-down ---------------------------------------------------------------

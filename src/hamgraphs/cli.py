@@ -200,22 +200,18 @@ def _cmd_enumerate(ns):
     index = []
     outdir = ns.out if ns.out not in (None, "-") else None
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise CliError("cannot write %s: %s" % (outdir, exc), 1)
     for i, rec in enumerate(recs):
         name = "class_%04d_%s.json" % (i, rec.digest)
         index.append({"file": name, "seed": rec.seed_key,
                       "blowups": rec.depth, "digest": rec.digest})
         if outdir:
-            with open(os.path.join(outdir, name), "w") as fh:
-                json.dump(graph_to_json(rec.graph), fh, indent=2,
-                          sort_keys=True)
-                fh.write("\n")
-    if outdir:
-        with open(os.path.join(outdir, "index.json"), "w") as fh:
-            json.dump(index, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        _emit_json(index, ns.out)
+            _emit_json(graph_to_json(rec.graph), os.path.join(outdir, name))
+    _emit_json(index, os.path.join(outdir, "index.json") if outdir
+               else ns.out)
     return 0
 
 

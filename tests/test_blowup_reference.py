@@ -1,0 +1,57 @@
+"""Blow-ups are valid by construction.
+
+``_blowup`` marks the graph it builds as valid instead of validating it.
+Here every blow-up site of a corpus is instantiated at several admissible
+sizes and checked with the uncached validation stages, and ``_blowup`` must
+return that same graph.  At sizes outside the admissible range it must
+refuse.
+"""
+
+import pytest
+
+from hamgraphs import (GraphError, blowup_sites, blowup_symbolic,
+                       enumerate_graphs, instantiate, max_size)
+from hamgraphs.blowup_calculus import _blowup, _max_size
+from hamgraphs.graph_core import _problems
+from test_blowdown_reference import flipped_and_hirzebruch_seeds
+from test_reduce_reference import surface_chain
+
+
+def assert_valid_by_construction(g):
+    """Check every blow-up site of g; returns the number of sites."""
+    sites = blowup_sites(g)
+    for site in sites:
+        sb = blowup_symbolic(g, site)
+        sup = _max_size(sb)
+        for lam in (sup / 2, sup / 1000, sup * 9 / 10):
+            h = instantiate(sb, lam)
+            assert _problems(h) == [], (site, lam, _problems(h))
+            child = _blowup(sb, lam)
+            assert dict(child.vertices) == dict(h.vertices), (site, lam)
+            assert child.edges == h.edges, (site, lam)
+        with pytest.raises(GraphError, match="monotonicity violated"):
+            _blowup(sb, 2 * sup)
+        assert max_size(g, site) == (sup, False), site
+        with pytest.raises(GraphError, match="monotonicity violated"):
+            _blowup(sb, sup)
+    return len(sites)
+
+
+def test_valid_by_construction_on_corpus(enumerated):
+    tags = set()
+    for rec in enumerated:
+        assert_valid_by_construction(rec.graph)
+        tags |= {site.tag for site in blowup_sites(rec.graph)}
+    assert tags == {"Interior", "SurfaceMin", "SurfaceMax", "IsolatedMin11",
+                    "IsolatedMax11", "IsolatedMinDistinct",
+                    "IsolatedMaxDistinct"}
+
+
+def test_valid_by_construction_on_flipped_and_hirzebruch_seeds():
+    recs = enumerate_graphs(flipped_and_hirzebruch_seeds(), 1)
+    assert sum(assert_valid_by_construction(rec.graph) for rec in recs) > 100
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_valid_by_construction_on_surface_chain(k):
+    assert assert_valid_by_construction(surface_chain(k)) == k + 2

@@ -192,6 +192,21 @@ def test_enumerate_refuses_wrong_parameter_count(tmp_path, capsys, seed,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("layout", ["file", "under_file", "index_dir"])
+def test_enumerate_unwritable_out_exits_1(tmp_path, capsys, layout):
+    # --out is a file, lies under a file, or holds a directory index.json
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    outdir = {"file": blocker, "under_file": blocker / "classes",
+              "index_dir": tmp_path / "classes"}[layout]
+    if layout == "index_dir":
+        (outdir / "index.json").mkdir(parents=True)
+    assert run(["enumerate", "--seed", "cp2:1,2", "--out", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert "Traceback" not in err
+
+
 def test_dh_failed_svg_write_prints_nothing(tent_path, tmp_path, capsys):
     svg = str(tmp_path / "missing" / "rho.svg")
     assert run(["dh", "--in", tent_path, "--svg", svg]) == 1
