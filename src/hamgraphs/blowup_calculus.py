@@ -377,6 +377,27 @@ def blowdown(g, site):
     raise GraphError("not a blow-down site: %r" % (site,))
 
 
+# The minimal-family graphs a blow-down sequence can end at, as
+# (phi, surfaces, vertices) with phi = #points + 2 #surfaces: cp2,
+# cp2-surface, Hirzebruch with isolated points, Hirzebruch with a surface,
+# ruled.
+_TERMINALS = ((3, 0, 3), (3, 1, 2), (4, 0, 4), (4, 1, 3), (4, 2, 2))
+
+
+def _rank_bound(g):
+    """The largest rank (steps other than D, steps, -vertices at the end)
+    of a blow-down sequence from g to a terminal of _TERMINALS that g can
+    still reach; reduce_to_minimal shows why no sequence ranks higher."""
+    surfaces = g.surfaces()
+    s = len(surfaces)
+    phi = len(g.vertices) + s
+    s_min = sum(1 for v in surfaces if v.genus)
+    return max((phi - phi_t - (s - s_t), phi - phi_t, -n_t)
+               for phi_t, s_t, n_t in _TERMINALS
+               if s_min <= s_t <= s and phi_t <= phi
+               and not (s_t == 1 and phi_t == 3 < phi))
+
+
 def reduce_to_minimal(g):
     """Blow down until a graph of a minimal family remains.
 
@@ -389,11 +410,32 @@ def reduce_to_minimal(g):
     The rank is a sum over the steps, so the best sequence from a graph
     continues with a best sequence from the graph after its first step:
     the search is a dynamic program memoised on exact graph states
-    (vertices with their ids and labels, edges with their orientation),
-    and expands each state once.  Among equally ranked options a state
-    takes the first in _ordered_sites order, which picks the same sequence
-    as the first best one in depth-first order.  Returns the minimal graph
-    and the blow-down records.
+    (vertices with their ids and labels, edges with their orientation).
+    Among equally ranked options a state takes the first in _ordered_sites
+    order, which picks the same sequence as the first best one in
+    depth-first order.  Returns the minimal graph and the blow-down
+    records.
+
+    The search is bounded.  Let phi = #points + 2 #surfaces.  Every
+    rewrite lowers phi by exactly 1: A and C merge two points, B deletes a
+    point, D turns a surface into a point.  No rewrite creates a surface,
+    and D removes only genus-0 surfaces.  A sequence ends at one of five
+    shapes (phi_T, s_T, |V_T|): cp2 (3, 0, 3), cp2-surface (3, 1, 2),
+    Hirzebruch with isolated points (4, 0, 4), Hirzebruch with a surface
+    (4, 1, 3) and ruled (4, 2, 2).  So a sequence from g to T has
+    n = phi(g) - phi_T steps, s(g) - s_T of them D, and its rank is
+    (n - #D, n, -|V_T|).  It can reach T only when s_T <= s(g), s_T is at
+    least the number of positive-genus surfaces, and phi_T <= phi(g); and
+    it reaches cp2-surface only from phi(g) = 3, since the graph before it
+    would have phi = 4 and a surface, which is minimal: one surface and
+    two points is Hirzebruch (a valid surface carries no edges), two
+    surfaces alone are ruled.  _rank_bound(g) is the largest rank over
+    those terminals, so no option of g ranks above it.  A state therefore
+    stops at the first option, in _ordered_sites order, whose rank equals
+    the bound: a later option can only tie, and ties keep the first.  The
+    choice is the one the full dynamic program makes, and every memoised
+    value stays exact.  On the k-fold surface chain the search expands
+    about k states instead of about 3^k.
     """
     from .classify import _minimal_family
     require_valid(g)
@@ -412,12 +454,15 @@ def reduce_to_minimal(g):
             if not options:
                 raise GraphError("internal failure: graph matches no minimal "
                                  "family and admits no blow-down")
+            bound = _rank_bound(cur)
             choice = None
             for site, nxt in options:
                 (n_other, n_all, size), _, _ = solve(nxt)
                 rank = (n_other + (site.pattern != "D"), n_all + 1, size)
                 if choice is None or rank > choice[0]:
                     choice = (rank, site, nxt)
+                    if rank == bound:
+                        break
         best[state] = choice
         return choice
 
@@ -429,4 +474,3 @@ def reduce_to_minimal(g):
             return nxt, steps
         steps.append(site)
         cur = nxt
-

@@ -204,14 +204,25 @@ def _cmd_enumerate(ns):
             os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise CliError("cannot write %s: %s" % (outdir, exc), 1)
-    for i, rec in enumerate(recs):
-        name = "class_%04d_%s.json" % (i, rec.digest)
-        index.append({"file": name, "seed": rec.seed_key,
-                      "blowups": rec.depth, "digest": rec.digest})
-        if outdir:
-            _emit_json(graph_to_json(rec.graph), os.path.join(outdir, name))
-    _emit_json(index, os.path.join(outdir, "index.json") if outdir
-               else ns.out)
+    written = []  # class files of this run, removed if the run fails
+    try:
+        for i, rec in enumerate(recs):
+            name = "class_%04d_%s.json" % (i, rec.digest)
+            index.append({"file": name, "seed": rec.seed_key,
+                          "blowups": rec.depth, "digest": rec.digest})
+            if outdir:
+                path = os.path.join(outdir, name)
+                _emit_json(graph_to_json(rec.graph), path)
+                written.append(path)
+        _emit_json(index, os.path.join(outdir, "index.json") if outdir
+                   else ns.out)
+    except CliError:
+        for path in written:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise
     return 0
 
 

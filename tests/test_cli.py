@@ -207,6 +207,28 @@ def test_enumerate_unwritable_out_exits_1(tmp_path, capsys, layout):
     assert "Traceback" not in err
 
 
+def test_enumerate_failed_index_leaves_no_class_files(tmp_path, capsys):
+    outdir = tmp_path / "idx"
+    (outdir / "index.json").mkdir(parents=True)
+    assert run(["enumerate", "--seed", "cp2:1,2", "--max-blowups", "1",
+                "--out", str(outdir)]) == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert sorted(os.listdir(outdir)) == ["index.json"]
+
+
+def test_enumerate_failed_class_file_leaves_no_class_files(tmp_path):
+    # the second class file's name is taken by a directory
+    args = ["enumerate", "--seed", "cp2:1,2", "--max-blowups", "1", "--out"]
+    assert run(args + [str(tmp_path / "ok")]) == 0
+    names = [row["file"] for row in
+             json.load(open(tmp_path / "ok" / "index.json"))]
+    assert len(names) > 2
+    outdir = tmp_path / "blocked"
+    (outdir / names[1]).mkdir(parents=True)
+    assert run(args + [str(outdir)]) == 1
+    assert os.listdir(outdir) == [names[1]]
+
+
 def test_dh_failed_svg_write_prints_nothing(tent_path, tmp_path, capsys):
     svg = str(tmp_path / "missing" / "rho.svg")
     assert run(["dh", "--in", tent_path, "--svg", svg]) == 1
