@@ -356,6 +356,27 @@ def _ordered_sites(g):
     return [(site, result) for _, site, result in options]
 
 
+# The minimal shapes, {(surfaces, vertices): family}.  A valid graph of
+# such a shape is of that family, except that four isolated points are
+# Hirzebruch only when no blow-down site is left.  A valid surface carries
+# no edges, so one surface with two vertices has none, and one surface
+# with three has at most the one edge from the interior point to the
+# point extremum.  A valid graph of any other shape matches no family.
+_MINIMAL_SHAPES = {(0, 3): "cp2", (1, 2): "cp2-surface", (0, 4): "hirzebruch",
+                   (1, 3): "hirzebruch", (2, 2): "ruled"}
+
+
+def _minimal_family(g):
+    """(match_minimal_family(g), sites) for a valid g, where sites is the
+    _ordered_sites list when deciding built it, else None."""
+    shape = (len(g.surfaces()), len(g.vertices))
+    family = _MINIMAL_SHAPES.get(shape)
+    if shape != (0, 4):
+        return family, None
+    sites = _ordered_sites(g)
+    return (None if sites else family), sites
+
+
 def _listed_sites(g):
     """The (site, graph) pairs of _ordered_sites for a valid g, in the
     order blowdown_sites lists them: by pattern, vertices and side."""
@@ -377,25 +398,18 @@ def blowdown(g, site):
     raise GraphError("not a blow-down site: %r" % (site,))
 
 
-# The minimal-family graphs a blow-down sequence can end at, as
-# (phi, surfaces, vertices) with phi = #points + 2 #surfaces: cp2,
-# cp2-surface, Hirzebruch with isolated points, Hirzebruch with a surface,
-# ruled.
-_TERMINALS = ((3, 0, 3), (3, 1, 2), (4, 0, 4), (4, 1, 3), (4, 2, 2))
-
-
 def _rank_bound(g):
     """The largest rank (steps other than D, steps, -vertices at the end)
-    of a blow-down sequence from g to a terminal of _TERMINALS that g can
-    still reach; reduce_to_minimal shows why no sequence ranks higher."""
+    of a blow-down sequence from g to a shape of _MINIMAL_SHAPES that g
+    can still reach; reduce_to_minimal shows why no sequence ranks
+    higher."""
     surfaces = g.surfaces()
-    s = len(surfaces)
-    phi = len(g.vertices) + s
+    s, n = len(surfaces), len(g.vertices)
     s_min = sum(1 for v in surfaces if v.genus)
-    return max((phi - phi_t - (s - s_t), phi - phi_t, -n_t)
-               for phi_t, s_t, n_t in _TERMINALS
-               if s_min <= s_t <= s and phi_t <= phi
-               and not (s_t == 1 and phi_t == 3 < phi))
+    return max((n - n_t, n + s - n_t - s_t, -n_t)
+               for (s_t, n_t), family in _MINIMAL_SHAPES.items()
+               if s_min <= s_t <= s and n_t + s_t <= n + s
+               and not (family == "cp2-surface" and n + s > 3))
 
 
 def reduce_to_minimal(g):
@@ -419,25 +433,25 @@ def reduce_to_minimal(g):
     The search is bounded.  Let phi = #points + 2 #surfaces.  Every
     rewrite lowers phi by exactly 1: A and C merge two points, B deletes a
     point, D turns a surface into a point.  No rewrite creates a surface,
-    and D removes only genus-0 surfaces.  A sequence ends at one of five
-    shapes (phi_T, s_T, |V_T|): cp2 (3, 0, 3), cp2-surface (3, 1, 2),
-    Hirzebruch with isolated points (4, 0, 4), Hirzebruch with a surface
-    (4, 1, 3) and ruled (4, 2, 2).  So a sequence from g to T has
-    n = phi(g) - phi_T steps, s(g) - s_T of them D, and its rank is
-    (n - #D, n, -|V_T|).  It can reach T only when s_T <= s(g), s_T is at
-    least the number of positive-genus surfaces, and phi_T <= phi(g); and
-    it reaches cp2-surface only from phi(g) = 3, since the graph before it
-    would have phi = 4 and a surface, which is minimal: one surface and
-    two points is Hirzebruch (a valid surface carries no edges), two
-    surfaces alone are ruled.  _rank_bound(g) is the largest rank over
-    those terminals, so no option of g ranks above it.  A state therefore
+    and D removes only genus-0 surfaces.  A sequence ends at one of the
+    shapes (s_T, |V_T|) of _MINIMAL_SHAPES, with phi_T = |V_T| + s_T:
+    cp2 (0, 3), cp2-surface (1, 2), Hirzebruch with isolated points
+    (0, 4), Hirzebruch with a surface (1, 3) and ruled (2, 2).  So a
+    sequence from g to T has n = phi(g) - phi_T steps, s(g) - s_T of them
+    D, and its rank is (n - #D, n, -|V_T|), where n - #D = |V(g)| - |V_T|
+    since A, B and C each remove one vertex and D none.  It can reach T
+    only when s_T <= s(g), s_T is at least the number of positive-genus
+    surfaces, and phi_T <= phi(g); and it reaches cp2-surface only from
+    phi(g) = 3, since the graph before it would have phi = 4 and a
+    surface, which is minimal: one surface and two points is Hirzebruch,
+    two surfaces alone are ruled.  _rank_bound(g) is the largest rank
+    over those shapes, so no option of g ranks above it.  A state therefore
     stops at the first option, in _ordered_sites order, whose rank equals
     the bound: a later option can only tie, and ties keep the first.  The
     choice is the one the full dynamic program makes, and every memoised
     value stays exact.  On the k-fold surface chain the search expands
     about k states instead of about 3^k.
     """
-    from .classify import _minimal_family
     require_valid(g)
     best = {}  # state -> (rank, first site or None, graph after it)
 

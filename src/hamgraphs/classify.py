@@ -145,33 +145,7 @@ def match_minimal_family(g):
     site, and more are never minimal.
     """
     require_valid(g)
-    return _minimal_family(g)[0]
-
-
-def _minimal_family(g):
-    """(match_minimal_family(g), sites) for a valid g, where sites is the
-    blowup_calculus._ordered_sites list when deciding built it, else None."""
-    surfaces = g.surfaces()
-    interiors = g.interior_ids()
-    if len(surfaces) == 2:
-        return (None if interiors else "ruled"), None
-    if len(surfaces) == 1:
-        lo, hi = g.min_vertex(), g.max_vertex()
-        if len(g.vertices) == 2 and not g.edges:
-            return "cp2-surface", None
-        if len(g.vertices) == 3 and len(interiors) == 1:
-            point_ext = hi if lo.kind == "surface" else lo
-            ok = all({e.a, e.b} == {interiors[0], point_ext.id}
-                     for e in g.edges) and len(g.edges) <= 1
-            if ok:
-                return "hirzebruch", None
-        return None, None
-    if len(g.vertices) == 3:
-        return "cp2", None
-    if len(g.vertices) == 4:
-        sites = blowup_calculus._ordered_sites(g)
-        return (None if sites else "hirzebruch"), sites
-    return None, None
+    return blowup_calculus._minimal_family(g)[0]
 
 
 def is_toric_extendable(g):

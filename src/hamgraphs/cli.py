@@ -15,7 +15,8 @@ from fractions import Fraction
 from . import blowup_calculus, classify, dh_measure, homology, render
 from .chain_arith import ChainError
 from .graph_core import (DecoratedGraph, GraphError, graph_from_json,
-                         graph_to_json, is_isomorphic, validate_graph)
+                         graph_to_json, is_isomorphic, require_valid,
+                         validate_graph)
 from .rational import fmt_rat, parse_rat
 from .toric_geometry import (graph_to_polygon, polygon_from_json,
                              polygon_to_graph, validate_delzant)
@@ -108,7 +109,7 @@ def _cmd_validate(ns):
 
 
 def _cmd_iso(ns):
-    g1, g2 = _load_graph(ns.paths[0]), _load_graph(ns.paths[1])
+    g1, g2 = (require_valid(_load_graph(path)) for path in ns.paths)
     same = is_isomorphic(g1, g2, ns.mode)
     _emit_json({"isomorphic": same, "mode": ns.mode}, ns.out)
     return 0
@@ -253,6 +254,8 @@ def _cmd_homology(ns):
 
 def _cmd_render(ns):
     obj = _load_object(getattr(ns, "in"))
+    if isinstance(obj, DecoratedGraph):
+        require_valid(obj)
     doc = render.render(obj, ns.format)
     _write(doc, ns.svg or ns.out)
     return 0

@@ -508,61 +508,50 @@ def _free_capacity(g, vid, frees):
 def extend_graph(g):
     """Attach free (weight 1) spheres so every interior fixed point lies on
     one chain from minimum to maximum, with at most two chains in total.
+    Raises NoExtensionError when no such arrangement exists.
 
-    The search backtracks over the choices, preferring to attach interior
-    points directly to the extrema, so the result is deterministic.  Raises
-    NoExtensionError when no such arrangement exists.  Each chain is
-    strictly monotone, so two chains hold at most two points of a level:
-    three interior points on one level are refused before the search.
+    The arrangement is the first one a depth-first search finds that
+    takes the tops (interior points with no up edge) from the highest
+    down, offers each the maximum hi first and then every unused bottom
+    (interior point with no down edge) strictly above it, lowest first,
+    and at the end joins each unused bottom to the minimum lo.  It is
+    built directly, in O(V^2).  At most two spheres meet an extremum, so
+    hi and lo take at most c_hi and c_lo free spheres (_free_capacity),
+    and the chains, which all start at lo, are at most two.  An interior
+    point has at most one up and one down edge, so counting edges gives
+    |bottoms| - |tops| = #edges at hi - #edges at lo = c_lo - c_hi.  If h
+    tops go to hi and each other top takes a bottom, c_lo - (c_hi - h)
+    bottoms are left for lo, so lo has room exactly when h <= c_hi.  A
+    bottom above a top is above every later top, so each later top sees
+    a superset of the bottoms an earlier one sees.  Hence the lowest tops
+    are the easiest to match: whenever some arrangement exists, one sends
+    the first h = min(|tops|, c_hi) tops to hi and matches the rest, and
+    taking the lowest free bottom above each top in turn never spoils the
+    match of a later top (swap the two bottoms).  The search tries hi
+    first, so it sends the first h tops there; then hi is full, and the
+    lowest free bottom succeeds for each later top.  So the search ends
+    exactly where the construction below does, and no arrangement exists
+    exactly when some top finds no free bottom above it.
     """
     require_valid(g)
     lo, hi = g.min_vertex().id, g.max_vertex().id
-    interiors = g.interior_ids()
-    levels = [g.moment(vid) for vid in interiors]  # in level order
-    if any(y == y2 for y, y2 in zip(levels, levels[2:])):
-        raise NoExtensionError(_NO_ARRANGEMENT)
-    need_up = [vid for vid in interiors if not g.up_edges(vid)]
-    need_up.sort(key=lambda vid: (-g.moment(vid), vid))
-
-    def search(i, frees):
-        if i == len(need_up):
-            # every remaining down-slot can only point at the minimum
-            extra = []
-            cap_lo = _free_capacity(g, lo, frees)
-            for vid in interiors:
-                has_down = bool(g.down_edges(vid)) or any(
-                    h == vid for _, h in frees)
-                if not has_down:
-                    if cap_lo <= 0:
-                        return None
-                    cap_lo -= 1
-                    extra.append((lo, vid))
-            return frees + extra
-        v = need_up[i]
-        yv = g.moment(v)
-        candidates = []
-        if _free_capacity(g, hi, frees) > 0:
-            candidates.append(hi)
-        for w in interiors:
-            if g.moment(w) > yv and not g.down_edges(w) and not any(
-                    high == w for _, high in frees):
-                candidates.append(w)
-        for w in candidates:
-            result = search(i + 1, frees + [(v, w)])
-            if result is not None:
-                return result
-        return None
-
-    frees = search(0, [])
-    if frees is None:
-        raise NoExtensionError(_NO_ARRANGEMENT)
+    interiors = g.interior_ids()  # in level order
+    tops = sorted((v for v in interiors if not g.up_edges(v)),
+                  key=lambda v: (-g.moment(v), v))
+    bottoms = [v for v in interiors if not g.down_edges(v)]
+    h = min(len(tops), _free_capacity(g, hi, ()))
+    frees = [(v, hi) for v in tops[:h]]
+    for v in tops[h:]:
+        w = next((w for w in bottoms if g.moment(w) > g.moment(v)), None)
+        if w is None:
+            raise NoExtensionError(_NO_ARRANGEMENT)
+        bottoms.remove(w)
+        frees.append((v, w))
+    frees += [(lo, w) for w in bottoms]
     frees.sort()
     chains = _chains(g, frees)
-    ext = ExtendedGraph(frees, [[lo] + [s[1] for s in c] for c in chains],
-                        chains)
-    if len(ext.branches) > 2:
-        raise NoExtensionError("every arrangement needs more than two chains")
-    return ext
+    return ExtendedGraph(frees, [[lo] + [s[1] for s in c] for c in chains],
+                         chains)
 
 
 def _chains(g, frees):

@@ -395,6 +395,30 @@ def test_every_command_rejects_bad_extrema_alike(command, doc, first):
         assert out == "" and err.startswith("error: " + first + ";")
 
 
+# an edge to an unknown vertex, and two vertices on one level
+UNKNOWN_END = {"vertices": [{"id": "lo", "kind": "point", "moment": "0"},
+                            {"id": "hi", "kind": "point", "moment": "1"}],
+               "edges": [{"a": "lo", "b": "nowhere", "k": 2}]}
+ONE_LEVEL = {"vertices": [{"id": "a", "kind": "point", "moment": "0"},
+                          {"id": "b", "kind": "point", "moment": "0"}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["iso", "{0}", "{0}"], ["render", "--in", "{0}"],
+    ["render", "--in", "{0}", "--format", "dot"]])
+@pytest.mark.parametrize("doc,problem", [
+    (UNKNOWN_END, "edge lo--nowhere: unknown endpoint"),
+    (ONE_LEVEL, "minimum and maximum level coincide")])
+def test_iso_and_render_reject_invalid_graphs(tmp_path, capsys, argv, doc,
+                                              problem):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(doc))
+    out = out_path(tmp_path)
+    assert run([a.format(p) for a in argv] + ["--out", out]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % problem
+    assert not os.path.exists(out)
+
+
 JSON_KEYS = st.sampled_from(["vertices", "edges", "breakpoints", "values",
                              "id", "kind", "moment", "area", "genus", "a",
                              "b", "k"]) | st.text(max_size=3)
