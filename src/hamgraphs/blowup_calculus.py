@@ -55,9 +55,10 @@ class SymbolicBlowup:
     rising levels joins them) whose slopes differ; equal slopes never bound
     lambda.  Only the one or two new points move, so only their pairs are
     built, in O(V + E): with every vertex when the point is extremal, else
-    with the extrema and the vertices a rising or falling chain reaches."""
+    with the extrema and the vertices a rising or falling chain reaches.
+    ends holds the ids of the minimum and the maximum."""
 
-    def __init__(self, vertices, edges):
+    def __init__(self, vertices, edges, ends):
         self.vertices = vertices  # id -> (kind, moment aff, area aff|None, genus)
         self.edges = edges
         mom = {vid: v[1] for vid, v in vertices.items()}
@@ -66,7 +67,6 @@ class SymbolicBlowup:
             a, b = (e.a, e.b) if mom[e.a] < mom[e.b] else (e.b, e.a)
             up[a].append(b)
             down[b].append(a)
-        ends = {pick(mom, key=mom.__getitem__) for pick in (min, max)}
         out, done = [], set()
         for v, (c0, c1) in mom.items():
             if not c1:
@@ -120,9 +120,12 @@ def _fresh(base_ids, stem):
 
 def blowup_symbolic(g, site):
     """The blown-up graph with labels affine in lambda.  Only site.vertex
-    is read: the local model is decided from g."""
+    is read: the local model is decided from g.  The extrema are g's,
+    except that a Distinct blow-up makes its new outer point extremal and
+    an 11 blow-up its new sphere."""
     require_valid(g)
     p = g.vertex(site.vertex)
+    ends = {g.min_vertex().id, g.max_vertex().id}
     alpha = p.moment
     sym_vertices = {v.id: (v.kind, _aff(v.moment),
                            None if v.area is None else _aff(v.area), v.genus)
@@ -156,6 +159,7 @@ def blowup_symbolic(g, site):
         v_int = _fresh(ids, p.id + ".hi" if sgn > 0 else p.id + ".lo")
         sym_vertices[v_ext] = ("point", _aff(alpha, sgn * n), None, None)
         sym_vertices[v_int] = ("point", _aff(alpha, sgn * m), None, None)
+        ends = (ends - {p.id}) | {v_ext}
         for e in touched:
             target = v_ext if e.k == n else v_int
             edges.append(Edge(target, e.other(p.id), e.k))
@@ -164,9 +168,10 @@ def blowup_symbolic(g, site):
     else:  # IsolatedMin11, IsolatedMax11: the point becomes a sphere
         genus = next((s.genus for s in g.surfaces()), 0)
         del sym_vertices[p.id]
-        sym_vertices[_fresh(ids, p.id + ".s")] = (
-            "surface", _aff(alpha, sgn), _aff(0, 1), genus)
-    return SymbolicBlowup(sym_vertices, edges)
+        v_s = _fresh(ids, p.id + ".s")
+        sym_vertices[v_s] = ("surface", _aff(alpha, sgn), _aff(0, 1), genus)
+        ends = (ends - {p.id}) | {v_s}
+    return SymbolicBlowup(sym_vertices, edges, ends)
 
 
 def instantiate(sb, lam):

@@ -17,8 +17,7 @@ from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
                          _json_int, _json_str, canonical_form, extend_graph,
                          flip, require_valid)
-from .toric_geometry import (affine_normal_form, graph_to_polygon,
-                             outward_normal)
+from .toric_geometry import _normal_form, graph_to_polygon, outward_normal
 
 
 def _edges(pairs):
@@ -177,7 +176,7 @@ def classify_isolated(g):
             if y_min not in (p[1], q[1]) and y_max not in (p[1], q[1]):
                 raise GraphError("internal failure: free edge away from "
                                  "the extrema")
-    return affine_normal_form(P)
+    return _normal_form(P.vertices)  # P is Delzant by construction
 
 
 # -- enumeration -------------------------------------------------------------

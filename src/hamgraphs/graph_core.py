@@ -499,10 +499,10 @@ _NO_ARRANGEMENT = ("no arrangement of free spheres with at most two chains "
                    "exists")
 
 
-def _free_capacity(g, vid, frees):
-    """How many more free spheres can meet the extremum vid.  At most two
-    spheres meet it: its edges and the free spheres already in frees."""
-    return 2 - len(g.edges_at(vid)) - sum(vid in f for f in frees)
+def _free_capacity(g, vid):
+    """How many free spheres can meet the extremum vid: at most two
+    spheres meet it, its edges included."""
+    return 2 - len(g.edges_at(vid))
 
 
 def extend_graph(g):
@@ -539,7 +539,7 @@ def extend_graph(g):
     tops = sorted((v for v in interiors if not g.up_edges(v)),
                   key=lambda v: (-g.moment(v), v))
     bottoms = [v for v in interiors if not g.down_edges(v)]
-    h = min(len(tops), _free_capacity(g, hi, ()))
+    h = min(len(tops), _free_capacity(g, hi))
     frees = [(v, hi) for v in tops[:h]]
     for v in tops[h:]:
         w = next((w for w in bottoms if g.moment(w) > g.moment(v)), None)

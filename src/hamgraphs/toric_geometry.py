@@ -20,9 +20,13 @@ class PolygonError(GraphError):
     pass
 
 
+def _rat(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 class DelzantPolygon:
     def __init__(self, vertices):
-        self.vertices = [(Fraction(x), Fraction(y)) for x, y in vertices]
+        self.vertices = [(_rat(x), _rat(y)) for x, y in vertices]
 
     def __eq__(self, other):
         return isinstance(other, DelzantPolygon) and \
@@ -54,14 +58,14 @@ def polygon_from_json(data):
 
 
 def primitive(dx, dy):
-    """Primitive integer vector positively parallel to the rational (dx, dy)."""
-    dx, dy = Fraction(dx), Fraction(dy)
-    if dx == dy == 0:
+    """Primitive integer vector positively parallel to the rational (dx, dy).
+    (a/b, c/d) is a positive multiple of the integer vector (a d, c b)."""
+    dx, dy = _rat(dx), _rat(dy)
+    ix = dx.numerator * dy.denominator
+    iy = dy.numerator * dx.denominator
+    if ix == iy == 0:
         raise ValueError("zero vector")
-    denom = dx.denominator * dy.denominator // gcd(dx.denominator,
-                                                   dy.denominator)
-    ix, iy = int(dx * denom), int(dy * denom)
-    g = gcd(abs(ix), abs(iy))
+    g = gcd(ix, iy)
     return ix // g, iy // g
 
 
@@ -173,6 +177,27 @@ def graph_to_polygon(g):
     The two chains of the extension become the right and left boundary;
     the horizontal distance between the boundaries at level t equals the
     Duistermaat-Heckman density at t.
+
+    The polygon is Delzant by construction, so it is not validated.  A
+    sphere (k, b) of the right chain is an edge along (-b, k), one of the
+    left chain an edge along (b, k), traversed downwards; a surface is a
+    horizontal edge.  Every corner has determinant 1:
+    - along a chain, _normals gives k_{i-1} b_i - b_{i-1} k_i = 1;
+    - at an isolated minimum, _seed_pair gives k1' b1 + k1 b1' = -1;
+    - at an isolated maximum, the top-corner closure check below;
+    - beside a fixed surface, the chain ends in a free sphere (k = 1; the
+      edges at a surface are free), and (-b, 1) or (b, 1) meets a
+      horizontal edge with determinant 1 for every integer b.
+    So every edge direction is primitive, and so is every normal.
+    Every edge turns the same way, once round: heights rise strictly up
+    the right chain and fall strictly down the left (a sphere joins two
+    levels), and the only horizontal edges are the surfaces, the bottom
+    one of length a_min > 0 and the top one the checked gap a_max > 0.
+    So every corner is a strict left turn, the directions point up on the
+    right and down on the left, and the turns add up to exactly 2 pi: the
+    polygon is simple, strictly convex and counterclockwise, with
+    primitive normals of determinant 1 at each corner.  The ChainError
+    conversion and the three closure checks stay: the proof rests on them.
     """
     from .dh_measure import extremal_self_intersections
     require_valid(g)
@@ -233,51 +258,34 @@ def graph_to_polygon(g):
     if lo.kind == "point":
         back = back[:-1]
     verts += back
-    P = DelzantPolygon(verts)
-    require_valid_polygon(P)
-    return P
+    return DelzantPolygon(verts)
 
 
 # -- affine equivalence ------------------------------------------------------
 
-def _reflect(P):
-    verts = [(-x, y) for x, y in reversed(P.vertices)]
-    return DelzantPolygon(verts)
-
-
-def _shear(P, m):
-    return DelzantPolygon([(x + m * y, y) for x, y in P.vertices])
-
-
-def _translate_x(P, a):
-    return DelzantPolygon([(x + a, y) for x, y in P.vertices])
-
-
 def affine_normal_form(P):
     """Canonical representative of P under (x,y) -> (a +/- x + m y, y)."""
     require_valid_polygon(P)
+    return _normal_form(P.vertices)
+
+
+def _normal_form(verts):
+    """affine_normal_form of the vertex list of a Delzant polygon."""
+    n = len(verts)
     candidates = []
-    for Q in (P, _reflect(P)):
-        verts = Q.vertices
-        n = len(verts)
-        pivot = min(range(n), key=lambda i: (verts[i][1], verts[i][0]))
-        edge = None
-        for j in range(n):
-            i = (pivot + j) % n
-            k = outward_normal(verts[i], verts[(i + 1) % n])[0]
-            if k != 0:
-                edge = i
-                break
-        k, b = outward_normal(verts[edge], verts[(edge + 1) % n])
+    for Q in (verts, [(-x, y) for x, y in reversed(verts)]):
+        pivot = min(range(n), key=lambda i: (Q[i][1], Q[i][0]))
+        edge = next(i % n for i in range(pivot, pivot + n)
+                    if Q[i % n][1] != Q[(i + 1) % n][1])
+        k, b = outward_normal(Q[edge], Q[(edge + 1) % n])
         # shearing by m sends the normal (k, b) to (k, b - m k);
         # normalize b into [0, |k|)
-        r = b % abs(k)
-        R = _shear(Q, (b - r) // k)
-        R = _translate_x(R, -min(x for x, _ in R.vertices))
-        start = min(range(n), key=lambda i: (R.vertices[i][1],
-                                             R.vertices[i][0]))
-        rotated = R.vertices[start:] + R.vertices[:start]
-        candidates.append(rotated)
+        m = (b - b % abs(k)) // k
+        R = [(x + m * y, y) for x, y in Q]
+        x0 = min(x for x, _ in R)
+        R = [(x - x0, y) for x, y in R]
+        start = min(range(n), key=lambda i: (R[i][1], R[i][0]))
+        candidates.append(R[start:] + R[:start])
     return DelzantPolygon(min(candidates))
 
 

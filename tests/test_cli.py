@@ -3,10 +3,11 @@ import io
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamgraphs import blowdown, blowdown_sites, graph_to_json, minimal_graph
@@ -434,9 +435,18 @@ JSON_DOCS = st.recursive(
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(doc=JSON_DOCS)
+@example(doc=UNKNOWN_END)
 def test_any_json_on_stdin_exits_cleanly(doc):
     text = json.dumps(doc)
     for command in IN_COMMANDS:
         code, _, err = run_on_stdin([command], text)
         assert code in (0, 1, 2), (command, text)
         assert "Traceback" not in err
+    # iso takes two paths, not stdin; tmp_path would be shared by examples
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.json")
+        with open(path, "w") as f:
+            f.write(text)
+        code, _, err = run_on_stdin(["iso", path, path], "")
+    assert code in (0, 1, 2), ("iso", text)
+    assert "Traceback" not in err

@@ -31,10 +31,14 @@ def reference_free_edges(g):
     need_up = [vid for vid in interiors if not g.up_edges(vid)]
     need_up.sort(key=lambda vid: (-g.moment(vid), vid))
 
+    def capacity(vid, frees):
+        # the room _free_capacity leaves, less the free spheres chosen
+        return _free_capacity(g, vid) - sum(vid in f for f in frees)
+
     def search(i, frees):
         if i == len(need_up):
             extra = []
-            cap_lo = _free_capacity(g, lo, frees)
+            cap_lo = capacity(lo, frees)
             for vid in interiors:
                 has_down = bool(g.down_edges(vid)) or any(
                     h == vid for _, h in frees)
@@ -47,7 +51,7 @@ def reference_free_edges(g):
         v = need_up[i]
         yv = g.moment(v)
         candidates = []
-        if _free_capacity(g, hi, frees) > 0:
+        if capacity(hi, frees) > 0:
             candidates.append(hi)
         for w in interiors:
             if g.moment(w) > yv and not g.down_edges(w) and not any(

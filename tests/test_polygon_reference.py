@@ -1,0 +1,166 @@
+"""References for the polygons that are Delzant by construction.
+
+``graph_to_polygon`` no longer validates its output, ``classify_isolated``
+takes the normal form of its polygon without validating it again, and
+``primitive`` works on numerators and denominators.  The tests below run
+the full Delzant validation on every polygon of an enumerated corpus and
+of a grid of 4-point graphs chosen from the graph data alone, compare the
+normal form with the version that built a polygon for each reflection,
+shear and translation, and compare ``primitive`` with the ``Fraction``
+formula it replaced.
+"""
+
+from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hamgraphs import (DecoratedGraph, Edge, GraphError, PolygonError,
+                       Vertex, affine_normal_form, classify_isolated,
+                       enumerate_graphs, graph_to_polygon,
+                       is_toric_extendable, minimal_graph, validate_delzant,
+                       validate_graph)
+from hamgraphs.toric_geometry import DelzantPolygon, outward_normal, primitive
+
+from conftest import P, reference_polygons
+
+
+def reference_seeds():
+    return [("cp2(1,1)", minimal_graph("cp2", 1, 1)),
+            ("cp2(1,2)", minimal_graph("cp2", 1, 2)),
+            ("cp2(1,3)", minimal_graph("cp2", 1, 3)),
+            ("hirzebruch", minimal_graph("hirzebruch", "left", 1, 1, 2)),
+            ("cp2-surface", minimal_graph("cp2-surface", 0, 3)),
+            ("ruled(0,0)", minimal_graph("ruled", 0, 0, 3, 2)),
+            ("ruled(0,1)", minimal_graph("ruled", 0, 1, 3, 2))]
+
+
+@pytest.fixture(scope="module")
+def toric_corpus():
+    """Every genus-0, toric-extendable graph of the depth-3 closure."""
+    return [rec.graph for rec in enumerate_graphs(reference_seeds(), 3)
+            if all(s.genus == 0 for s in rec.graph.surfaces())
+            and is_toric_extendable(rec.graph)]
+
+
+def reference_normal_form(P):
+    """affine_normal_form as it was: a DelzantPolygon for each reflection,
+    shear and translation."""
+    candidates = []
+    for Q in (P, DelzantPolygon([(-x, y) for x, y in reversed(P.vertices)])):
+        verts = Q.vertices
+        n = len(verts)
+        pivot = min(range(n), key=lambda i: (verts[i][1], verts[i][0]))
+        edge = None
+        for j in range(n):
+            i = (pivot + j) % n
+            if outward_normal(verts[i], verts[(i + 1) % n])[0] != 0:
+                edge = i
+                break
+        k, b = outward_normal(verts[edge], verts[(edge + 1) % n])
+        m = (b - b % abs(k)) // k
+        R = DelzantPolygon([(x + m * y, y) for x, y in verts])
+        x0 = min(x for x, _ in R.vertices)
+        R = DelzantPolygon([(x + -x0, y) for x, y in R.vertices])
+        start = min(range(n), key=lambda i: (R.vertices[i][1],
+                                             R.vertices[i][0]))
+        candidates.append(R.vertices[start:] + R.vertices[:start])
+    return DelzantPolygon(min(candidates))
+
+
+def reference_primitive(dx, dy):
+    """primitive as it was, in Fraction arithmetic."""
+    dx, dy = Fraction(dx), Fraction(dy)
+    if dx == dy == 0:
+        raise ValueError("zero vector")
+    denom = dx.denominator * dy.denominator // gcd(dx.denominator,
+                                                   dy.denominator)
+    ix, iy = int(dx * denom), int(dy * denom)
+    g = gcd(abs(ix), abs(iy))
+    return ix // g, iy // g
+
+
+def test_corpus_polygons_are_delzant(toric_corpus):
+    isolated = 0
+    for g in toric_corpus:
+        Q = graph_to_polygon(g)
+        assert validate_delzant(Q) == [], g
+        if all(v.kind == "point" for v in g.vertices.values()):
+            assert classify_isolated(g) == affine_normal_form(Q), g
+            isolated += 1
+    assert len(toric_corpus) > 300 and isolated > 200
+
+
+def test_normal_form_matches_reference(toric_corpus):
+    polygons = [graph_to_polygon(g) for g in toric_corpus]
+    polygons += reference_polygons()
+    for Q in polygons:
+        assert affine_normal_form(Q) == reference_normal_form(Q), Q
+
+
+@pytest.mark.parametrize("Q", [
+    P((0, 0), (2, 0), (0, 1)),           # determinant 2 at a corner
+    P((0, 0), (0, 1), (1, 0)),           # clockwise
+    P((0, 0), (1, 0), (2, 0), (0, 2)),   # a straight corner
+])
+def test_public_normal_form_validates(Q):
+    with pytest.raises(PolygonError):
+        affine_normal_form(Q)
+
+
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+COORDS = (RATIONALS | RATIONALS.map(str) | st.integers(-40, 40)
+          | st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(dx=COORDS, dy=COORDS)
+@example(dx=0, dy=Fraction(-3, 4))
+@example(dx=Fraction(-5, 6), dy=0)
+@example(dx="-7/9", dy=0.25)
+def test_primitive_matches_fraction_formula(dx, dy):
+    if Fraction(dx) == Fraction(dy) == 0:
+        with pytest.raises(ValueError, match="zero vector"):
+            primitive(dx, dy)
+        return
+    assert primitive(dx, dy) == reference_primitive(dx, dy)
+
+
+@pytest.mark.parametrize("dx,dy", [(0, 0), (Fraction(0), "0"),
+                                   (0.0, Fraction(0, 5)), ("-0", -0.0)])
+def test_primitive_rejects_zero(dx, dy):
+    with pytest.raises(ValueError, match="zero vector"):
+        primitive(dx, dy)
+
+
+def grid_graphs():
+    """Valid 4-point graphs not built by blow-ups: the minimum at 0, three
+    more levels in {1/2, ..., 7/2}, and each pair of points without an
+    edge or joined by an edge of weight 2 or 3."""
+    names = ["mn", "p", "q", "mx"]
+    pairs = list(combinations(names, 2))
+    for levels in combinations([Fraction(i, 2) for i in range(1, 8)], 3):
+        vertices = [Vertex(n, "point", y)
+                    for n, y in zip(names, (Fraction(0),) + levels)]
+        for ks in product((0, 2, 3), repeat=len(pairs)):
+            g = DecoratedGraph(vertices, [Edge(a, b, k) for (a, b), k
+                                          in zip(pairs, ks) if k])
+            if not validate_graph(g):
+                yield g
+
+
+def test_grid_polygons_are_delzant_or_refused():
+    # graphs that come from no space reach the refusals the proof rests on
+    built = refused = 0
+    for g in grid_graphs():
+        try:
+            Q = graph_to_polygon(g)
+        except GraphError:
+            refused += 1
+            continue
+        assert validate_delzant(Q) == [], g
+        built += 1
+    assert built > 100 and refused > 10
