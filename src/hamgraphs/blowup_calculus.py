@@ -100,8 +100,7 @@ def _tag(g, vid):
 def blowup_sites(g):
     """One blow-up site per vertex, tagged by the local model."""
     require_valid(g)
-    return [BlowupSite(vid, _tag(g, vid))
-            for vid in sorted(g.vertices, key=lambda v: (g.moment(v), v))]
+    return [BlowupSite(v.id, _tag(g, v.id)) for v in g._order]
 
 
 def site_for_vertex(g, vid):
@@ -214,8 +213,33 @@ def blowup(g, vid, lam):
 
 
 def _blowup(sb, lam):
-    """sb at the size lam, refused unless monotone_check passes.  A blow-up
-    of a valid graph is valid, so it is marked valid, not validated.  Each
+    """sb at the size lam, refused unless monotone_check passes."""
+    if not monotone_check(sb, lam):
+        raise GraphError("monotonicity violated: lambda = %s is not in "
+                         "(0, %s)" % (lam, _max_size(sb)))
+    return _admissible_blowup(sb, lam)
+
+
+def _half_size_blowup(sb):
+    """sb at half the supremum of its admissible sizes, or None when no
+    constraint bounds lambda.  That size passes monotone_check by
+    construction, so it is not checked.  Every constraint (c0, c1) is
+    lexicographically positive: c0 > 0, or c0 = 0 and c1 > 0.  A pair
+    constraint is the difference of two labels with different slopes,
+    taken from the smaller to the larger as tuples.  An area label is a
+    surface area a > 0 of g as (a, 0), that of a blown-up surface as
+    (a, -1), or the new sphere's (0, 1).  So every constraint with c1 < 0
+    has c0 > 0, and sup = min over those of -c0/c1 is positive.  At
+    lambda = sup/2 > 0 such a constraint gives c0 + c1 lambda >=
+    c0 + c1 (-c0/c1)/2 = c0/2 > 0, and one with c1 >= 0 gives
+    c0 + c1 lambda > 0 at once."""
+    sup = _max_size(sb)
+    return None if sup is None else _admissible_blowup(sb, sup / 2)
+
+
+def _admissible_blowup(sb, lam):
+    """sb at a size lam that passes monotone_check.  A blow-up of a valid
+    graph is valid, so it is marked valid, not validated.  Each
     model inverts a blow-down proved valid in its site search: Interior A,
     Surface B, Distinct C, 11 D.  At an admissible lam the carried order
     holds strictly: every sphere keeps its side, the extrema stay unique,
@@ -223,9 +247,6 @@ def _blowup(sb, lam):
     extremum keeps its e; the near one keeps it (Interior: s0, s1 stay),
     loses exactly 1 (Surface), gets -1/(n (m - n)) (Distinct, weights
     {n, m - n}) or becomes a sphere with e = -1 (11)."""
-    if not monotone_check(sb, lam):
-        raise GraphError("monotonicity violated: lambda = %s is not in "
-                         "(0, %s)" % (lam, _max_size(sb)))
     g = instantiate(sb, lam)
     g._problems = ()  # validate_graph's cached result: no problems
     return g

@@ -17,6 +17,7 @@ from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
                          _json_int, _json_str, canonical_form, extend_graph,
                          flip, require_valid)
+from .rational import parse_rat
 from .toric_geometry import _normal_form, graph_to_polygon, outward_normal
 
 
@@ -33,10 +34,19 @@ def _integer(name, value):
     return int(value)
 
 
+def _rational(name, value):
+    """The rational parameter value, a string read by parse_rat; a
+    GraphError names it otherwise."""
+    try:
+        return parse_rat(value) if isinstance(value, str) else Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise GraphError("%s = %s is not a rational" % (name, value)) from None
+
+
 def cp2_graph(m, n, alpha=0, beta=1):
     """Projective plane with the circle acting through weights (m, n)."""
     m, n = _integer("m", m), _integer("n", n)
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = _rational("alpha", alpha), _rational("beta", beta)
     if m <= 0 or n <= 0 or gcd(m, n) != 1 or beta <= 0:
         raise GraphError("cp2 needs coprime positive m, n and beta > 0")
     vertices = [Vertex("min", "point", alpha - n * beta),
@@ -49,7 +59,7 @@ def cp2_graph(m, n, alpha=0, beta=1):
 
 def cp2_surface_graph(alpha=0, lam=1):
     """Projective plane with a fixed sphere at the bottom."""
-    alpha, lam = Fraction(alpha), Fraction(lam)
+    alpha, lam = _rational("alpha", alpha), _rational("lambda", lam)
     if lam <= 0:
         raise GraphError("cp2-surface needs lambda > 0")
     vertices = [Vertex("min", "surface", alpha, area=lam, genus=0),
@@ -60,7 +70,8 @@ def cp2_surface_graph(alpha=0, lam=1):
 def hirzebruch_graph(variant, n, c=1, d=1, r=1, s=1, alpha=0):
     """Hirzebruch surface graphs; variant in {"left", "middle", "right"}."""
     n, c, d = _integer("n", n), _integer("c", c), _integer("d", d)
-    r, s, alpha = Fraction(r), Fraction(s), Fraction(alpha)
+    r, s = _rational("r", r), _rational("s", s)
+    alpha = _rational("alpha", alpha)
     if r <= 0 or s <= 0:
         raise GraphError("hirzebruch needs r, s > 0")
     if variant == "right":
@@ -102,7 +113,8 @@ def hirzebruch_graph(variant, n, c=1, d=1, r=1, s=1, alpha=0):
 def ruled_graph(g=0, n=0, r=1, s=1, alpha=0):
     """Ruled surface over a genus-g curve: two fixed surfaces, nothing else."""
     g, n = _integer("genus", g), _integer("n", n)
-    r, s, alpha = Fraction(r), Fraction(s), Fraction(alpha)
+    r, s = _rational("r", r), _rational("s", s)
+    alpha = _rational("alpha", alpha)
     if g < 0 or r <= 0 or s <= 0 or r + n * s <= 0:
         raise GraphError("ruled needs g >= 0, r > 0, s > 0 and positive "
                          "top area r + n s")
@@ -199,7 +211,9 @@ def enumerate_graphs(seeds, max_blowups):
     """Breadth-first closure of the seed graphs under blow-ups.
 
     seeds: list of (key, DecoratedGraph).  At every site the blow-up size
-    is half the supremum of admissible sizes.  Graphs are deduplicated by
+    is half the supremum of admissible sizes, which is admissible by
+    construction (blowup_calculus._half_size_blowup), so each child is
+    marked valid without a check.  Graphs are deduplicated by
     exact canonical form; output order is deterministic.
     """
     out = []
@@ -218,11 +232,10 @@ def enumerate_graphs(seeds, max_blowups):
         next_frontier = []
         for rec in frontier:
             for site in blowup_calculus.blowup_sites(rec.graph):
-                sb = blowup_calculus.blowup_symbolic(rec.graph, site)
-                sup = blowup_calculus._max_size(sb)
-                if sup is None or sup <= 0:
+                child = blowup_calculus._half_size_blowup(
+                    blowup_calculus.blowup_symbolic(rec.graph, site))
+                if child is None:
                     continue
-                child = blowup_calculus._blowup(sb, sup / 2)
                 digest = canonical_form(child, "exact").digest
                 if digest in index:
                     continue
@@ -244,10 +257,11 @@ def assign_labels(skeleton, moments, a_min, a_max, e_choice):
     a_min - a_max = -e_min y_min - sum y_p/(m_p n_p) - e_max y_max, which
     together make the Duistermaat-Heckman density vanish above the support.
     """
-    a_min, a_max = Fraction(a_min), Fraction(a_max)
+    a_min, a_max = _rational("a_min", a_min), _rational("a_max", a_max)
     e_min, e_max = e_choice
     vertices = []
-    levels = {vid: Fraction(m) for vid, m in moments.items()}
+    levels = {vid: _rational("moment of %s" % vid, m)
+              for vid, m in moments.items()}
     y_min, y_max = min(levels.values()), max(levels.values())
     try:
         for v in skeleton["vertices"]:

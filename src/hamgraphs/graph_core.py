@@ -12,6 +12,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from types import MappingProxyType
 
 from .rational import fmt_rat, parse_rat
@@ -59,9 +60,10 @@ class DecoratedGraph:
 
     ``vertices`` is a read-only mapping from id to ``Vertex`` and ``edges``
     a tuple.  Construction indexes the graph once: the (moment, id) level
-    order with its extrema, and the edges at each vertex, split into up and
-    down edges.  ``validate_graph`` computes its result at most once per
-    graph, and ``_extremal_pair`` the extremal self-intersections.
+    order with its extrema (``_order``, empty when the moments do not
+    compare), and the edges at each vertex, split into up and down edges.
+    ``validate_graph`` computes its result at most once per graph, and
+    ``_extremal_pair`` the extremal self-intersections.
     """
 
     def __init__(self, vertices, edges=()):
@@ -83,7 +85,10 @@ class DecoratedGraph:
                 if end in at:
                     at[end].append(e)
         try:
-            order = sorted(by_id.values(), key=lambda v: (v.moment, v.id))
+            # stable sorts by id and then by moment give the (moment, id)
+            # order with one comparison per step, not a tuple's == and <
+            order = sorted(by_id.values(), key=attrgetter("id"))
+            order.sort(key=attrgetter("moment"))
             for e in self.edges:
                 if e.a in by_id and e.b in by_id:
                     ya, yb = by_id[e.a].moment, by_id[e.b].moment
@@ -408,19 +413,43 @@ def canonical_form(g, mode="exact"):
     """
     if mode not in ("exact", "shift"):
         raise ValueError("mode must be 'exact' or 'shift'")
-    offset = -min(v.moment for v in g.vertices.values()) if mode == "shift" else 0
+    if mode == "shift":
+        low = (g._order[0].moment if g._order
+               else min(v.moment for v in g.vertices.values()))
     labels = {vid: "%s|%s|%s|%s" % (
-        v.kind, fmt_rat(v.moment + offset),
+        v.kind, fmt_rat(v.moment if mode == "exact" else v.moment - low),
         "-" if v.area is None else fmt_rat(v.area),
         "-" if v.genus is None else v.genus)
         for vid, v in g.vertices.items()}
+
+    def listing(colors):
+        order = sorted(g.vertices, key=lambda vid: (labels[vid], colors[vid]))
+        index = {vid: i for i, vid in enumerate(order)}
+        lines = ["vertex %d %s" % (i, labels[vid])
+                 for i, vid in enumerate(order)]
+        for a, b, k in sorted((min(index[e.a], index[e.b]),
+                               max(index[e.a], index[e.b]), e.k)
+                              for e in g.edges):
+            lines.append("edge %d %d k=%d" % (a, b, k))
+        return "\n".join(lines)
+
+    if len(set(labels.values())) == len(labels):
+        # refinement only splits label classes, and the listing orders
+        # the vertices by (label, colour), so distinct labels fix it alone
+        text = listing(labels)
+        return CanonicalForm(hashlib.sha256(text.encode()).hexdigest(), text)
 
     incident = {vid: [] for vid in g.vertices}
     for e in g.edges:
         incident[e.a].append((e.k, e.b))
         incident[e.b].append((e.k, e.a))
-    twin_key = {vid: (labels[vid], frozenset(Counter(around).items()))
-                for vid, around in incident.items()}
+    twin_keys = {}  # built only for the vertices of a class that stays tied
+
+    def twin_key(vid):
+        if vid not in twin_keys:
+            twin_keys[vid] = (labels[vid],
+                              frozenset(Counter(incident[vid]).items()))
+        return twin_keys[vid]
 
     def refine(colors):
         # Weisfeiler-Leman refinement; classes only ever split, so a
@@ -435,17 +464,6 @@ def canonical_form(g, mode="exact"):
             if len(set(new.values())) == len(set(colors.values())):
                 return new
             colors = new
-
-    def listing(colors):
-        order = sorted(g.vertices, key=lambda vid: (labels[vid], colors[vid]))
-        index = {vid: i for i, vid in enumerate(order)}
-        lines = ["vertex %d %s" % (i, labels[vid])
-                 for i, vid in enumerate(order)]
-        for a, b, k in sorted((min(index[e.a], index[e.b]),
-                               max(index[e.a], index[e.b]), e.k)
-                              for e in g.edges):
-            lines.append("edge %d %d k=%d" % (a, b, k))
-        return "\n".join(lines)
 
     def individualised(colors, vid):
         forked = dict(colors)
@@ -467,7 +485,7 @@ def canonical_form(g, mode="exact"):
             # twins alone needs no branching
             tries = {}
             for vid in tied[0]:
-                tries.setdefault(twin_key[vid], vid)
+                tries.setdefault(twin_key(vid), vid)
             if len(tries) > 1:
                 return min(canon(individualised(colors, vid))
                            for vid in tries.values())
@@ -586,8 +604,11 @@ def _chains(g, frees):
 # -- JSON --------------------------------------------------------------------
 
 def graph_to_json(g):
+    """The JSON form of g, vertices in (moment, id) order."""
     vertices = []
-    for v in sorted(g.vertices.values(), key=lambda v: (v.moment, v.id)):
+    # _order is empty when the moments do not compare; sorting then raises
+    for v in g._order or sorted(g.vertices.values(),
+                                key=lambda v: (v.moment, v.id)):
         d = {"id": v.id, "kind": v.kind, "moment": fmt_rat(v.moment)}
         if v.area is not None:
             d["area"] = fmt_rat(v.area)

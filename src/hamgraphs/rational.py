@@ -33,7 +33,8 @@ def parse_rat(value):
 
 def fmt_rat(value):
     """Format a Fraction for JSON: "p/q", or "p" when the denominator is 1."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return "%d/%d" % (value.numerator, value.denominator)

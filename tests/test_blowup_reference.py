@@ -4,14 +4,17 @@
 Here every blow-up site of a corpus is instantiated at several admissible
 sizes and checked with the uncached validation stages, and ``_blowup`` must
 return that same graph.  At sizes outside the admissible range it must
-refuse.
+refuse.  ``enumerate_graphs`` blows up at half the supremum without even
+that check; every such child must pass ``monotone_check`` and the uncached
+validation stages too.
 """
 
 import pytest
 
 from hamgraphs import (GraphError, blowup_sites, blowup_symbolic,
-                       enumerate_graphs, instantiate, max_size)
-from hamgraphs.blowup_calculus import _blowup, _max_size
+                       enumerate_graphs, instantiate, max_size,
+                       monotone_check)
+from hamgraphs.blowup_calculus import _blowup, _half_size_blowup, _max_size
 from hamgraphs.graph_core import _problems
 from test_blowdown_reference import flipped_and_hirzebruch_seeds
 from test_reduce_reference import surface_chain
@@ -55,3 +58,27 @@ def test_valid_by_construction_on_flipped_and_hirzebruch_seeds():
 @pytest.mark.parametrize("k", range(1, 7))
 def test_valid_by_construction_on_surface_chain(k):
     assert assert_valid_by_construction(surface_chain(k)) == k + 2
+
+
+def test_enumerated_children_are_valid(enumerated):
+    # enumerate_graphs makes every child of a graph of depth at most 2 in
+    # the depth-3 corpus at half the supremum and marks it valid unchecked
+    children = 0
+    for rec in enumerated:
+        if rec.depth == 3:
+            continue
+        for site in blowup_sites(rec.graph):
+            sb = blowup_symbolic(rec.graph, site)
+            sup = _max_size(sb)
+            child = _half_size_blowup(sb)
+            if sup is None:
+                assert child is None, site
+                continue
+            assert sup > 0 and monotone_check(sb, sup / 2), site
+            assert child._problems == ()
+            assert _problems(child) == [], (site, _problems(child))
+            h = instantiate(sb, sup / 2)
+            assert dict(child.vertices) == dict(h.vertices), site
+            assert child.edges == h.edges, site
+            children += 1
+    assert children > 900

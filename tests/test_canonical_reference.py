@@ -153,3 +153,45 @@ def test_twin_chain_k12_is_fast_and_relabel_invariant():
     assert time.perf_counter() - start < 10
     assert form == copy_form
     assert canonical_form(g, "exact") != canonical_form(copy, "exact")
+
+
+def distinct_label_graphs():
+    """Graphs whose vertex labels are all distinct, and whose listing is
+    therefore found without refinement."""
+    graphs = [minimal_graph("cp2", 1, 2, Fraction(-1, 3)),
+              minimal_graph("hirzebruch", "left", 1, 2, 3, 2, 1, 5),
+              minimal_graph("ruled", 1, 2, 3, 1, Fraction(1, 2))]
+    g = minimal_graph("cp2", 1, 1)
+    g = blowup(g, "int", Fraction(1, 3))
+    g = blowup(g, g.max_vertex().id, Fraction(1, 5))
+    return graphs + [g]
+
+
+@pytest.mark.parametrize("mode", ["exact", "shift"])
+def test_distinct_labels_match_reference_in_both_id_orders(mode):
+    for g in distinct_label_graphs():
+        # a common shift keeps distinct labels distinct
+        labels = [reference_canonical_form(DecoratedGraph([v]))[1]
+                  for v in g.vertices.values()]
+        assert len(set(labels)) == len(labels)
+        for h in (g, relabel(g, "v"), relabel(relabel(g, "v"), "w")):
+            assert_same_form(h, mode)
+            assert canonical_form(h, mode) == canonical_form(g, mode)
+
+
+def test_equal_labels_told_apart_by_edges_only():
+    # a and b carry the same label; only their edges (weight 2 to lo,
+    # weight 3 to hi) separate them, so refinement must still run
+    F = Fraction
+    g = DecoratedGraph(
+        [Vertex("lo", "point", F(0)), Vertex("a", "point", F(1)),
+         Vertex("b", "point", F(1)), Vertex("hi", "point", F(2))],
+        [Edge("lo", "a", 2), Edge("b", "hi", 3)])
+    swapped = DecoratedGraph(list(g.vertices.values())[::-1],
+                             [Edge("lo", "b", 2), Edge("a", "hi", 3)])
+    for mode in ("exact", "shift"):
+        assert_same_form(g, mode)
+        assert_same_form(swapped, mode)
+        assert canonical_form(swapped, mode) == canonical_form(g, mode)
+        assert canonical_form(relabel(g, "v"), mode) == \
+            canonical_form(g, mode)

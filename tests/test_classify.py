@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,24 @@ def test_seed_parameters_must_be_integers():
         minimal_graph("ruled", F(1, 2), 1)
     assert graph_to_json(minimal_graph("cp2", F(1), 2.0)) == \
         graph_to_json(minimal_graph("cp2", 1, 2))
+
+
+def test_seed_rationals_are_parsed_and_named():
+    start = time.perf_counter()
+    with pytest.raises(GraphError,
+                       match="alpha = 1e9999999 is not a rational"):
+        minimal_graph("cp2", 1, 1, "1e9999999")
+    with pytest.raises(GraphError, match="r = 1e5000 is not a rational"):
+        minimal_graph("hirzebruch", "left", 1, 1, 1, "1e5000")
+    with pytest.raises(GraphError, match="s = 1/0 is not a rational"):
+        minimal_graph("ruled", 0, 0, 1, "1/0")
+    with pytest.raises(GraphError, match="alpha = nan is not a rational"):
+        minimal_graph("cp2-surface", float("nan"))
+    with pytest.raises(GraphError, match="a_min = 1e9999 is not a rational"):
+        assign_labels(CHOPPED_SKELETON, CHOPPED_MOMENTS, "1e9999", 4, (0, -1))
+    assert time.perf_counter() - start < 5
+    assert graph_to_json(minimal_graph("cp2", 1, 1, "-1/2", " 3 ")) == \
+        graph_to_json(minimal_graph("cp2", 1, 1, F(-1, 2), 3))
 
 
 def test_ruled_graph_genus_one():

@@ -193,6 +193,21 @@ def test_enumerate_refuses_wrong_parameter_count(tmp_path, capsys, seed,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed,problem", [
+    ("cp2:1,1,1e9999999", "alpha = 1e9999999"),
+    ("cp2:1,1,0,1e5000", "beta = 1e5000"),
+    ("cp2-surface:0,1e-5000", "lambda = 1e-5000"),
+    ("ruled:0,0,1,x", "s = x")])
+def test_enumerate_refuses_seed_parameters_that_are_not_rationals(
+        tmp_path, capsys, seed, problem):
+    # an exponent beyond parse_rat's bound is refused at once, not built
+    assert run(["enumerate", "--seed", seed, "--max-blowups", "0",
+                "--out", out_path(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "%s is not a rational" % problem in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("layout", ["file", "under_file", "index_dir"])
 def test_enumerate_unwritable_out_exits_1(tmp_path, capsys, layout):
     # --out is a file, lies under a file, or holds a directory index.json

@@ -10,6 +10,7 @@ from hamgraphs import (DecoratedGraph, Edge, NoExtensionError, Vertex,
                        shift, validate_graph)
 from hamgraphs.graph_core import _chains
 from conftest import TENT_POLYGONS, s2s2_graph, tent_graph
+from test_canonical_reference import relabel, twin_chain
 
 F = Fraction
 
@@ -182,3 +183,48 @@ def test_json_round_trip():
         data = graph_to_json(g)
         assert is_isomorphic(graph_from_json(data), g)
         assert graph_to_json(graph_from_json(data)) == data
+
+
+def sorted_graph_to_json(g):
+    """The serialisation that sorted the vertices by (moment, id) itself."""
+    vertices = []
+    for v in sorted(g.vertices.values(), key=lambda v: (v.moment, v.id)):
+        d = {"id": v.id, "kind": v.kind, "moment": str(v.moment)}
+        if v.area is not None:
+            d["area"] = str(v.area)
+        if v.genus is not None:
+            d["genus"] = v.genus
+        vertices.append(d)
+    edges = [{"a": e.a, "b": e.b, "k": e.k}
+             for e in sorted(g.edges, key=lambda e: (sorted((e.a, e.b)), e.k))]
+    return {"vertices": vertices, "edges": edges}
+
+
+def test_level_order_and_json_match_sorted(enumerated_small):
+    graphs = [rec.graph for rec in enumerated_small]
+    graphs += [twin_chain(k) for k in (2, 5, 8)]
+    # relabelled copies listed in reverse order, once with the ids numbered
+    # forward and once backward, so that ids break ties at equal levels
+    graphs += [relabel(g, "v") for g in graphs]
+    graphs += [relabel(g, "w") for g in graphs[-len(graphs) // 2:]]
+    ties = 0
+    for g in graphs:
+        order = sorted(g.vertices.values(), key=lambda v: (v.moment, v.id))
+        assert list(g._order) == order
+        assert graph_to_json(g) == sorted_graph_to_json(g)
+        ties += len({v.moment for v in order}) < len(order)
+    assert ties > 10
+
+
+def test_json_of_empty_and_incomparable_graphs():
+    empty = DecoratedGraph([])
+    assert empty._order == ()
+    assert graph_to_json(empty) == {"vertices": [], "edges": []}
+    # the level order is empty when moments do not compare; serialising
+    # then fails as sorting does, and drops no vertex
+    g = DecoratedGraph([Vertex("a", "point", F(0)), Vertex("b", "point", "1")])
+    assert g._order == ()
+    with pytest.raises(TypeError):
+        sorted_graph_to_json(g)
+    with pytest.raises(TypeError):
+        graph_to_json(g)
