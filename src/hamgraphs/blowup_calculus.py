@@ -194,10 +194,10 @@ def monotone_check(sb, lam):
 def max_size(g, site):
     """(supremum of admissible blow-up sizes, or None when no constraint
     bounds lambda; whether a blow-up of exactly that size passes
-    monotone_check)."""
-    sb = blowup_symbolic(g, site)
-    sup = _max_size(sb)
-    return sup, sup is not None and monotone_check(sb, sup)
+    monotone_check).  The second is always False: the supremum is
+    -c0/c1 for a constraint with c1 < 0, which is 0 there, and
+    monotone_check needs every constraint > 0."""
+    return _max_size(blowup_symbolic(g, site)), False
 
 
 def _max_size(sb):

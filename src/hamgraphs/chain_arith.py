@@ -7,7 +7,6 @@ second isotropy weight is carried explicitly on the boundary marker.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -128,29 +127,24 @@ def b_sequence(c, b1=None, b2=None):
 
 def chain_fan(c, b1=None, b2=None):
     """Lattice vectors u_i = (k_i, b_i); consecutive determinants are 1 and
-    all vectors lie in the open right half-plane."""
-    bs = b_sequence(c, b1, b2)
-    fan = [(k, b) for k, b in zip(c.weights, bs)]
-    for (k, b), (k2, b2_) in zip(fan, fan[1:]):
-        if k * b2_ - b * k2 != 1:
-            raise ChainError("fan determinant check failed")
-    return fan
+    all vectors lie in the open right half-plane.  The determinants are
+    not checked: _normals builds each b_i from exactly
+    k_{i-1} b_i - b_{i-1} k_i = 1."""
+    return list(zip(c.weights, b_sequence(c, b1, b2)))
 
 
 def kho_d(c):
-    """The positive integer d with sum 1/(k_i k_{i+1}) = d/(k_1 k_l)."""
-    require_valid_chain(c)
+    """The positive integer d with sum 1/(k_i k_{i+1}) = d/(k_1 k_l).
+
+    d is the determinant k_1 b_l - b_1 k_l of the first and last vectors
+    of chain_fan.  Each term is b_{i+1}/k_{i+1} - b_i/k_i =
+    (k_i b_{i+1} - b_i k_{i+1})/(k_i k_{i+1}) = 1/(k_i k_{i+1}), so the
+    sum telescopes to b_l/k_l - b_1/k_1 = (k_1 b_l - b_1 k_l)/(k_1 k_l).
+    That determinant is an integer, and positive as a sum of positive
+    terms times k_1 k_l.
+    """
+    bs = b_sequence(c)
     ks = c.weights
     if len(ks) < 2:
         raise ChainError("kho_d needs a chain of length >= 2")
-    total = sum(Fraction(1, ks[i] * ks[i + 1]) for i in range(len(ks) - 1))
-    d = total * ks[0] * ks[-1]
-    if d.denominator != 1 or d <= 0:
-        raise ChainError("internal consistency failure: d = %s" % d)
-    fan = chain_fan(c)
-    (k1, b1), (kl, bl) = fan[0], fan[-1]
-    det = k1 * bl - b1 * kl
-    if det != d.numerator:
-        raise ChainError("internal consistency failure: d = %s but "
-                         "det(u_1 u_l) = %d" % (d, det))
-    return d.numerator
+    return ks[0] * bs[-1] - bs[0] * ks[-1]

@@ -26,8 +26,14 @@ def _edges(pairs):
 
 
 def _integer(name, value):
-    """The integer parameter value; a GraphError names it otherwise."""
-    if isinstance(value, float) and value.is_integer():
+    """The integer parameter value, a string read by parse_rat; a
+    GraphError names it, as parsed, otherwise."""
+    if isinstance(value, str):
+        try:
+            value = parse_rat(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, Rational) or value.denominator != 1:
         raise GraphError("%s = %s is not an integer" % (name, value))
@@ -172,7 +178,13 @@ def is_toric_extendable(g):
 
 
 def classify_isolated(g):
-    """The canonical Delzant polygon of a graph with isolated fixed points."""
+    """The canonical Delzant polygon of a graph with isolated fixed points.
+
+    The polygon has no horizontal edge: every sphere joins two levels,
+    and graph_to_polygon's width equals the density, which is 0 at the
+    isolated extrema, so its only horizontal edges are fixed surfaces.
+    No proof is known that a free edge never lies away from the extrema,
+    so that is still checked."""
     require_valid(g)
     if any(v.kind != "point" for v in g.vertices.values()):
         raise GraphError("classify_isolated needs a graph with only "
@@ -181,13 +193,10 @@ def classify_isolated(g):
     heights = [y for _, y in P.vertices]
     y_min, y_max = min(heights), max(heights)
     for p, q in P.edge_list():
-        if p[1] == q[1]:
-            raise GraphError("internal failure: horizontal edge in the "
-                             "polygon of an isolated-fixed-point graph")
-        if abs(outward_normal(p, q)[0]) == 1:
-            if y_min not in (p[1], q[1]) and y_max not in (p[1], q[1]):
-                raise GraphError("internal failure: free edge away from "
-                                 "the extrema")
+        if abs(outward_normal(p, q)[0]) == 1 and \
+                y_min not in (p[1], q[1]) and y_max not in (p[1], q[1]):
+            raise GraphError("internal failure: free edge away from the "
+                             "extrema")
     return _normal_form(P.vertices)  # P is Delzant by construction
 
 

@@ -10,7 +10,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import blowup_calculus, classify, dh_measure, homology, render
 from .chain_arith import ChainError
@@ -81,15 +80,7 @@ def _load_object(path):
 def _parse_seed(text):
     if ":" in text:
         family, raw = text.split(":", 1)
-        args = []
-        for part in raw.split(","):
-            part = part.strip()
-            try:
-                args.append(parse_rat(part))
-            except (ValueError, ZeroDivisionError):
-                args.append(part)
-        args = [int(a) if isinstance(a, Fraction) and a.denominator == 1
-                else a for a in args]
+        args = [part.strip() for part in raw.split(",")]
     else:
         family, args = text, []
     return family, classify.minimal_graph(family, *args)
@@ -160,13 +151,17 @@ def _cmd_blowup(ns):
     return 0
 
 
+def _site_row(s):
+    """The JSON row of a blow-down site or minimal-model step."""
+    return {"pattern": s.pattern, "vertices": list(s.vertices),
+            "lambda": fmt_rat(s.lam), "side": s.side}
+
+
 def _cmd_blowdown(ns):
     g = _load_graph(getattr(ns, "in"))
     if ns.site is None:
-        rows = [{"pattern": s.pattern, "vertices": list(s.vertices),
-                 "lambda": fmt_rat(s.lam), "side": s.side}
-                for s in blowup_calculus.blowdown_sites(g)]
-        _emit_json({"sites": rows}, ns.out)
+        _emit_json({"sites": [_site_row(s) for s in
+                              blowup_calculus.blowdown_sites(g)]}, ns.out)
         return 0
     # the rewrites come with the listed sites, so none is built twice
     options = blowup_calculus._listed_sites(g)
@@ -180,10 +175,7 @@ def _cmd_minimal(ns):
     g = _load_graph(getattr(ns, "in"))
     minimal, steps = blowup_calculus.reduce_to_minimal(g)
     _emit_json({"family": classify.match_minimal_family(minimal),
-                "steps": [{"pattern": s.pattern,
-                           "vertices": list(s.vertices),
-                           "lambda": fmt_rat(s.lam), "side": s.side}
-                          for s in steps],
+                "steps": [_site_row(s) for s in steps],
                 "minimal": graph_to_json(minimal)}, ns.out)
     return 0
 

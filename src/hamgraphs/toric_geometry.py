@@ -12,7 +12,7 @@ from math import gcd
 
 from .chain_arith import ChainError, _normals, _seed
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         extend_graph, require_valid)
+                         _extremal_pair, extend_graph, require_valid)
 from .rational import fmt_rat, parse_rat
 
 
@@ -178,13 +178,32 @@ def graph_to_polygon(g):
     the horizontal distance between the boundaries at level t equals the
     Duistermaat-Heckman density at t.
 
+    The width w(t) = x_right(t) - x_left(t) equals the density rho(t) on
+    [y_min, y_max], so the polygon closes at the top without a check.  A
+    sphere (k, b) moves x_right by -(b/k) dt and one (k', b') of the left
+    chain moves x_left by +(b'/k') dt, so w is piecewise linear in t.
+    - At y_min both are a_min, or 0 at an isolated minimum.
+    - Both start with slope -e_min.  At a surface minimum the seeds are
+      b1 = 0 and b1' = e_min with k1 = k1' = 1.  At an isolated minimum
+      _seed_pair gives k1' b1 + k1 b1' = -1, a slope of 1/(k1 k1'), and
+      validity demands e_min = -1/(k1 k1').
+    - Every interior point p lies on exactly one chain, between spheres
+      k_{i-1} and k_i, and its weights multiply to m_p n_p = k_{i-1} k_i.
+      There _normals' k_{i-1} b_i - b_{i-1} k_i = 1 drops the slope of w
+      by 1/(k_{i-1} k_i), which is rho's kink 1/(m_p n_p).
+    So w(y_max) = rho(y_max-) = a_max and the slope of w just below y_max
+    is e_max, by the equations validate_graph solves.  At a surface
+    maximum the top gap is the area a_max.  At an isolated maximum
+    a_max = 0, so the chains meet at one point, and e_max = -1/(k_r k_l)
+    gives k_l b_r + k_r b_l = 1, the determinant of the top corner.
+
     The polygon is Delzant by construction, so it is not validated.  A
     sphere (k, b) of the right chain is an edge along (-b, k), one of the
     left chain an edge along (b, k), traversed downwards; a surface is a
     horizontal edge.  Every corner has determinant 1:
     - along a chain, _normals gives k_{i-1} b_i - b_{i-1} k_i = 1;
     - at an isolated minimum, _seed_pair gives k1' b1 + k1 b1' = -1;
-    - at an isolated maximum, the top-corner closure check below;
+    - at an isolated maximum, k_l b_r + k_r b_l = 1 as above;
     - beside a fixed surface, the chain ends in a free sphere (k = 1; the
       edges at a surface are free), and (-b, 1) or (b, 1) meets a
       horizontal edge with determinant 1 for every integer b.
@@ -192,14 +211,14 @@ def graph_to_polygon(g):
     Every edge turns the same way, once round: heights rise strictly up
     the right chain and fall strictly down the left (a sphere joins two
     levels), and the only horizontal edges are the surfaces, the bottom
-    one of length a_min > 0 and the top one the checked gap a_max > 0.
-    So every corner is a strict left turn, the directions point up on the
-    right and down on the left, and the turns add up to exactly 2 pi: the
+    one of length a_min > 0 and the top one of length a_max > 0.  So every
+    corner is a strict left turn, the directions point up on the right
+    and down on the left, and the turns add up to exactly 2 pi: the
     polygon is simple, strictly convex and counterclockwise, with
     primitive normals of determinant 1 at each corner.  The ChainError
-    conversion and the three closure checks stay: the proof rests on them.
+    conversion and the bottom-corner refusal stay: graphs that pass
+    validate_graph still reach them.
     """
-    from .dh_measure import extremal_self_intersections
     require_valid(g)
     for s in g.surfaces():
         if s.genus != 0:
@@ -213,12 +232,9 @@ def graph_to_polygon(g):
     ks_l = [k for _, _, k in left]
 
     a_min = lo.area if lo.kind == "surface" else Fraction(0)
-    a_max = hi.area if hi.kind == "surface" else Fraction(0)
     if lo.kind == "surface":
-        # both chains start with a free sphere (k1 = k1' = 1): the width
-        # a_min - e_min (t - y_min) of the bottom strip equals
-        # x_right(t) - x_left(t) = a_min - (b1/k1 + b1'/k1') (t - y_min)
-        b1, b1p = 0, int(extremal_self_intersections(g).e_min)
+        # both chains start with a free sphere (k1 = k1' = 1)
+        b1, b1p = 0, int(_extremal_pair(g)[0])
     else:
         k2_right = ks_r[1] if len(ks_r) > 1 else None
         b1, b1p = _seed_pair(ks_r[0], ks_l[0], k2_right)
@@ -236,23 +252,8 @@ def graph_to_polygon(g):
             pts.append((x, g.moment(high)))
         return pts
 
-    pts_r = side_points(right, bs_r, Fraction(0), -1)
-    pts_l = side_points(left, bs_l, -a_min, +1)
-
-    if hi.kind == "surface":
-        gap = pts_r[-1][0] - pts_l[-1][0]
-        if gap != a_max:
-            raise GraphError("closure failure: top gap %s != area %s"
-                             % (gap, a_max))
-    else:
-        if pts_r[-1] != pts_l[-1]:
-            raise GraphError("closure failure: chains meet the maximum at "
-                             "different points")
-        if ks_r[-1] * bs_l[-1] + bs_r[-1] * ks_l[-1] != 1:
-            raise GraphError("closure failure: top corner is not smooth")
-
-    verts = list(pts_r)
-    back = list(reversed(pts_l))
+    verts = side_points(right, bs_r, Fraction(0), -1)
+    back = list(reversed(side_points(left, bs_l, -a_min, +1)))
     if hi.kind == "point":
         back = back[1:]
     if lo.kind == "point":
@@ -297,7 +298,19 @@ def polygon_affine_equivalent(P1, P2):
 # -- corner chopping ---------------------------------------------------------
 
 def polygon_chop(P, index, t):
-    """Cut the corner at the given vertex at lattice distance t."""
+    """Cut the corner at the given vertex at lattice distance t.
+
+    P is validated and t checked, but the result is Delzant by
+    construction, so it is not validated.  t is less than both adjacent
+    lattice lengths, so p_a and p_b lie strictly inside their edges and
+    the other corners keep their edges' directions.  The new edge
+    p_a -> p_b runs along t (d_in + d_out), which is primitive because
+    det(d_in, d_out) = 1 (the normals of P's corner have determinant 1,
+    and the normal (dy, -dx) turns directions by the same rotation).  It
+    lies strictly between d_in and d_out, so both new corners turn left.
+    Its outward normal is n_in + n_out, and det(n_in, n_in + n_out) =
+    det(n_in + n_out, n_out) = det(n_in, n_out) = 1.
+    """
     require_valid_polygon(P)
     t = Fraction(t)
     if t <= 0:
@@ -316,10 +329,7 @@ def polygon_chop(P, index, t):
     d_out = edge_direction(v, next_v)
     p_a = (v[0] - t * d_in[0], v[1] - t * d_in[1])
     p_b = (v[0] + t * d_out[0], v[1] + t * d_out[1])
-    new_verts = verts[:index] + [p_a, p_b] + verts[index + 1:]
-    Q = DelzantPolygon(new_verts)
-    require_valid_polygon(Q)
-    return Q
+    return DelzantPolygon(verts[:index] + [p_a, p_b] + verts[index + 1:])
 
 
 # -- fans --------------------------------------------------------------------

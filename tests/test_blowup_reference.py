@@ -6,7 +6,8 @@ sizes and checked with the uncached validation stages, and ``_blowup`` must
 return that same graph.  At sizes outside the admissible range it must
 refuse.  ``enumerate_graphs`` blows up at half the supremum without even
 that check; every such child must pass ``monotone_check`` and the uncached
-validation stages too.
+validation stages too.  No site's supremum passes ``monotone_check``, as
+``max_size`` states without checking.
 """
 
 import pytest
@@ -34,6 +35,9 @@ def assert_valid_by_construction(g):
             assert child.edges == h.edges, (site, lam)
         with pytest.raises(GraphError, match="monotonicity violated"):
             _blowup(sb, 2 * sup)
+        # max_size reports False without checking: the supremum's own
+        # constraint is 0 there
+        assert not monotone_check(sb, sup), site
         assert max_size(g, site) == (sup, False), site
         with pytest.raises(GraphError, match="monotonicity violated"):
             _blowup(sb, sup)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -122,3 +123,25 @@ def test_random_chain_properties(c):
         fan = chain_fan(c)
         (k1, b1), (kl, bl) = fan[0], fan[-1]
         assert k1 * bl - b1 * kl == d
+
+
+def reference_kho_d(c):
+    """kho_d as it was: the sum of 1/(k_i k_{i+1}) in Fraction arithmetic,
+    times k_1 k_l."""
+    ks = c.weights
+    total = sum(Fraction(1, ks[i] * ks[i + 1]) for i in range(len(ks) - 1))
+    return total * ks[0] * ks[-1]
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(valid_chains())
+def test_kho_d_and_fan_match_references(c):
+    # neither the fan's determinants nor kho_d's sum are checked in the
+    # library
+    fan = chain_fan(c)
+    for (k, b), (k2, b2) in zip(fan, fan[1:]):
+        assert k * b2 - b * k2 == 1, fan
+    if len(c.weights) >= 2:
+        d = reference_kho_d(c)
+        assert d.denominator == 1 and d > 0
+        assert kho_d(c) == d, c

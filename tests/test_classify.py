@@ -37,6 +37,13 @@ def test_seed_parameters_must_be_integers():
         minimal_graph("ruled", F(1, 2), 1)
     assert graph_to_json(minimal_graph("cp2", F(1), 2.0)) == \
         graph_to_json(minimal_graph("cp2", 1, 2))
+    # strings are read by parse_rat and named as parsed
+    with pytest.raises(GraphError, match="m = 3/2 is not an integer"):
+        minimal_graph("cp2", "1.5", "2")
+    with pytest.raises(GraphError, match="n = x is not an integer"):
+        minimal_graph("cp2", "1", "x")
+    assert graph_to_json(minimal_graph("cp2", "1", "4/2")) == \
+        graph_to_json(minimal_graph("cp2", 1, 2))
 
 
 def test_seed_rationals_are_parsed_and_named():

@@ -1,13 +1,15 @@
 """References for the polygons that are Delzant by construction.
 
-``graph_to_polygon`` no longer validates its output, ``classify_isolated``
-takes the normal form of its polygon without validating it again, and
-``primitive`` works on numerators and denominators.  The tests below run
-the full Delzant validation on every polygon of an enumerated corpus and
-of a grid of 4-point graphs chosen from the graph data alone, compare the
-normal form with the version that built a polygon for each reflection,
-shear and translation, and compare ``primitive`` with the ``Fraction``
-formula it replaced.
+``graph_to_polygon`` no longer validates its output or checks that it
+closes at the top, ``classify_isolated`` takes the normal form of its
+polygon without validating it again, ``polygon_chop`` does not validate
+the chopped polygon, and ``primitive`` works on numerators and
+denominators.  The tests below run the full Delzant validation on every
+polygon of an enumerated corpus, of a grid of 4-point graphs chosen from
+the graph data alone and of random chops, recompute the three closure
+conditions from the chains and normals, compare the normal form with the
+version that built a polygon for each reflection, shear and translation,
+and compare ``primitive`` with the ``Fraction`` formula it replaced.
 """
 
 from fractions import Fraction
@@ -20,10 +22,14 @@ from hypothesis import strategies as st
 
 from hamgraphs import (DecoratedGraph, Edge, GraphError, PolygonError,
                        Vertex, affine_normal_form, classify_isolated,
-                       enumerate_graphs, graph_to_polygon,
-                       is_toric_extendable, minimal_graph, validate_delzant,
-                       validate_graph)
-from hamgraphs.toric_geometry import DelzantPolygon, outward_normal, primitive
+                       density, enumerate_graphs, extend_graph,
+                       extremal_self_intersections, graph_to_polygon,
+                       is_toric_extendable, minimal_graph, polygon_chop,
+                       polygon_pushforward, validate_delzant, validate_graph)
+from hamgraphs.chain_arith import _normals
+from hamgraphs.toric_geometry import (DelzantPolygon, _seed_pair,
+                                      lattice_length, outward_normal,
+                                      primitive)
 
 from conftest import P, reference_polygons
 
@@ -83,15 +89,60 @@ def reference_primitive(dx, dy):
     return ix // g, iy // g
 
 
+def closure_conditions(g):
+    """The closure checks graph_to_polygon made, recomputed from the
+    chains and normals: the top gap equals a_max at a surface maximum; at
+    an isolated maximum the chains meet at one point and the top corner
+    k_r b_l + b_r k_l is 1."""
+    lo, hi = g.min_vertex(), g.max_vertex()
+    chains = list(extend_graph(g).chains)
+    while len(chains) < 2:
+        chains.append(((lo.id, hi.id, 1),))
+    right, left = chains
+    ks_r = [k for _, _, k in right]
+    ks_l = [k for _, _, k in left]
+    a_min = lo.area if lo.kind == "surface" else Fraction(0)
+    a_max = hi.area if hi.kind == "surface" else Fraction(0)
+    if lo.kind == "surface":
+        b1, b1p = 0, int(extremal_self_intersections(g).e_min)
+    else:
+        b1, b1p = _seed_pair(ks_r[0], ks_l[0],
+                             ks_r[1] if len(ks_r) > 1 else None)
+    bs_r, bs_l = _normals(ks_r, b1), _normals(ks_l, b1p)
+
+    def top_x(chain, bs, x0, sign):
+        return x0 + sum(sign * Fraction(b, k) * (g.moment(hi_) - g.moment(lo_))
+                        for (lo_, hi_, k), b in zip(chain, bs))
+
+    x_r = top_x(right, bs_r, Fraction(0), -1)
+    x_l = top_x(left, bs_l, -a_min, +1)
+    if hi.kind == "surface":
+        return {"top gap": x_r - x_l == a_max}
+    return {"chains meet": x_r == x_l,
+            "top corner": ks_r[-1] * bs_l[-1] + bs_r[-1] * ks_l[-1] == 1}
+
+
+def assert_closes(g, Q):
+    """Q = graph_to_polygon(g) meets the old closure checks, and its width
+    is the density of g."""
+    conditions = closure_conditions(g)
+    assert all(conditions.values()), (g, conditions)
+    assert polygon_pushforward(Q) == density(g), g
+    return g.max_vertex().kind
+
+
 def test_corpus_polygons_are_delzant(toric_corpus):
     isolated = 0
+    tops = set()
     for g in toric_corpus:
         Q = graph_to_polygon(g)
         assert validate_delzant(Q) == [], g
+        tops.add(assert_closes(g, Q))
         if all(v.kind == "point" for v in g.vertices.values()):
             assert classify_isolated(g) == affine_normal_form(Q), g
             isolated += 1
     assert len(toric_corpus) > 300 and isolated > 200
+    assert tops == {"point", "surface"}
 
 
 def test_normal_form_matches_reference(toric_corpus):
@@ -162,5 +213,31 @@ def test_grid_polygons_are_delzant_or_refused():
             refused += 1
             continue
         assert validate_delzant(Q) == [], g
+        assert_closes(g, Q)
         built += 1
     assert built > 100 and refused > 10
+
+
+CHOP_POLYGONS = reference_polygons()
+
+
+@st.composite
+def chops(draw):
+    """A reference polygon, one of its vertices and a chop size that fits
+    inside both adjacent edges."""
+    Q = draw(st.sampled_from(CHOP_POLYGONS))
+    verts = Q.vertices
+    n = len(verts)
+    i = draw(st.integers(0, n - 1))
+    fit = min(lattice_length(verts[i - 1], verts[i]),
+              lattice_length(verts[i], verts[(i + 1) % n]))
+    t = fit * draw(st.fractions(0, 1, max_denominator=60).filter(
+        lambda f: 0 < f < 1))
+    return Q, i, t
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(chops())
+def test_random_chops_are_delzant(chop):
+    Q, i, t = chop
+    assert validate_delzant(polygon_chop(Q, i, t)) == [], (Q, i, t)
