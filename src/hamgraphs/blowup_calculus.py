@@ -10,8 +10,9 @@ small lambda, so admissible sizes can be computed exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         _extremal_pair, isotropy_weights, require_valid)
+from .dh_measure import extremal_self_intersections
+from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _reach,
+                         isotropy_weights, require_valid)
 
 
 @dataclass(frozen=True)
@@ -35,16 +36,6 @@ def _aff(c0, c1=0):
 
 def _aff_at(a, lam):
     return a[0] + lam * a[1] if a[1] else a[0]
-
-
-def _reach(v, step):
-    """The vertices that repeated steps (id -> ids) reach from v."""
-    seen, todo = set(), [v]
-    while todo:
-        new = set(step[todo.pop()]) - seen
-        seen |= new
-        todo += new
-    return seen
 
 
 class SymbolicBlowup:
@@ -72,7 +63,7 @@ class SymbolicBlowup:
             if not c1:
                 continue
             near = mom if v in ends else \
-                ends | _reach(v, up) | _reach(v, down)
+                ends | _reach(v, up.get) | _reach(v, down.get)
             for w, (d0, d1) in mom.items():
                 if d1 != c1 and w in near and w not in done:
                     out.append((d0 - c0, d1 - c1) if (d0, d1) > (c0, c1)
@@ -209,11 +200,7 @@ def _max_size(sb):
 
 def blowup(g, vid, lam):
     """Blow up at the vertex by size lambda, refusing non-monotone sizes."""
-    return _blowup(blowup_symbolic(g, site_for_vertex(g, vid)), lam)
-
-
-def _blowup(sb, lam):
-    """sb at the size lam, refused unless monotone_check passes."""
+    sb = blowup_symbolic(g, site_for_vertex(g, vid))
     if not monotone_check(sb, lam):
         raise GraphError("monotonicity violated: lambda = %s is not in "
                          "(0, %s)" % (lam, _max_size(sb)))
@@ -334,7 +321,8 @@ def _D_sites(g, side, ext, sgn):
     symplectic 4-manifolds", JAMS 3, 1990).  Solved from the labels, the
     new point has self-intersection -1, as its weights demand, exactly
     when ext had -1; the other extremum then keeps its own."""
-    if ext.genus != 0 or _extremal_pair(g)[side == "max"] != -1:
+    if ext.genus != 0 or getattr(extremal_self_intersections(g),
+                                 "e_" + side) != -1:
         return
     vertices = [v for v in g.vertices.values() if v.id != ext.id]
     vertices.append(Vertex(_merge_id(g, ext.id), "point",
@@ -368,8 +356,9 @@ def _ordered_sites(g):
     weight first, then C (smaller size, min side first), then D (min side
     first), then B (smaller size, max side first).  Each site search
     yields (preference key, site, graph); C sites lie at an isolated
-    extremum, D and B sites at a fixed surface.  No rewrite is validated:
-    each search's docstring shows why its graphs are valid when g is."""
+    extremum, D and B sites at a fixed surface.  g must be valid.  Each
+    search's docstring shows why its graphs are then valid, so every
+    rewrite is marked valid, not validated."""
     options = list(_A_sites(g))
     for side, ext, sgn in (("min", g.min_vertex(), 1),
                            ("max", g.max_vertex(), -1)):
@@ -379,6 +368,8 @@ def _ordered_sites(g):
             options += _D_sites(g, side, ext, sgn)
             options += _B_sites(g, side, ext, sgn)
     options.sort(key=lambda option: option[0])
+    for _, _, result in options:
+        result._problems = ()  # validate_graph's cached result: no problems
     return [(site, result) for _, site, result in options]
 
 

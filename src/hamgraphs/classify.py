@@ -18,7 +18,8 @@ from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
                          _json_int, _json_str, canonical_form, extend_graph,
                          flip, require_valid)
 from .rational import parse_rat
-from .toric_geometry import _normal_form, graph_to_polygon, outward_normal
+from .toric_geometry import (affine_normal_form, graph_to_polygon,
+                             outward_normal)
 
 
 def _edges(pairs):
@@ -197,7 +198,7 @@ def classify_isolated(g):
                 y_min not in (p[1], q[1]) and y_max not in (p[1], q[1]):
             raise GraphError("internal failure: free edge away from the "
                              "extrema")
-    return _normal_form(P.vertices)  # P is Delzant by construction
+    return affine_normal_form(P)
 
 
 # -- enumeration -------------------------------------------------------------

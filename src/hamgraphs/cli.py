@@ -18,7 +18,8 @@ from .graph_core import (DecoratedGraph, GraphError, graph_from_json,
                          validate_graph)
 from .rational import fmt_rat, parse_rat
 from .toric_geometry import (graph_to_polygon, polygon_from_json,
-                             polygon_to_graph, validate_delzant)
+                             polygon_to_graph, require_valid_polygon,
+                             validate_delzant)
 
 
 class CliError(Exception):
@@ -63,12 +64,12 @@ def _load_object(path):
         raise CliError("malformed input JSON: the top level is a %s, not an "
                        "object" % type(data).__name__, 2)
     if "breakpoints" in data:
-        try:
-            return dh_measure.PiecewiseLinearDensity(
-                [parse_rat(b) for b in data["breakpoints"]],
-                [parse_rat(v) for v in data["values"]])
-        except (KeyError, TypeError) as exc:
-            raise CliError("malformed density JSON: %s" % exc, 2) from exc
+        bps, vals = data["breakpoints"], data.get("values")
+        if not (isinstance(bps, list) and bps and isinstance(vals, list)):
+            raise CliError("malformed density JSON: breakpoints and values "
+                           "must be arrays, with at least one breakpoint", 2)
+        return dh_measure.PiecewiseLinearDensity(
+            [parse_rat(b) for b in bps], [parse_rat(v) for v in vals])
     verts = data.get("vertices", [])
     if not isinstance(verts, list):
         raise CliError("malformed input JSON: vertices is not a list", 2)
@@ -88,6 +89,8 @@ def _parse_seed(text):
 
 def _cmd_validate(ns):
     obj = _load_object(getattr(ns, "in"))
+    if isinstance(obj, dh_measure.PiecewiseLinearDensity):
+        raise CliError("validate takes a graph or a polygon, not a density", 2)
     if isinstance(obj, DecoratedGraph):
         problems = validate_graph(obj)
     else:
@@ -248,6 +251,8 @@ def _cmd_render(ns):
     obj = _load_object(getattr(ns, "in"))
     if isinstance(obj, DecoratedGraph):
         require_valid(obj)
+    elif not isinstance(obj, dh_measure.PiecewiseLinearDensity):
+        require_valid_polygon(obj)
     doc = render.render(obj, ns.format)
     _write(doc, ns.svg or ns.out)
     return 0

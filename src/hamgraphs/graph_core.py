@@ -63,7 +63,9 @@ class DecoratedGraph:
     order with its extrema (``_order``, empty when the moments do not
     compare), and the edges at each vertex, split into up and down edges.
     ``validate_graph`` computes its result at most once per graph, and
-    ``_extremal_pair`` the extremal self-intersections.
+    ``_extremal_pair`` the extremal self-intersections; a graph built by a
+    rewrite proved to keep validity is marked valid at once
+    (``_problems = ()``).
     """
 
     def __init__(self, vertices, edges=()):
@@ -256,30 +258,25 @@ def _interior_products(g):
     return out
 
 
-def _solve_extremal(g):
-    """(e_min, e_max), the self-intersections of the extremal sets.
+def _extremal_pair(g):
+    """(e_min, e_max), the self-intersections of the extremal sets, solved
+    once and kept on the graph.  Needs a graph that passes validate_graph
+    up to its extremal stage, such as a valid graph or a blow-down of one.
 
     The Duistermaat-Heckman density vanishes above y_max: its slope there
     gives e_min + e_max = -sum 1/(m_p n_p), and its constant term gives
     y_min e_min + y_max e_max = a_max - a_min - sum y_p/(m_p n_p).
     """
-    lo, hi = g.min_vertex(), g.max_vertex()
-    products = _interior_products(g)
-    s0 = sum(Fraction(1, mn) for _, mn in products)
-    s1 = sum(Fraction(y, mn) for y, mn in products)
-    a_min = lo.area if lo.kind == "surface" else Fraction(0)
-    a_max = hi.area if hi.kind == "surface" else Fraction(0)
-    e_max = Fraction(a_max - a_min - s1 + lo.moment * s0,
-                     hi.moment - lo.moment)
-    return -s0 - e_max, e_max
-
-
-def _extremal_pair(g):
-    """(e_min, e_max) of g, solved once and kept on the graph.  Needs a
-    graph that passes validate_graph up to its extremal stage, such as a
-    valid graph or a blow-down of one."""
     if g._extremal is None:
-        g._extremal = _solve_extremal(g)
+        lo, hi = g.min_vertex(), g.max_vertex()
+        products = _interior_products(g)
+        s0 = sum(Fraction(1, mn) for _, mn in products)
+        s1 = sum(Fraction(y, mn) for y, mn in products)
+        a_min = lo.area if lo.kind == "surface" else Fraction(0)
+        a_max = hi.area if hi.kind == "surface" else Fraction(0)
+        e_max = Fraction(a_max - a_min - s1 + lo.moment * s0,
+                         hi.moment - lo.moment)
+        g._extremal = (-s0 - e_max, e_max)
     return g._extremal
 
 
@@ -297,48 +294,32 @@ def isotropy_weights(g, vid):
     weight 1; a fixed surface contributes weight 0.  Kept on the graph once
     computed.
     """
-    if vid not in g._weights:
-        g._weights[vid] = _isotropy_weights(g, vid)
-    return g._weights[vid]
+    w = g._weights.get(vid)
+    if w is None:
+        lo, hi = g.min_vertex().id, g.max_vertex().id
+        ups = [e.k for e in g.up_edges(vid)]
+        downs = [e.k for e in g.down_edges(vid)]
+        if g.vertex(vid).kind == "surface":
+            w = (0, 1) if vid == lo else (-1, 0)
+        elif vid == lo:
+            w = tuple(sorted((sorted(ups) + [1, 1])[:2]))
+        elif vid == hi:
+            w = tuple(sorted(-k for k in (sorted(downs) + [1, 1])[:2]))
+        else:
+            w = (-(downs[0] if downs else 1), ups[0] if ups else 1)
+        g._weights[vid] = w
+    return w
 
 
-def _isotropy_weights(g, vid):
-    v = g.vertex(vid)
-    lo, hi = g.min_vertex(), g.max_vertex()
-    if v.kind == "surface":
-        return (0, 1) if vid == lo.id else (-1, 0)
-    ups = [e.k for e in g.up_edges(vid)]
-    downs = [e.k for e in g.down_edges(vid)]
-    if vid == lo.id:
-        ks = sorted(ups) + [1, 1]
-        return tuple(sorted(ks[:2]))
-    if vid == hi.id:
-        ks = sorted(downs) + [1, 1]
-        return tuple(sorted(-k for k in ks[:2]))
-    up = ups[0] if ups else 1
-    down = downs[0] if downs else 1
-    return (-down, up)
-
-
-def _monotone_path(low, high, level, neighbours):
-    """Is there a path from low to high along which the level strictly
-    increases?  level(v) gives a vertex's level (any totally ordered
-    values) and neighbours(v) the vertices joined to v by a sphere."""
-    target = level(high)
-    stack = [low]
-    seen = set()
-    while stack:
-        cur = stack.pop()
-        if cur == high:
-            return True
-        if cur in seen:
-            continue
-        seen.add(cur)
-        y = level(cur)
-        for w in neighbours(cur):
-            if y < level(w) <= target:
-                stack.append(w)
-    return False
+def _reach(v, step):
+    """The vertices that repeated steps (a function from a vertex to the
+    vertices one step on) reach from v."""
+    seen, todo = set(), [v]
+    while todo:
+        new = set(step(todo.pop())) - seen
+        seen |= new
+        todo += new
+    return seen
 
 
 def compare(g, vid, wid):
@@ -355,8 +336,8 @@ def compare(g, vid, wid):
         return "incomparable"
     low, high = (vid, wid) if yv < yw else (wid, vid)
     related = (g.is_extremal(vid) or g.is_extremal(wid)
-               or _monotone_path(low, high, g.moment, lambda v: [
-                   e.other(v) for e in g.edges_at(v)]))
+               or high in _reach(low, lambda v: [
+                   e.other(v) for e in g.up_edges(v)]))
     if not related:
         return "incomparable"
     return "less" if yv < yw else "greater"

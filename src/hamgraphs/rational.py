@@ -9,7 +9,7 @@ from fractions import Fraction
 # fmt_rat cannot print an integer of more than 4300 digits (Python's limit
 # on int-to-str conversion), and building 10**n first costs time that
 # grows faster than n, so larger exponents are refused before parsing
-_MAX_EXPONENT = 4300
+_MAX_DIGITS = 4300
 
 
 def parse_rat(value):
@@ -23,7 +23,7 @@ def parse_rat(value):
     if isinstance(value, str):
         try:
             _, e, exponent = value.lower().partition("e")
-            if e and abs(int(exponent)) > _MAX_EXPONENT:
+            if e and abs(int(exponent)) > _MAX_DIGITS:
                 raise ValueError("exponent out of range")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -32,9 +32,14 @@ def parse_rat(value):
 
 
 def fmt_rat(value):
-    """Format a Fraction for JSON: "p/q", or "p" when the denominator is 1."""
+    """Format a Fraction for JSON: "p/q", or "p" when the denominator is 1.
+    A ValueError names the limit when p or q has too many digits."""
     if not isinstance(value, Fraction):
         value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return "%d/%d" % (value.numerator, value.denominator)
+    except ValueError:
+        raise ValueError("a label has grown past the %d digits the package "
+                         "can print" % _MAX_DIGITS) from None

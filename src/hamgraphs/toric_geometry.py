@@ -1,6 +1,6 @@
 """Delzant polygons, smooth fans, and the polygon <-> graph dictionary.
 
-Polygons are counterclockwise lists of rational points.  An edge with
+Polygons are counterclockwise tuples of rational points.  An edge with
 primitive outward normal (k, b), |k| >= 2, lies over a sphere with
 stabilizer Z_k; horizontal edges lie over fixed surfaces; the moment level
 is the height.  ``graph_to_polygon`` rebuilds a polygon from a graph with
@@ -11,8 +11,9 @@ from fractions import Fraction
 from math import gcd
 
 from .chain_arith import ChainError, _normals, _seed
+from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         _extremal_pair, extend_graph, require_valid)
+                         extend_graph, require_valid)
 from .rational import fmt_rat, parse_rat
 
 
@@ -25,8 +26,15 @@ def _rat(x):
 
 
 class DelzantPolygon:
+    """A polygon, immutable after construction: ``vertices`` is a tuple of
+    rational points.  ``require_valid_polygon`` computes validate_delzant's
+    problems at most once per polygon and keeps them in ``_problems``; a
+    polygon built by a construction proved to give a Delzant polygon is
+    marked valid at once (``_problems = ()``)."""
+
     def __init__(self, vertices):
-        self.vertices = [(_rat(x), _rat(y)) for x, y in vertices]
+        self.vertices = tuple((_rat(x), _rat(y)) for x, y in vertices)
+        self._problems = None
 
     def __eq__(self, other):
         return isinstance(other, DelzantPolygon) and \
@@ -91,7 +99,8 @@ def lattice_length(p, q):
 
 
 def validate_delzant(P):
-    """Return a list of problems; empty means P is a Delzant polygon."""
+    """Return a list of problems; empty means P is a Delzant polygon.
+    Computed afresh on every call, whatever P is marked."""
     verts = P.vertices
     problems = []
     if len(verts) < 3:
@@ -121,9 +130,12 @@ def validate_delzant(P):
 
 
 def require_valid_polygon(P):
-    problems = validate_delzant(P)
-    if problems:
-        raise PolygonError("; ".join(problems))
+    """P, or a PolygonError with its problems; they are found once per
+    polygon and kept on it."""
+    if P._problems is None:
+        P._problems = tuple(validate_delzant(P))
+    if P._problems:
+        raise PolygonError("; ".join(P._problems))
     return P
 
 
@@ -197,10 +209,11 @@ def graph_to_polygon(g):
     a_max = 0, so the chains meet at one point, and e_max = -1/(k_r k_l)
     gives k_l b_r + k_r b_l = 1, the determinant of the top corner.
 
-    The polygon is Delzant by construction, so it is not validated.  A
-    sphere (k, b) of the right chain is an edge along (-b, k), one of the
-    left chain an edge along (b, k), traversed downwards; a surface is a
-    horizontal edge.  Every corner has determinant 1:
+    The polygon is Delzant by construction, so it is marked valid, not
+    validated.  A sphere (k, b) of the right chain is an edge along
+    (-b, k), one of the left chain an edge along (b, k), traversed
+    downwards; a surface is a horizontal edge.  Every corner has
+    determinant 1:
     - along a chain, _normals gives k_{i-1} b_i - b_{i-1} k_i = 1;
     - at an isolated minimum, _seed_pair gives k1' b1 + k1 b1' = -1;
     - at an isolated maximum, k_l b_r + k_r b_l = 1 as above;
@@ -234,7 +247,7 @@ def graph_to_polygon(g):
     a_min = lo.area if lo.kind == "surface" else Fraction(0)
     if lo.kind == "surface":
         # both chains start with a free sphere (k1 = k1' = 1)
-        b1, b1p = 0, int(_extremal_pair(g)[0])
+        b1, b1p = 0, int(extremal_self_intersections(g).e_min)
     else:
         k2_right = ks_r[1] if len(ks_r) > 1 else None
         b1, b1p = _seed_pair(ks_r[0], ks_l[0], k2_right)
@@ -259,19 +272,26 @@ def graph_to_polygon(g):
     if lo.kind == "point":
         back = back[:-1]
     verts += back
-    return DelzantPolygon(verts)
+    P = DelzantPolygon(verts)
+    P._problems = ()  # require_valid_polygon's cached result: no problems
+    return P
 
 
 # -- affine equivalence ------------------------------------------------------
 
 def affine_normal_form(P):
-    """Canonical representative of P under (x,y) -> (a +/- x + m y, y)."""
+    """Canonical representative of P under (x,y) -> (a +/- x + m y, y).
+
+    Each map is affine with an integer linear part of determinant +/-1,
+    so it keeps lattice directions primitive.  The one with +x keeps the
+    orientation and the determinant of each pair of neighbouring normals.
+    The one with -x reverses both, and reading its vertices in reverse
+    order, as below, restores both.  A cyclic shift of the vertices
+    changes nothing.  So the normal form of a Delzant polygon is Delzant,
+    and it is marked valid, not validated.
+    """
     require_valid_polygon(P)
-    return _normal_form(P.vertices)
-
-
-def _normal_form(verts):
-    """affine_normal_form of the vertex list of a Delzant polygon."""
+    verts = P.vertices
     n = len(verts)
     candidates = []
     for Q in (verts, [(-x, y) for x, y in reversed(verts)]):
@@ -287,7 +307,9 @@ def _normal_form(verts):
         R = [(x - x0, y) for x, y in R]
         start = min(range(n), key=lambda i: (R[i][1], R[i][0]))
         candidates.append(R[start:] + R[:start])
-    return DelzantPolygon(min(candidates))
+    Q = DelzantPolygon(min(candidates))
+    Q._problems = ()  # require_valid_polygon's cached result: no problems
+    return Q
 
 
 def polygon_affine_equivalent(P1, P2):
@@ -301,15 +323,16 @@ def polygon_chop(P, index, t):
     """Cut the corner at the given vertex at lattice distance t.
 
     P is validated and t checked, but the result is Delzant by
-    construction, so it is not validated.  t is less than both adjacent
-    lattice lengths, so p_a and p_b lie strictly inside their edges and
-    the other corners keep their edges' directions.  The new edge
-    p_a -> p_b runs along t (d_in + d_out), which is primitive because
-    det(d_in, d_out) = 1 (the normals of P's corner have determinant 1,
-    and the normal (dy, -dx) turns directions by the same rotation).  It
-    lies strictly between d_in and d_out, so both new corners turn left.
-    Its outward normal is n_in + n_out, and det(n_in, n_in + n_out) =
-    det(n_in + n_out, n_out) = det(n_in, n_out) = 1.
+    construction, so it is marked valid, not validated.  t is less than
+    both adjacent lattice lengths, so p_a and p_b lie strictly inside
+    their edges and the other corners keep their edges' directions.  The
+    new edge p_a -> p_b runs along t (d_in + d_out), which is primitive
+    because det(d_in, d_out) = 1 (the normals of P's corner have
+    determinant 1, and the normal (dy, -dx) turns directions by the same
+    rotation).  It lies strictly between d_in and d_out, so both new
+    corners turn left.  Its outward normal is n_in + n_out, and
+    det(n_in, n_in + n_out) = det(n_in + n_out, n_out) =
+    det(n_in, n_out) = 1.
     """
     require_valid_polygon(P)
     t = Fraction(t)
@@ -329,7 +352,9 @@ def polygon_chop(P, index, t):
     d_out = edge_direction(v, next_v)
     p_a = (v[0] - t * d_in[0], v[1] - t * d_in[1])
     p_b = (v[0] + t * d_out[0], v[1] + t * d_out[1])
-    return DelzantPolygon(verts[:index] + [p_a, p_b] + verts[index + 1:])
+    Q = DelzantPolygon(verts[:index] + (p_a, p_b) + verts[index + 1:])
+    Q._problems = ()  # require_valid_polygon's cached result: no problems
+    return Q
 
 
 # -- fans --------------------------------------------------------------------

@@ -4,7 +4,8 @@ The searches below build every candidate rewrite and keep it exactly when
 ``validate_graph`` accepts the result, as the library once did.  The
 library keeps every A, B and C rewrite and lists a D site exactly when the
 fixed sphere has genus 0 and self-intersection -1.  Both must list the
-same sites, with the same graphs, in the same order.
+same sites, with the same graphs, in the same order, and every rewrite the
+library marks valid must pass the uncached validation stages.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hamgraphs import (DecoratedGraph, Edge, Vertex, canonical_form,
                        enumerate_graphs, flip, graph_to_json,
                        isotropy_weights, minimal_graph, validate_graph)
 from hamgraphs.blowup_calculus import BlowdownSite, _ordered_sites
+from hamgraphs.graph_core import _problems
 from conftest import corpus_seeds
 from test_reduce_reference import surface_chain
 
@@ -139,9 +141,14 @@ def flipped_and_hirzebruch_seeds():
 def assert_same_sites(graphs):
     counts = {}
     for g in graphs:
-        got = [(site, graph_to_json(h)) for site, h in _ordered_sites(g)]
+        options = _ordered_sites(g)
+        got = [(site, graph_to_json(h)) for site, h in options]
         want = [(site, graph_to_json(h)) for site, h in reference_sites(g)]
         assert got == want, graph_to_json(g)
+        # every rewrite is marked valid, and the uncached stages agree
+        for site, h in options:
+            assert h._problems == (), site
+            assert _problems(h) == [], (site, _problems(h))
         for site, _ in got:
             counts[site.pattern] = counts.get(site.pattern, 0) + 1
     return counts

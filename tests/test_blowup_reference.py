@@ -1,8 +1,8 @@
 """Blow-ups are valid by construction.
 
-``_blowup`` marks the graph it builds as valid instead of validating it.
+``blowup`` marks the graph it builds as valid instead of validating it.
 Here every blow-up site of a corpus is instantiated at several admissible
-sizes and checked with the uncached validation stages, and ``_blowup`` must
+sizes and checked with the uncached validation stages, and ``blowup`` must
 return that same graph.  At sizes outside the admissible range it must
 refuse.  ``enumerate_graphs`` blows up at half the supremum without even
 that check; every such child must pass ``monotone_check`` and the uncached
@@ -12,10 +12,10 @@ validation stages too.  No site's supremum passes ``monotone_check``, as
 
 import pytest
 
-from hamgraphs import (GraphError, blowup_sites, blowup_symbolic,
+from hamgraphs import (GraphError, blowup, blowup_sites, blowup_symbolic,
                        enumerate_graphs, instantiate, max_size,
                        monotone_check)
-from hamgraphs.blowup_calculus import _blowup, _half_size_blowup, _max_size
+from hamgraphs.blowup_calculus import _half_size_blowup, _max_size
 from hamgraphs.graph_core import _problems
 from test_blowdown_reference import flipped_and_hirzebruch_seeds
 from test_reduce_reference import surface_chain
@@ -30,17 +30,17 @@ def assert_valid_by_construction(g):
         for lam in (sup / 2, sup / 1000, sup * 9 / 10):
             h = instantiate(sb, lam)
             assert _problems(h) == [], (site, lam, _problems(h))
-            child = _blowup(sb, lam)
+            child = blowup(g, site.vertex, lam)
             assert dict(child.vertices) == dict(h.vertices), (site, lam)
             assert child.edges == h.edges, (site, lam)
         with pytest.raises(GraphError, match="monotonicity violated"):
-            _blowup(sb, 2 * sup)
+            blowup(g, site.vertex, 2 * sup)
         # max_size reports False without checking: the supremum's own
         # constraint is 0 there
         assert not monotone_check(sb, sup), site
         assert max_size(g, site) == (sup, False), site
         with pytest.raises(GraphError, match="monotonicity violated"):
-            _blowup(sb, sup)
+            blowup(g, site.vertex, sup)
     return len(sites)
 
 

@@ -11,7 +11,27 @@ the full list.
 
 from hamgraphs import blowup_sites, blowup_symbolic, monotone_check
 from hamgraphs.blowup_calculus import _max_size
-from hamgraphs.graph_core import _monotone_path
+
+
+def _monotone_path(low, high, level, neighbours):
+    """Is there a path from low to high along which the level strictly
+    increases?  level(v) gives a vertex's level (any totally ordered
+    values) and neighbours(v) the vertices joined to v by a sphere."""
+    target = level(high)
+    stack = [low]
+    seen = set()
+    while stack:
+        cur = stack.pop()
+        if cur == high:
+            return True
+        if cur in seen:
+            continue
+        seen.add(cur)
+        y = level(cur)
+        for w in neighbours(cur):
+            if y < level(w) <= target:
+                stack.append(w)
+    return False
 
 
 def reference_order(sb):

@@ -362,7 +362,8 @@ def run_on_stdin(argv, text):
 @pytest.mark.parametrize("command", ["validate", "render"])
 @pytest.mark.parametrize("doc", [
     [], "x", 3, None, {"vertices": {"a": 1}}, {"vertices": 5},
-    {"breakpoints": ["0", "1"]}, {"breakpoints": 3, "values": []}])
+    {"breakpoints": ["0", "1"]}, {"breakpoints": 3, "values": []},
+    {"breakpoints": [], "values": []}, {"breakpoints": "01", "values": "01"}])
 def test_malformed_object_exits_2(command, doc):
     code, out, err = run_on_stdin([command], json.dumps(doc))
     assert code == 2 and out == ""
@@ -381,6 +382,37 @@ def test_non_string_ids_and_non_array_points_exit_2(command, doc):
     code, out, err = run_on_stdin([command], json.dumps(doc))
     assert code == 2 and out == ""
     assert err.startswith("error: malformed ") and " JSON" in err
+
+
+@pytest.mark.parametrize("doc,problem", [
+    ({"vertices": [[0, 0], [2, 1], [0, 1]]},
+     "normal determinant != 1 at vertex 0"),
+    ({"vertices": [[0, 0]]}, "fewer than three vertices"),
+    ({"vertices": []}, "fewer than three vertices")])
+def test_render_refuses_polygons_that_validate_refuses(doc, problem):
+    code, out, err = run_on_stdin(["render"], json.dumps(doc))
+    assert (code, out, err) == (2, "", "error: %s\n" % problem)
+    code, out, _ = run_on_stdin(["validate"], json.dumps(doc))
+    assert code == 2 and json.loads(out)["problems"][0] == problem
+
+
+def test_validate_refuses_a_density_that_render_draws():
+    doc = json.dumps({"breakpoints": ["0", "1"], "values": ["1", "0"]})
+    code, out, err = run_on_stdin(["render"], doc)
+    assert code == 0 and out.startswith("<svg") and err == ""
+    code, out, err = run_on_stdin(["validate"], doc)
+    assert (code, out) == (2, "")
+    assert err == "error: validate takes a graph or a polygon, not a density\n"
+
+
+def test_enumerate_names_the_digit_limit(tmp_path, capsys):
+    outdir = tmp_path / "classes"
+    assert run(["enumerate", "--seed", "ruled:0,0,1e4000,1e-4000",
+                "--max-blowups", "1", "--out", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        "error: a label has grown past the 4300 digits the package can "
+        "print\n")
+    assert not outdir.exists()
 
 
 # two graphs whose labels break the extremal conditions: two points with

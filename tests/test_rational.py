@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamgraphs.rational import parse_rat
+from hamgraphs.rational import fmt_rat, parse_rat
 
 
 def test_parse_rat_forms():
@@ -21,3 +21,11 @@ def test_parse_rat_exponent_bound():
         with pytest.raises(ValueError, match="not a rational"):
             parse_rat(text)
     assert time.perf_counter() - start < 0.5
+
+
+def test_fmt_rat_names_the_digit_limit():
+    assert fmt_rat(Fraction(-(10 ** 4299), 3)) == "-1" + "0" * 4299 + "/3"
+    for value in (10 ** 4300, Fraction(1, 10 ** 4300)):
+        with pytest.raises(ValueError, match="a label has grown past the "
+                           "4300 digits the package can print"):
+            fmt_rat(value)

@@ -164,3 +164,38 @@ def test_polygon_to_fan():
 def test_polygon_json_round_trip():
     for Q in (TENT_POLYGONS[2], S2S2_POLYGONS[0], CHOPPED_SQUARE):
         assert polygon_from_json(Q.to_json()) == Q
+
+
+def test_polygons_validated_once_and_built_ones_marked(monkeypatch):
+    from hamgraphs import toric_geometry
+    from hamgraphs.toric_geometry import require_valid_polygon
+    real = toric_geometry.validate_delzant
+    calls = []
+
+    def counting(Q):
+        calls.append(Q)
+        return real(Q)
+
+    monkeypatch.setattr(toric_geometry, "validate_delzant", counting)
+    # a polygon read from JSON is validated once
+    Q = polygon_from_json(CHOPPED_SQUARE.to_json())
+    for _ in range(3):
+        assert require_valid_polygon(Q) is Q
+    assert calls == [Q]
+    # a non-Delzant one is refused on every call, from the kept problems
+    bad = polygon_from_json({"vertices": [[0, 0], [2, 1], [0, 1]]})
+    for _ in range(3):
+        with pytest.raises(PolygonError, match="normal determinant"):
+            require_valid_polygon(bad)
+    assert calls == [Q, bad]
+    # results built by construction are marked valid, not validated
+    built = [graph_to_polygon(tent_graph()), polygon_chop(Q, 3, 1),
+             affine_normal_form(Q)]
+    for R in built:
+        assert require_valid_polygon(R) is R and R._problems == ()
+    assert calls == [Q, bad]
+    # validate_delzant recomputes on every call, whatever the mark says
+    for R in built:
+        assert real(R) == []
+    bad._problems = ()
+    assert real(bad) == ["normal determinant != 1 at vertex 0"]
