@@ -9,6 +9,7 @@ small lambda, so admissible sizes can be computed exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _reach,
@@ -227,7 +228,7 @@ def _half_size_blowup(sb):
 def _admissible_blowup(sb, lam):
     """sb at a size lam that passes monotone_check.  A blow-up of a valid
     graph is valid, so it is marked valid, not validated.  Each
-    model inverts a blow-down proved valid in its site search: Interior A,
+    model inverts a blow-down proved valid in _rewrite: Interior A,
     Surface B, Distinct C, 11 D.  At an admissible lam the carried order
     holds strictly: every sphere keeps its side, the extrema stay unique,
     old vertices keep their weights and new ones are coprime.  The far
@@ -260,15 +261,8 @@ def _merge(g, u, w, mu):
 def _A_sites(g):
     """Pattern A: an edge of weight k = m + n between two interior points,
     the upper one with up weight m and the lower one with down weight n,
-    becomes one interior point with weights (-n, m).  The result of a
-    valid g is valid.  The upper point's weights (-k, m) are coprime, so
-    gcd(n, m) = gcd(k, m) = 1.  The merged level lies strictly between
-    the two points, so the merged point keeps their other edges as one up
-    and one down edge, and every other vertex keeps its weights.  The
-    extremal self-intersections depend on the interior points only
-    through s0 = sum 1/(m_p n_p) and s1 = sum y_p/(m_p n_p), and both stay
-    the same: 1/(mn) = 1/(mk) + 1/(nk), and the merged level is
-    (n y_top + m y_bot)/k."""
+    becomes one interior point with weights (-n, m).  The size is the
+    gap between the two points over k."""
     for e in g.edges:
         if g.is_extremal(e.a) or g.is_extremal(e.b):
             continue
@@ -279,24 +273,15 @@ def _A_sites(g):
         if m + n != e.k:
             continue
         lam = Fraction(g.moment(v_top) - g.moment(v_bot), e.k)
-        result = _merge(g, v_bot, v_top, g.moment(v_top) - m * lam)
-        yield ((0, -e.k, (v_bot, v_top)),
-               BlowdownSite("A", (v_bot, v_top), lam), result)
+        yield (0, -e.k, (v_bot, v_top)), BlowdownSite("A", (v_bot, v_top),
+                                                      lam)
 
 
 def _C_sites(g, side, ext, sgn):
     """Pattern C: the isolated extremum ext with weights {n, d} and an
     interior point q with weight n + d outward and d inward, joined by an
     edge of weight d when d >= 2, merge into one extremum with weights
-    {n, n + d}, n times the size beyond ext.  The result of a valid g is
-    valid.  The merged point lies beyond ext, so it is the unique
-    extremum; it takes ext's other edge and q's outward edge, and every
-    other vertex keeps its weights.  gcd(n, n + d) = gcd(n, d) = 1.
-    Removing q takes 1/(d (n + d)) from s0 and its level share from s1,
-    which together with the new extremal level leaves the other
-    extremum's self-intersection as it was.  Then e_min + e_max = -s0
-    gives the merged point -1/(nd) + 1/(d (n + d)) = -1/(n (n + d)), as
-    its weights demand."""
+    {n, n + d}.  The size is q's distance to ext over d."""
     a, b = sorted(abs(x) for x in isotropy_weights(g, ext.id))
     for n, d in dict.fromkeys(((a, b), (b, a))):
         for q in g.interior_ids():
@@ -308,69 +293,113 @@ def _C_sites(g, side, ext, sgn):
             if (d >= 2) != linked:
                 continue
             lam = Fraction(abs(g.moment(q) - ext.moment), d)
-            result = _merge(g, ext.id, q, ext.moment - sgn * n * lam)
             yield ((1, lam, side != "min", (ext.id, q)),
-                   BlowdownSite("C", (ext.id, q), lam, side), result)
+                   BlowdownSite("C", (ext.id, q), lam, side))
 
 
-def _D_sites(g, side, ext, sgn):
+def _D_sites(g, side, ext):
     """Pattern D: the extremal fixed surface ext becomes an isolated
     extremum with weights {1, 1}, one area beyond it.  This is the inverse
     of a blow-up exactly when ext is an exceptional sphere: genus 0 and
     self-intersection -1 (McDuff, "The structure of rational and ruled
-    symplectic 4-manifolds", JAMS 3, 1990).  Solved from the labels, the
-    new point has self-intersection -1, as its weights demand, exactly
-    when ext had -1; the other extremum then keeps its own."""
-    if ext.genus != 0 or getattr(extremal_self_intersections(g),
-                                 "e_" + side) != -1:
-        return
-    vertices = [v for v in g.vertices.values() if v.id != ext.id]
-    vertices.append(Vertex(_merge_id(g, ext.id), "point",
-                           ext.moment - sgn * ext.area))
-    yield ((2, side != "min"),
-           BlowdownSite("D", (ext.id,), ext.area, side),
-           DecoratedGraph(vertices, g.edges))
+    symplectic 4-manifolds", JAMS 3, 1990)."""
+    if ext.genus == 0 and getattr(extremal_self_intersections(g),
+                                  "e_" + side) == -1:
+        yield (2, side != "min"), BlowdownSite("D", (ext.id,), ext.area,
+                                               side)
 
 
-def _B_sites(g, side, ext, sgn):
+def _B_sites(g, side, ext):
     """Pattern B: an interior point q without edges is absorbed into the
-    extremal fixed surface ext, whose area grows by q's distance to it.
-    The result of a valid g is valid: q has weights (-1, 1) and touches no
-    other vertex, and the self-intersection of ext rises by exactly 1
-    while the other extremum keeps its own, so both stay integers."""
+    extremal fixed surface ext, whose area grows by q's distance to it."""
     for q in g.interior_ids():
         if g.edges_at(q):
             continue
         lam = abs(g.moment(q) - ext.moment)
-        vertices = [Vertex(v.id, v.kind, v.moment, v.area + lam, v.genus)
-                    if v.id == ext.id else v
-                    for v in g.vertices.values() if v.id != q]
-        yield ((3, lam, side != "max", (q,)),
-               BlowdownSite("B", (q,), lam, side),
-               DecoratedGraph(vertices, g.edges))
+        yield (3, lam, side != "max", (q,)), BlowdownSite("B", (q,), lam,
+                                                          side)
 
 
 def _ordered_sites(g):
-    """Every blow-down site of g with the graph its rewrite leaves, as
-    (site, graph) pairs in preference order: A sites with the largest edge
-    weight first, then C (smaller size, min side first), then D (min side
-    first), then B (smaller size, max side first).  Each site search
-    yields (preference key, site, graph); C sites lie at an isolated
-    extremum, D and B sites at a fixed surface.  g must be valid.  Each
-    search's docstring shows why its graphs are then valid, so every
-    rewrite is marked valid, not validated."""
+    """Every blow-down site of g in preference order: A sites with the
+    largest edge weight first, then C (smaller size, min side first), then
+    D (min side first), then B (smaller size, max side first).  Each site
+    search yields (preference key, site); C sites lie at an isolated
+    extremum, D and B sites at a fixed surface.  g must be valid.  No
+    rewrite is built here: _rewrite builds the one a caller takes."""
     options = list(_A_sites(g))
     for side, ext, sgn in (("min", g.min_vertex(), 1),
                            ("max", g.max_vertex(), -1)):
         if ext.kind == "point":
             options += _C_sites(g, side, ext, sgn)
         else:
-            options += _D_sites(g, side, ext, sgn)
-            options += _B_sites(g, side, ext, sgn)
+            options += _D_sites(g, side, ext)
+            options += _B_sites(g, side, ext)
     options.sort(key=lambda option: option[0])
-    for _, _, result in options:
-        result._problems = ()  # validate_graph's cached result: no problems
-    return [(site, result) for _, site, result in options]
+    return [site for _, site in options]
+
+
+def _rewrite(g, site):
+    """The graph that the blow-down at site leaves, for a site that
+    _ordered_sites lists for the valid graph g, built from g and the site
+    alone.  The rewrite of a valid graph is valid, so it is marked valid,
+    not validated.  sgn is 1 at the minimum and -1 at the maximum.
+
+    A: the merged point lies at moment(v_top) - m lambda, m the up weight
+    of v_top and lambda the gap over k = m + n, so strictly between the
+    two points.  It keeps their other edges as one up and one down edge,
+    and every other vertex keeps its weights.  The upper point's weights
+    (-k, m) are coprime, so gcd(n, m) = gcd(k, m) = 1.  The extremal
+    self-intersections depend on the interior points only through
+    s0 = sum 1/(m_p n_p) and s1 = sum y_p/(m_p n_p), and both stay the
+    same: 1/(mn) = 1/(mk) + 1/(nk), and the merged level is
+    (n y_top + m y_bot)/k.
+
+    C: the merged point lies at ext.moment - sgn n lambda, n = (a + b) - d
+    for ext's weights {a, b} and the inward weight d of q, so beyond ext:
+    it is the unique extremum, it takes ext's other edge and q's outward
+    edge, and every other vertex keeps its weights.
+    gcd(n, n + d) = gcd(n, d) = 1.  Removing q takes 1/(d (n + d)) from s0
+    and its level share from s1, which together with the new extremal
+    level leaves the other extremum's self-intersection as it was.  Then
+    e_min + e_max = -s0 gives the merged point
+    -1/(nd) + 1/(d (n + d)) = -1/(n (n + d)), as its weights demand.
+
+    D: a point at ext.moment - sgn area replaces the surface ext, beyond
+    every other vertex; ext carried no edges.  Solved from the labels, the
+    new point has self-intersection -1, as its weights {1, 1} demand,
+    exactly when ext had -1, which the search requires; the other
+    extremum then keeps its own.
+
+    B: the surface's area grows by lambda, q's distance to it.  q has
+    weights (-1, 1) and touches no other vertex, and the
+    self-intersection of the surface rises by exactly 1 while the other
+    extremum keeps its own, so both stay integers."""
+    sgn = -1 if site.side == "max" else 1
+    if site.pattern == "A":
+        v_bot, v_top = site.vertices
+        m = isotropy_weights(g, v_top)[1]
+        result = _merge(g, v_bot, v_top, g.moment(v_top) - m * site.lam)
+    elif site.pattern == "C":
+        ext, q = site.vertices
+        down, up = isotropy_weights(g, q)
+        d = -down if sgn > 0 else up  # the inward weight of q
+        n = sum(abs(w) for w in isotropy_weights(g, ext)) - d
+        result = _merge(g, ext, q, g.moment(ext) - sgn * n * site.lam)
+    elif site.pattern == "D":
+        ext = g.vertex(site.vertices[0])
+        vertices = [v for v in g.vertices.values() if v.id != ext.id]
+        vertices.append(Vertex(_merge_id(g, ext.id), "point",
+                               ext.moment - sgn * ext.area))
+        result = DecoratedGraph(vertices, g.edges)
+    else:
+        ext = g.min_vertex() if sgn > 0 else g.max_vertex()
+        vertices = [Vertex(v.id, v.kind, v.moment, v.area + site.lam,
+                           v.genus) if v.id == ext.id else v
+                    for v in g.vertices.values() if v.id != site.vertices[0]]
+        result = DecoratedGraph(vertices, g.edges)
+    result._problems = ()  # validate_graph's cached result: no problems
+    return result
 
 
 # The minimal shapes, {(surfaces, vertices): family}.  A valid graph of
@@ -394,25 +423,19 @@ def _minimal_family(g):
     return (None if sites else family), sites
 
 
-def _listed_sites(g):
-    """The (site, graph) pairs of _ordered_sites for a valid g, in the
-    order blowdown_sites lists them: by pattern, vertices and side."""
-    require_valid(g)
-    return sorted(_ordered_sites(g), key=lambda option: (
-        option[0].pattern, option[0].vertices, option[0].side))
-
-
 def blowdown_sites(g):
-    """All recognized blow-down sites, with the size each one removes."""
-    return [site for site, _ in _listed_sites(g)]
+    """All recognized blow-down sites, with the size each one removes,
+    ordered by pattern, vertices and side.  No rewrite is built."""
+    require_valid(g)
+    return sorted(_ordered_sites(g),
+                  key=attrgetter("pattern", "vertices", "side"))
 
 
 def blowdown(g, site):
-    """Apply the inverse rewrite at a site found by blowdown_sites."""
-    for cand, result in _listed_sites(g):
-        if cand == site:
-            return result
-    raise GraphError("not a blow-down site: %r" % (site,))
+    """Apply the inverse rewrite at a site that blowdown_sites lists."""
+    if site not in blowdown_sites(g):
+        raise GraphError("not a blow-down site: %r" % (site,))
+    return _rewrite(g, site)
 
 
 def _rank_bound(g):
@@ -467,7 +490,9 @@ def reduce_to_minimal(g):
     the bound: a later option can only tie, and ties keep the first.  The
     choice is the one the full dynamic program makes, and every memoised
     value stays exact.  On the k-fold surface chain the search expands
-    about k states instead of about 3^k.
+    about k states instead of about 3^k.  Only the options a state
+    expands have their graphs built (_rewrite), so a state that stops at
+    its first option builds one.
     """
     require_valid(g)
     best = {}  # state -> (rank, first site or None, graph after it)
@@ -487,7 +512,8 @@ def reduce_to_minimal(g):
                                  "family and admits no blow-down")
             bound = _rank_bound(cur)
             choice = None
-            for site, nxt in options:
+            for site in options:
+                nxt = _rewrite(cur, site)
                 (n_other, n_all, size), _, _ = solve(nxt)
                 rank = (n_other + (site.pattern != "D"), n_all + 1, size)
                 if choice is None or rank > choice[0]:

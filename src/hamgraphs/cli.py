@@ -162,15 +162,15 @@ def _site_row(s):
 
 def _cmd_blowdown(ns):
     g = _load_graph(getattr(ns, "in"))
+    sites = blowup_calculus.blowdown_sites(g)
     if ns.site is None:
-        _emit_json({"sites": [_site_row(s) for s in
-                              blowup_calculus.blowdown_sites(g)]}, ns.out)
+        _emit_json({"sites": [_site_row(s) for s in sites]}, ns.out)
         return 0
-    # the rewrites come with the listed sites, so none is built twice
-    options = blowup_calculus._listed_sites(g)
-    if not 0 <= ns.site < len(options):
+    if not 0 <= ns.site < len(sites):
         raise CliError("site index out of range", 1)
-    _emit_json(graph_to_json(options[ns.site][1]), ns.out)
+    # the site comes from the list, so only its rewrite is built
+    _emit_json(graph_to_json(blowup_calculus._rewrite(g, sites[ns.site])),
+               ns.out)
     return 0
 
 

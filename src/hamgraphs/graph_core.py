@@ -12,6 +12,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -222,7 +223,6 @@ def _problems(g):
     if problems:
         return problems
 
-    from math import gcd
     for vid in g.vertices:
         w1, w2 = isotropy_weights(g, vid)
         if gcd(abs(w1), abs(w2)) != 1:
@@ -266,12 +266,19 @@ def _extremal_pair(g):
     The Duistermaat-Heckman density vanishes above y_max: its slope there
     gives e_min + e_max = -sum 1/(m_p n_p), and its constant term gives
     y_min e_min + y_max e_max = a_max - a_min - sum y_p/(m_p n_p).
+    Both sums run over integers, a numerator over the least common
+    denominator so far, with one Fraction made of each at the end.
     """
     if g._extremal is None:
         lo, hi = g.min_vertex(), g.max_vertex()
-        products = _interior_products(g)
-        s0 = sum(Fraction(1, mn) for _, mn in products)
-        s1 = sum(Fraction(y, mn) for y, mn in products)
+        n0, d0, n1, d1 = 0, 1, 0, 1
+        for y, mn in _interior_products(g):
+            c = gcd(d0, mn)
+            n0, d0 = n0 * (mn // c) + d0 // c, d0 // c * mn
+            den = y.denominator * mn
+            c = gcd(d1, den)
+            n1, d1 = n1 * (den // c) + y.numerator * (d1 // c), d1 // c * den
+        s0, s1 = Fraction(n0, d0), Fraction(n1, d1)
         a_min = lo.area if lo.kind == "surface" else Fraction(0)
         a_max = hi.area if hi.kind == "surface" else Fraction(0)
         e_max = Fraction(a_max - a_min - s1 + lo.moment * s0,

@@ -7,13 +7,31 @@ they travel as strings like "3/4" or "5" so nothing is ever rounded.
 from fractions import Fraction
 
 # fmt_rat cannot print an integer of more than 4300 digits (Python's limit
-# on int-to-str conversion), and building 10**n first costs time that
+# on int-to-str conversion), so parse_rat refuses a value whose numerator
+# or denominator reaches _TOO_LONG; building 10**n first costs time that
 # grows faster than n, so larger exponents are refused before parsing
 _MAX_DIGITS = 4300
+_TOO_LONG = 10 ** _MAX_DIGITS  # the least integer of more digits
+
+
+def _plain(text):
+    """The value of "p", "-p", "p/q" or "-p/q" in ASCII digits, the forms
+    fmt_rat writes, or None for any other string."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if not slash:
+        return Fraction(int(num))
+    if not (den.isascii() and den.isdigit()):
+        return None
+    return Fraction(int(num), int(den))
 
 
 def parse_rat(value):
-    """Parse a rational from its JSON form ("p/q", "p", or an int)."""
+    """Parse a rational from its JSON form ("p/q", "p", or an int).  The
+    forms fmt_rat writes go through int; any other string through
+    Fraction."""
     if isinstance(value, bool):
         raise ValueError("not a rational: %r" % (value,))
     if isinstance(value, int):
@@ -22,12 +40,19 @@ def parse_rat(value):
         return value
     if isinstance(value, str):
         try:
-            _, e, exponent = value.lower().partition("e")
-            if e and abs(int(exponent)) > _MAX_DIGITS:
-                raise ValueError("exponent out of range")
-            return Fraction(value.strip())
+            parsed = _plain(value)
+            if parsed is None:
+                _, e, exponent = value.lower().partition("e")
+                if e and abs(int(exponent)) > _MAX_DIGITS:
+                    raise ValueError("exponent out of range")
+                parsed = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("not a rational: %r" % (value,)) from exc
+        if abs(parsed.numerator) >= _TOO_LONG or \
+                parsed.denominator >= _TOO_LONG:
+            raise ValueError("not a rational: %r has more than %d digits"
+                             % (value, _MAX_DIGITS))
+        return parsed
     raise ValueError("not a rational: %r" % (value,))
 
 

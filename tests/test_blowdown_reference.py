@@ -2,8 +2,9 @@
 
 The searches below build every candidate rewrite and keep it exactly when
 ``validate_graph`` accepts the result, as the library once did.  The
-library keeps every A, B and C rewrite and lists a D site exactly when the
-fixed sphere has genus 0 and self-intersection -1.  Both must list the
+library lists every A, B and C site and a D site exactly when the fixed
+sphere has genus 0 and self-intersection -1, and ``_rewrite`` builds the
+graph of each site from the graph and the site alone.  Both must list the
 same sites, with the same graphs, in the same order, and every rewrite the
 library marks valid must pass the uncached validation stages.
 """
@@ -15,7 +16,8 @@ import pytest
 from hamgraphs import (DecoratedGraph, Edge, Vertex, canonical_form,
                        enumerate_graphs, flip, graph_to_json,
                        isotropy_weights, minimal_graph, validate_graph)
-from hamgraphs.blowup_calculus import BlowdownSite, _ordered_sites
+from hamgraphs.blowup_calculus import (BlowdownSite, _ordered_sites,
+                                       _rewrite)
 from hamgraphs.graph_core import _problems
 from conftest import corpus_seeds
 from test_reduce_reference import surface_chain
@@ -141,7 +143,7 @@ def flipped_and_hirzebruch_seeds():
 def assert_same_sites(graphs):
     counts = {}
     for g in graphs:
-        options = _ordered_sites(g)
+        options = [(site, _rewrite(g, site)) for site in _ordered_sites(g)]
         got = [(site, graph_to_json(h)) for site, h in options]
         want = [(site, graph_to_json(h)) for site, h in reference_sites(g)]
         assert got == want, graph_to_json(g)

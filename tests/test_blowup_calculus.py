@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,30 @@ def test_chopped_square_blowdown_options():
     assert sorted(v.area for v in toward_max.surfaces()) == [6, 6]
     toward_min = blowdown(g, [s for s in sites if s.side == "min"][0])
     assert sorted(v.area for v in toward_min.surfaces()) == [4, 9]
+
+
+def test_blowdown_refuses_unlisted_sites(enumerated_small):
+    # a listed site with another size or side, and a site listed for
+    # another graph on the same vertex ids, are not blow-down sites (a
+    # point midway between two surfaces is a B site on either side, so
+    # a side swap can be listed too)
+    graphs = [rec.graph for rec in enumerated_small]
+    patterns, n_foreign = set(), 0
+    for g, other in zip(graphs, graphs[1:] + graphs[:1]):
+        listed = blowdown_sites(g)
+        patterns.update(site.pattern for site in listed)
+        foreign = [site for site in blowdown_sites(other)
+                   if site not in listed
+                   and set(site.vertices) <= set(g.vertices)]
+        n_foreign += len(foreign)
+        wrong = foreign + [replace(site, lam=site.lam * 2) for site in listed]
+        wrong += [replace(site, side=side) for site in listed
+                  for side in ("", "min", "max") if side != site.side]
+        for site in wrong:
+            if site not in listed:
+                with pytest.raises(GraphError, match="not a blow-down site"):
+                    blowdown(g, site)
+    assert patterns == set("ABCD") and n_foreign > 20
 
 
 # (family, parameters, sides with an exceptional fixed sphere): ruled(0, n)

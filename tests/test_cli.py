@@ -197,10 +197,12 @@ def test_enumerate_refuses_wrong_parameter_count(tmp_path, capsys, seed,
     ("cp2:1,1,1e9999999", "alpha = 1e9999999"),
     ("cp2:1,1,0,1e5000", "beta = 1e5000"),
     ("cp2-surface:0,1e-5000", "lambda = 1e-5000"),
+    ("cp2:1,1,1e4300", "alpha = 1e4300"),
     ("ruled:0,0,1,x", "s = x")])
 def test_enumerate_refuses_seed_parameters_that_are_not_rationals(
         tmp_path, capsys, seed, problem):
-    # an exponent beyond parse_rat's bound is refused at once, not built
+    # an exponent beyond parse_rat's bound is refused at once, not built,
+    # and so is a value of more digits than fmt_rat prints
     assert run(["enumerate", "--seed", seed, "--max-blowups", "0",
                 "--out", out_path(tmp_path)]) == 2
     err = capsys.readouterr().err

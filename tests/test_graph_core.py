@@ -8,9 +8,10 @@ from hamgraphs import (DecoratedGraph, Edge, NoExtensionError, Vertex,
                        graph_from_json, graph_to_json, is_isomorphic,
                        isotropy_weights, minimal_graph, polygon_to_graph,
                        shift, validate_graph)
-from hamgraphs.graph_core import _chains
+from hamgraphs.graph_core import _chains, _extremal_pair, _interior_products
 from conftest import TENT_POLYGONS, s2s2_graph, tent_graph
 from test_canonical_reference import relabel, twin_chain
+from test_reduce_reference import surface_chain
 
 F = Fraction
 
@@ -228,3 +229,27 @@ def test_json_of_empty_and_incomparable_graphs():
         sorted_graph_to_json(g)
     with pytest.raises(TypeError):
         graph_to_json(g)
+
+
+def fraction_extremal_pair(g):
+    """(e_min, e_max) from Fraction sums, as graph_core once solved it."""
+    lo, hi = g.min_vertex(), g.max_vertex()
+    products = _interior_products(g)
+    s0 = sum(Fraction(1, mn) for _, mn in products)
+    s1 = sum(Fraction(y, mn) for y, mn in products)
+    a_min = lo.area if lo.kind == "surface" else Fraction(0)
+    a_max = hi.area if hi.kind == "surface" else Fraction(0)
+    e_max = Fraction(a_max - a_min - s1 + lo.moment * s0,
+                     hi.moment - lo.moment)
+    return -s0 - e_max, e_max
+
+
+def test_extremal_pair_matches_fraction_sums(enumerated):
+    graphs = [rec.graph for rec in enumerated]
+    graphs += [surface_chain(k, genus, n) for k in range(1, 9)
+               for genus, n in ((0, 0), (1, 0), (0, 1))]
+    for g in graphs + [flip(g) for g in graphs]:
+        fresh = DecoratedGraph(g.vertices.values(), g.edges)
+        got = _extremal_pair(fresh)
+        assert all(type(e) is Fraction for e in got)
+        assert got == fraction_extremal_pair(g), graph_to_json(g)

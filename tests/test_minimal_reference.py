@@ -12,7 +12,7 @@ import pytest
 
 from hamgraphs import (PolygonError, canonical_form, classify_isolated,
                        match_minimal_family, polygon_to_fan, validate_fan)
-from hamgraphs.blowup_calculus import _ordered_sites
+from hamgraphs.blowup_calculus import _ordered_sites, _rewrite
 from hamgraphs.toric_geometry import det2
 
 
@@ -77,7 +77,9 @@ def blowdown_closure(graphs):
     out = list(graphs)
     todo = list(graphs)
     while todo:
-        for _, h in _ordered_sites(todo.pop()):
+        g = todo.pop()
+        for site in _ordered_sites(g):
+            h = _rewrite(g, site)
             digest = canonical_form(h).digest
             if digest not in seen:
                 seen.add(digest)

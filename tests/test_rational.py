@@ -2,6 +2,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hamgraphs.rational import fmt_rat, parse_rat
 
@@ -14,13 +16,72 @@ def test_parse_rat_forms():
 
 
 def test_parse_rat_exponent_bound():
-    assert parse_rat("1e4300") == 10 ** 4300
-    assert parse_rat("1e-4300") == Fraction(1, 10 ** 4300)
+    assert parse_rat("1e4299") == 10 ** 4299
+    assert parse_rat("1e-4299") == Fraction(1, 10 ** 4299)
     start = time.perf_counter()
-    for text in ("1e4301", "1e-4301", "1e3000000", "1E+" + "9" * 5000):
+    # 10**4300 has 4301 digits, one more than fmt_rat prints
+    for text in ("1e4300", "1e-4300", "10e4299", "-10e4299", "1e4301",
+                 "1e-4301", "1e3000000", "1E+" + "9" * 5000):
         with pytest.raises(ValueError, match="not a rational"):
             parse_rat(text)
     assert time.perf_counter() - start < 0.5
+
+
+def reference_parse(text):
+    """Fraction(text.strip()) within parse_rat's two bounds: a string
+    whose exponent exceeds 4300 in absolute value, or whose value has a
+    numerator or denominator of more than 4300 digits, is refused.  None
+    means refused."""
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return None
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > 4300:
+        return None
+    if abs(value.numerator) >= 10 ** 4300 or value.denominator >= 10 ** 4300:
+        return None
+    return value
+
+
+# ASCII digits, an Arabic-Indic three, a fullwidth one and an underscore
+DIGITS = st.sampled_from(list("0123456789") + ["\u0663", "\uff11", "_"])
+SHORT = st.text(DIGITS, max_size=4)
+LONG = st.builds(lambda d, n: d * n, st.sampled_from("19"),
+                 st.sampled_from([4299, 4300, 4301, 5000]))
+NUMBER = st.builds(
+    "".join, st.tuples(
+        st.sampled_from(["", " ", "\t", "\u3000"]),
+        st.sampled_from(["", "-", "+", "--"]),
+        SHORT | LONG,
+        st.sampled_from(["", "/", "."]),
+        SHORT | LONG | st.just("0"),
+        st.sampled_from(["", "e", "E", "e-", "e+"]),
+        st.sampled_from(["", "1", "2", "4299", "4300", "4301", "5000",
+                         "1_0", "\u0663"]),
+        st.sampled_from(["", " ", "\n"])))
+# the forms fmt_rat writes, which parse_rat reads through int
+ASCII = st.text(st.sampled_from("0123456789"), min_size=1, max_size=6) | LONG
+PLAIN = st.builds("".join, st.tuples(st.sampled_from(["", "-"]), ASCII,
+                                     st.sampled_from(["", "/"]), ASCII))
+STRINGS = PLAIN | NUMBER | st.text(
+    st.sampled_from("0123456789-+/._eE x\u0663"), max_size=12)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(text=STRINGS)
+@example(text="3/4")
+@example(text="-12/0")
+@example(text="-0")
+@example(text="1e4300")
+def test_parse_rat_matches_fraction(text):
+    want = reference_parse(text)
+    if want is None:
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rat(text)
+    else:
+        got = parse_rat(text)
+        assert type(got) is Fraction and got == want, text
 
 
 def test_fmt_rat_names_the_digit_limit():

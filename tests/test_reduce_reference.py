@@ -15,7 +15,7 @@ import pytest
 from hamgraphs import (GraphError, blowdown_sites, blowup, blowup_calculus,
                        graph_to_json, match_minimal_family, minimal_graph,
                        reduce_to_minimal)
-from hamgraphs.blowup_calculus import _ordered_sites, _rank_bound
+from hamgraphs.blowup_calculus import _ordered_sites, _rank_bound, _rewrite
 
 
 def reference_reduce(g):
@@ -43,9 +43,9 @@ def reference_reduce(g):
         if not options:
             raise GraphError("internal failure: graph matches no minimal "
                              "family and admits no blow-down")
-        for site, nxt in options:
+        for site in options:
             records.append(site)
-            dfs(nxt, records)
+            dfs(_rewrite(cur, site), records)
             records.pop()
 
     dfs(g, [])
@@ -75,7 +75,8 @@ def memoised_reduce(g, best=None):
                 raise GraphError("internal failure: graph matches no minimal "
                                  "family and admits no blow-down")
             choice = None
-            for site, nxt in options:
+            for site in options:
+                nxt = _rewrite(cur, site)
                 (n_other, n_all, size), _, _, _ = solve(nxt)
                 rank = (n_other + (site.pattern != "D"), n_all + 1, size)
                 if choice is None or rank > choice[0]:
@@ -194,7 +195,7 @@ def test_blowdown_preference_order(enumerated_small):
     patterns = set()
     for rec in enumerated_small:
         g = rec.graph
-        ordered = [site for site, _ in _ordered_sites(g)]
+        ordered = _ordered_sites(g)
         listed = blowdown_sites(g)
         assert len(ordered) == len(listed) and set(ordered) == set(listed)
         keys = [documented_preference(g, site) for site in ordered]
