@@ -48,7 +48,9 @@ class SymbolicBlowup:
     lambda.  Only the one or two new points move, so only their pairs are
     built, in O(V + E): with every vertex when the point is extremal, else
     with the extrema and the vertices a rising or falling chain reaches.
-    ends holds the ids of the minimum and the maximum."""
+    ends holds the ids of the minimum and the maximum.  sup is the
+    supremum of the admissible sizes, the least -c0/c1 over the
+    constraints with c1 < 0, or None when no constraint bounds lambda."""
 
     def __init__(self, vertices, edges, ends):
         self.vertices = vertices  # id -> (kind, moment aff, area aff|None, genus)
@@ -72,6 +74,8 @@ class SymbolicBlowup:
             done.add(v)
         self.constraints = out + [area for _, _, area, _ in vertices.values()
                                   if area is not None]
+        self.sup = min((-c0 / c1 for c0, c1 in self.constraints if c1 < 0),
+                       default=None)
 
 
 def _tag(g, vid):
@@ -166,37 +170,50 @@ def blowup_symbolic(g, site):
 
 
 def instantiate(sb, lam):
-    """Evaluate a symbolic blow-up at a concrete size lambda > 0."""
+    """Evaluate a symbolic blow-up at a concrete size lambda > 0.  At a
+    size that passes monotone_check the graph is marked valid, not
+    validated: a blow-up of a valid graph is valid.  Each model inverts a
+    blow-down proved valid in _rewrite: Interior A, Surface B, Distinct
+    C, 11 D.  At an admissible lambda the carried order holds strictly:
+    every sphere keeps its side, the extrema stay unique, old vertices
+    keep their weights and new ones are coprime.  The far extremum keeps
+    its e; the near one keeps it (Interior: s0, s1 stay), loses exactly 1
+    (Surface), gets -1/(n (m - n)) (Distinct, weights {n, m - n}) or
+    becomes a sphere with e = -1 (11).  Any other size is left to be
+    validated when asked."""
     lam = Fraction(lam)
     if lam <= 0:
         raise GraphError("blow-up size must be positive")
-    return DecoratedGraph(
+    g = DecoratedGraph(
         [Vertex(vid, kind, _aff_at(mom, lam),
                 None if area is None else _aff_at(area, lam), genus)
          for vid, (kind, mom, area, genus) in sb.vertices.items()], sb.edges)
+    if monotone_check(sb, lam):
+        g._problems = ()  # validate_graph's cached result: no problems
+    return g
 
 
 def monotone_check(sb, lam):
     """True iff the blown-up labels at lambda respect the carried order
-    strictly and all area labels stay positive."""
+    strictly and all area labels stay positive, that is iff lambda is in
+    (0, sb.sup).  Every constraint (c0, c1) is lexicographically
+    positive: c0 > 0, or c0 = 0 and c1 > 0.  A pair constraint is the
+    difference of two labels with different slopes, taken from the
+    smaller to the larger as tuples.  An area label is a surface area
+    a > 0 of g as (a, 0), that of a blown-up surface as (a, -1), or the
+    new sphere's (0, 1).  So at lambda > 0 a constraint with c1 >= 0 is
+    positive at once, and one with c1 < 0 has c0 > 0 and is positive
+    exactly for lambda < -c0/c1; the least of those is sb.sup."""
     lam = Fraction(lam)
-    return lam > 0 and all(c0 + lam * c1 > 0 for c0, c1 in sb.constraints)
+    return lam > 0 and (sb.sup is None or lam < sb.sup)
 
 
 def max_size(g, site):
     """(supremum of admissible blow-up sizes, or None when no constraint
     bounds lambda; whether a blow-up of exactly that size passes
-    monotone_check).  The second is always False: the supremum is
-    -c0/c1 for a constraint with c1 < 0, which is 0 there, and
-    monotone_check needs every constraint > 0."""
-    return _max_size(blowup_symbolic(g, site)), False
-
-
-def _max_size(sb):
-    """The supremum of admissible blow-up sizes of sb, or None when no
-    constraint bounds lambda."""
-    return min((-c0 / c1 for c0, c1 in sb.constraints if c1 < 0),
-               default=None)
+    monotone_check).  The second is always False: monotone_check needs
+    lambda < sup."""
+    return blowup_symbolic(g, site).sup, False
 
 
 def blowup(g, vid, lam):
@@ -204,40 +221,8 @@ def blowup(g, vid, lam):
     sb = blowup_symbolic(g, site_for_vertex(g, vid))
     if not monotone_check(sb, lam):
         raise GraphError("monotonicity violated: lambda = %s is not in "
-                         "(0, %s)" % (lam, _max_size(sb)))
-    return _admissible_blowup(sb, lam)
-
-
-def _half_size_blowup(sb):
-    """sb at half the supremum of its admissible sizes, or None when no
-    constraint bounds lambda.  That size passes monotone_check by
-    construction, so it is not checked.  Every constraint (c0, c1) is
-    lexicographically positive: c0 > 0, or c0 = 0 and c1 > 0.  A pair
-    constraint is the difference of two labels with different slopes,
-    taken from the smaller to the larger as tuples.  An area label is a
-    surface area a > 0 of g as (a, 0), that of a blown-up surface as
-    (a, -1), or the new sphere's (0, 1).  So every constraint with c1 < 0
-    has c0 > 0, and sup = min over those of -c0/c1 is positive.  At
-    lambda = sup/2 > 0 such a constraint gives c0 + c1 lambda >=
-    c0 + c1 (-c0/c1)/2 = c0/2 > 0, and one with c1 >= 0 gives
-    c0 + c1 lambda > 0 at once."""
-    sup = _max_size(sb)
-    return None if sup is None else _admissible_blowup(sb, sup / 2)
-
-
-def _admissible_blowup(sb, lam):
-    """sb at a size lam that passes monotone_check.  A blow-up of a valid
-    graph is valid, so it is marked valid, not validated.  Each
-    model inverts a blow-down proved valid in _rewrite: Interior A,
-    Surface B, Distinct C, 11 D.  At an admissible lam the carried order
-    holds strictly: every sphere keeps its side, the extrema stay unique,
-    old vertices keep their weights and new ones are coprime.  The far
-    extremum keeps its e; the near one keeps it (Interior: s0, s1 stay),
-    loses exactly 1 (Surface), gets -1/(n (m - n)) (Distinct, weights
-    {n, m - n}) or becomes a sphere with e = -1 (11)."""
-    g = instantiate(sb, lam)
-    g._problems = ()  # validate_graph's cached result: no problems
-    return g
+                         "(0, %s)" % (lam, sb.sup))
+    return instantiate(sb, lam)
 
 
 # -- blow-down ---------------------------------------------------------------

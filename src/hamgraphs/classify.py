@@ -220,11 +220,12 @@ class EnumeratedGraph:
 def enumerate_graphs(seeds, max_blowups):
     """Breadth-first closure of the seed graphs under blow-ups.
 
-    seeds: list of (key, DecoratedGraph).  At every site the blow-up size
-    is half the supremum of admissible sizes, which is admissible by
-    construction (blowup_calculus._half_size_blowup), so each child is
-    marked valid without a check.  Graphs are deduplicated by
-    exact canonical form; output order is deterministic.
+    seeds: list of (key, DecoratedGraph).  At every site with a bounded
+    supremum of admissible sizes the blow-up size is half of it, which
+    is admissible (the interval is (0, sup), see
+    blowup_calculus.monotone_check), so instantiate marks each child
+    valid.  Graphs are deduplicated by exact canonical form; output order
+    is deterministic.
     """
     out = []
     index = {}
@@ -242,10 +243,10 @@ def enumerate_graphs(seeds, max_blowups):
         next_frontier = []
         for rec in frontier:
             for site in blowup_calculus.blowup_sites(rec.graph):
-                child = blowup_calculus._half_size_blowup(
-                    blowup_calculus.blowup_symbolic(rec.graph, site))
-                if child is None:
+                sb = blowup_calculus.blowup_symbolic(rec.graph, site)
+                if sb.sup is None:
                     continue
+                child = blowup_calculus.instantiate(sb, sb.sup / 2)
                 digest = canonical_form(child, "exact").digest
                 if digest in index:
                     continue

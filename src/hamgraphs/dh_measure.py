@@ -67,7 +67,7 @@ def extremal_self_intersections(g):
 def density(g):
     """Exact Duistermaat-Heckman density of a valid graph."""
     ext = extremal_self_intersections(g)
-    lo, hi = g.min_vertex(), g.max_vertex()
+    lo = g.min_vertex()
     a_min = lo.area if lo.kind == "surface" else Fraction(0)
     products = _interior_products(g)
     bps = sorted({v.moment for v in g.vertices.values()})
@@ -83,24 +83,15 @@ def density(g):
 
 
 def evaluate(g, y):
-    """Pointwise value of rho with the literal H(0) = 1 convention."""
-    ext = extremal_self_intersections(g)
-    lo, hi = g.min_vertex(), g.max_vertex()
-    a_min = lo.area if lo.kind == "surface" else Fraction(0)
-    a_max = hi.area if hi.kind == "surface" else Fraction(0)
-
-    def H(x):
-        return 1 if x >= 0 else 0
-
-    def T(x):
-        return x if x >= 0 else Fraction(0)
-
-    val = a_min * H(y - lo.moment) - ext.e_min * T(y - lo.moment)
-    for yp, mn in _interior_products(g):
-        val -= Fraction(T(y - yp), mn)
-    val -= ext.e_max * T(y - hi.moment)
-    val -= a_max * H(y - hi.moment)
-    return val
+    """Pointwise value of rho with the literal H(0) = 1 convention: the
+    density on [y_min, y_max) and 0 elsewhere.  At y_max the jump
+    -a_max H(0) cancels the value a_max reached from inside, and above
+    y_max the terms cancel because the extremal data solve the two
+    Duistermaat-Heckman equations."""
+    rho = density(g)
+    if rho.breakpoints[0] <= y < rho.breakpoints[-1]:
+        return rho.value_inside(y)
+    return Fraction(0)
 
 
 def total_mass(rho):

@@ -129,12 +129,11 @@ def class_values(g):
 def positivity_equiv(sb, lams):
     """Whether, for each lambda in lams, positivity of all class values of
     the instantiated blow-up agrees with the monotonicity check.  A
-    supremum is positive (see blowup_calculus._half_size_blowup), so
-    only a missing one is refused."""
-    sup = blowup_calculus._max_size(sb)
-    if sup is None:
+    supremum is positive (see blowup_calculus.monotone_check), so only a
+    missing one is refused."""
+    if sb.sup is None:
         raise GraphError("site admits no blow-up at all")
-    ref = blowup_calculus.instantiate(sb, sup / 2)
+    ref = blowup_calculus.instantiate(sb, sb.sup / 2)
     chains = _chain_structure(ref)
     for lam in lams:
         lam = Fraction(lam)

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 # fmt_rat cannot print an integer of more than 4300 digits (Python's limit
 # on int-to-str conversion), so parse_rat refuses a value whose numerator
-# or denominator reaches _TOO_LONG; building 10**n first costs time that
-# grows faster than n, so larger exponents are refused before parsing
+# or denominator reaches _TOO_LONG.  Building 10**n first costs time that
+# grows faster than n, so an exponent beyond 4300 + the length of the
+# mantissa string is refused before parsing: a nonzero mantissa of L
+# characters times such a power has more than 4300 digits either way
 _MAX_DIGITS = 4300
 _TOO_LONG = 10 ** _MAX_DIGITS  # the least integer of more digits
 
@@ -42,10 +44,14 @@ def parse_rat(value):
         try:
             parsed = _plain(value)
             if parsed is None:
-                _, e, exponent = value.lower().partition("e")
-                if e and abs(int(exponent)) > _MAX_DIGITS:
-                    raise ValueError("exponent out of range")
-                parsed = Fraction(value.strip())
+                text = value.strip()
+                mantissa, e, exponent = text.lower().partition("e")
+                if e and abs(int(exponent)) > _MAX_DIGITS + len(mantissa):
+                    # 0 is the one value in range: read it at exponent 0
+                    if exponent[:1].isspace() or Fraction(mantissa + "e0"):
+                        raise ValueError("exponent out of range")
+                    text = mantissa + "e0"
+                parsed = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("not a rational: %r" % (value,)) from exc
         if abs(parsed.numerator) >= _TOO_LONG or \

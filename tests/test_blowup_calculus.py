@@ -247,5 +247,6 @@ def test_blowup_model_is_derived_from_the_graph():
         assert sb.vertices == right.vertices
         assert sb.edges == right.edges
         assert sb.constraints == right.constraints
+        assert sb.sup == right.sup
     with pytest.raises(GraphError, match="unknown vertex"):
         site_for_vertex(g, "nope")

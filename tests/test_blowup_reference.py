@@ -1,21 +1,22 @@
 """Blow-ups are valid by construction.
 
-``blowup`` marks the graph it builds as valid instead of validating it.
-Here every blow-up site of a corpus is instantiated at several admissible
-sizes and checked with the uncached validation stages, and ``blowup`` must
-return that same graph.  At sizes outside the admissible range it must
-refuse.  ``enumerate_graphs`` blows up at half the supremum without even
-that check; every such child must pass ``monotone_check`` and the uncached
-validation stages too.  No site's supremum passes ``monotone_check``, as
-``max_size`` states without checking.
+``instantiate`` marks the graph it builds at an admissible size as valid
+instead of validating it.  Here every blow-up site of a corpus is
+instantiated at several admissible sizes and checked with the uncached
+validation stages, and ``blowup`` must return that same graph.  At sizes
+outside the admissible range it must refuse, and ``instantiate`` must
+leave the graph to ``validate_graph``.  ``enumerate_graphs`` blows up at
+half the supremum without even the size check; every such child must
+pass ``monotone_check`` and the uncached validation stages too.  No
+site's supremum passes ``monotone_check``, as ``max_size`` states without
+checking.
 """
 
 import pytest
 
 from hamgraphs import (GraphError, blowup, blowup_sites, blowup_symbolic,
                        enumerate_graphs, instantiate, max_size,
-                       monotone_check)
-from hamgraphs.blowup_calculus import _half_size_blowup, _max_size
+                       monotone_check, validate_graph)
 from hamgraphs.graph_core import _problems
 from test_blowdown_reference import flipped_and_hirzebruch_seeds
 from test_reduce_reference import surface_chain
@@ -26,10 +27,12 @@ def assert_valid_by_construction(g):
     sites = blowup_sites(g)
     for site in sites:
         sb = blowup_symbolic(g, site)
-        sup = _max_size(sb)
+        sup = sb.sup
         for lam in (sup / 2, sup / 1000, sup * 9 / 10):
             h = instantiate(sb, lam)
             assert _problems(h) == [], (site, lam, _problems(h))
+            # instantiate marks exactly the sizes monotone_check admits
+            assert (h._problems == ()) == monotone_check(sb, lam), (site, lam)
             child = blowup(g, site.vertex, lam)
             assert dict(child.vertices) == dict(h.vertices), (site, lam)
             assert child.edges == h.edges, (site, lam)
@@ -41,6 +44,13 @@ def assert_valid_by_construction(g):
         assert max_size(g, site) == (sup, False), site
         with pytest.raises(GraphError, match="monotonicity violated"):
             blowup(g, site.vertex, sup)
+        # a size outside (0, sup) is left unmarked, validated when asked
+        for lam in (sup, 2 * sup):
+            h = instantiate(sb, lam)
+            assert h._problems is None and not monotone_check(sb, lam), \
+                (site, lam)
+            assert validate_graph(h) == _problems(h), (site, lam)
+            assert h._problems == tuple(_problems(h)), (site, lam)
     return len(sites)
 
 
@@ -73,11 +83,10 @@ def test_enumerated_children_are_valid(enumerated):
             continue
         for site in blowup_sites(rec.graph):
             sb = blowup_symbolic(rec.graph, site)
-            sup = _max_size(sb)
-            child = _half_size_blowup(sb)
+            sup = sb.sup
             if sup is None:
-                assert child is None, site
                 continue
+            child = instantiate(sb, sup / 2)
             assert sup > 0 and monotone_check(sb, sup / 2), site
             assert child._problems == ()
             assert _problems(child) == [], (site, _problems(child))

@@ -10,7 +10,6 @@ the full list.
 """
 
 from hamgraphs import blowup_sites, blowup_symbolic, monotone_check
-from hamgraphs.blowup_calculus import _max_size
 
 
 def _monotone_path(low, high, level, neighbours):
@@ -83,7 +82,7 @@ def test_order_and_bound_match_reference(enumerated_small):
                 full_constraints(sb, pairs, equal_slopes=False)), (rec, site)
             full = full_constraints(sb, pairs)
             sup = min((-c0 / c1 for c0, c1 in full if c1 < 0), default=None)
-            assert sup is not None and _max_size(sb) == sup, (rec, site)
+            assert sup is not None and sb.sup == sup, (rec, site)
             roots = {-c0 / c1 for c0, c1 in full if c1 != 0}
             for lam in {sup / 2, sup, 2 * sup} | roots:
                 assert monotone_check(sb, lam) == \

@@ -8,6 +8,7 @@ from hamgraphs import (GraphError, PiecewiseLinearDensity,
                        minimal_graph, polygon_pushforward, polygon_to_graph,
                        total_mass)
 from hamgraphs.dh_measure import evaluate
+from hamgraphs.graph_core import _interior_products
 from conftest import S2S2_POLYGONS, TENT_POLYGONS, s2s2_graph, tent_graph
 
 F = Fraction
@@ -61,6 +62,40 @@ def test_evaluate_closed_convention():
     assert evaluate(g, F(-1)) == 0
     assert evaluate(tent_graph(), F(4)) == 0
     assert evaluate(tent_graph(), F(2)) == 1
+
+
+def reference_evaluate(g, y):
+    """The literal H/T formula of the module docstring, term by term."""
+    ext = extremal_self_intersections(g)
+    lo, hi = g.min_vertex(), g.max_vertex()
+    a_min = lo.area if lo.kind == "surface" else F(0)
+    a_max = hi.area if hi.kind == "surface" else F(0)
+
+    def H(x):
+        return 1 if x >= 0 else 0
+
+    def T(x):
+        return x if x >= 0 else F(0)
+
+    val = a_min * H(y - lo.moment) - ext.e_min * T(y - lo.moment)
+    for yp, mn in _interior_products(g):
+        val -= F(T(y - yp), mn)
+    val -= ext.e_max * T(y - hi.moment)
+    val -= a_max * H(y - hi.moment)
+    return val
+
+
+def test_evaluate_matches_literal_formula(enumerated_small):
+    points = 0
+    for rec in enumerated_small:
+        g = rec.graph
+        bps = density(g).breakpoints
+        ys = set(bps) | {(a + b) / 2 for a, b in zip(bps, bps[1:])}
+        ys |= {bps[0] - 1, bps[-1] + F(1, 7), bps[-1] + 1}
+        for y in ys:
+            assert evaluate(g, y) == reference_evaluate(g, y), (rec, y)
+        points += len(ys)
+    assert points > 2000
 
 
 def test_concavity():
