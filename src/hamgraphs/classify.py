@@ -225,14 +225,22 @@ def enumerate_graphs(seeds, max_blowups):
     is admissible (the interval is (0, sup), see
     blowup_calculus.monotone_check), so instantiate marks each child
     valid.  Graphs are deduplicated by exact canonical form; output order
-    is deterministic.
+    is deterministic.  A label too long to print raises a ValueError that
+    names the seed's key and the depth.
     """
+    def digest_of(g, key, depth):
+        try:
+            return canonical_form(g, "exact").digest
+        except ValueError as exc:
+            raise ValueError("seed %s at depth %d: %s"
+                             % (key, depth, exc)) from None
+
     out = []
     index = {}
     frontier = []
     for key, g in seeds:
         require_valid(g)
-        digest = canonical_form(g, "exact").digest
+        digest = digest_of(g, key, 0)
         if digest in index:
             continue
         rec = EnumeratedGraph(g, key, 0, digest)
@@ -247,7 +255,7 @@ def enumerate_graphs(seeds, max_blowups):
                 if sb.sup is None:
                     continue
                 child = blowup_calculus.instantiate(sb, sb.sup / 2)
-                digest = canonical_form(child, "exact").digest
+                digest = digest_of(child, rec.seed_key, depth)
                 if digest in index:
                     continue
                 child_rec = EnumeratedGraph(child, rec.seed_key, depth, digest)

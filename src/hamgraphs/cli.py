@@ -10,6 +10,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import blowup_calculus, classify, dh_measure, homology, render
 from .chain_arith import ChainError
@@ -49,8 +50,59 @@ def _write(text, path):
         raise CliError("cannot write %s: %s" % (path, exc), 1)
 
 
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _dumps(obj):
+    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for
+    byte, for the types the CLI emits: str, int, bool, None, and lists,
+    tuples and dicts with str keys of them.  Any other type (a float, a
+    dict subclass, a non-str key) raises TypeError.  With indent the
+    stdlib skips its C encoder; this writer escapes strings with the C
+    escaper and joins its parts once."""
+    parts = []
+    _write_value(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_value(o, pad, append):
+    """Append the parts of o at the indent pad, a newline and 2 spaces
+    per level."""
+    t = type(o)
+    if t is str:
+        append(encode_basestring_ascii(o))
+    elif t is int:
+        append(int.__repr__(o))  # the stdlib's 4300-digit ValueError
+    elif t is bool or o is None:
+        append(_CONSTANTS[o])
+    elif t is list or t is tuple:
+        if not o:
+            append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in o:
+            append(sep)
+            _write_value(item, inner, append)
+            sep = "," + inner
+        append(pad + "]")
+    elif t is dict:
+        if not o:
+            append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            append(sep + encode_basestring_ascii(key) + ": ")  # str keys
+            _write_value(value, inner, append)
+            sep = "," + inner
+        append(pad + "}")
+    else:
+        raise TypeError("cannot write a %s as CLI JSON" % t.__name__)
+
+
 def _emit_json(data, path):
-    _write(json.dumps(data, indent=2, sort_keys=True) + "\n", path)
+    _write(_dumps(data) + "\n", path)
 
 
 def _load_graph(path):
@@ -189,9 +241,13 @@ def _cmd_enumerate(ns):
     if ns.max_blowups < 0:
         raise CliError("--max-blowups must be at least 0, not %d"
                        % ns.max_blowups, 1)
-    seeds = [_parse_seed(s) for s in ns.seed]
-    seeds = [("%s#%d" % (fam, i), g)
-             for i, (fam, g) in enumerate(seeds)]
+    # enumerate_graphs keys each seed by its --seed text, which names it in
+    # an error; the index names it FAMILY#i, i the first place of that text
+    seeds, names = [], {}
+    for i, text in enumerate(ns.seed):
+        fam, g = _parse_seed(text)
+        seeds.append((text, g))
+        names.setdefault(text, "%s#%d" % (fam, i))
     recs = classify.enumerate_graphs(seeds, ns.max_blowups)
     index = []
     outdir = ns.out if ns.out not in (None, "-") else None
@@ -204,7 +260,7 @@ def _cmd_enumerate(ns):
     try:
         for i, rec in enumerate(recs):
             name = "class_%04d_%s.json" % (i, rec.digest)
-            index.append({"file": name, "seed": rec.seed_key,
+            index.append({"file": name, "seed": names[rec.seed_key],
                           "blowups": rec.depth, "digest": rec.digest})
             if outdir:
                 path = os.path.join(outdir, name)

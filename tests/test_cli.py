@@ -317,6 +317,14 @@ def test_repeated_runs_keep_seeds_apart(tmp_path):
     assert [row["seed"] for row in index] == ["ruled#0"]
 
 
+def test_enumerate_names_a_repeated_seed_by_its_first_place(tmp_path):
+    outdir = tmp_path / "classes"
+    assert run(["enumerate", "--seed", "ruled:0,1", "--seed", "cp2:1,2",
+                "--seed", "ruled:0,1", "--out", str(outdir)]) == 0
+    index = json.loads((outdir / "index.json").read_text())
+    assert [row["seed"] for row in index] == ["ruled#0", "cp2#1"]
+
+
 @pytest.mark.parametrize("field,value", [
     ("k", 2.9), ("k", True), ("k", "3"), ("genus", 0.7), ("genus", None)])
 def test_non_integer_fields_exit_2(tmp_path, capsys, field, value):
@@ -412,8 +420,8 @@ def test_enumerate_names_the_digit_limit(tmp_path, capsys):
     assert run(["enumerate", "--seed", "ruled:0,0,1e4000,1e-4000",
                 "--max-blowups", "1", "--out", str(outdir)]) == 2
     assert capsys.readouterr().err == (
-        "error: a label has grown past the 4300 digits the package can "
-        "print\n")
+        "error: seed ruled:0,0,1e4000,1e-4000 at depth 1: a label has grown "
+        "past the 4300 digits the package can print\n")
     assert not outdir.exists()
 
 

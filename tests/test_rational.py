@@ -1,4 +1,5 @@
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -33,21 +34,26 @@ def test_parse_rat_exponent_bound():
 
 
 def reference_parse(text):
-    """Fraction(text.strip()) under parse_rat's digit bound: a value whose
-    numerator or denominator has more than 4300 digits is refused.  None
-    means refused.  parse_rat's exponent rule needs no mirror here: it
-    refuses only values that the digit bound refuses too.  An exponent
-    above 10**5 is read as 10**5, which keeps the string valid or
-    invalid, 0 at 0 and any other value past the bound, without building
-    10**exponent."""
+    """Fraction(text.strip()) under parse_rat's digit bound, with Python's
+    limit on int(str) lifted: a value whose numerator or denominator has
+    more than 4300 digits is refused, however long its digit strings.
+    None means refused.  parse_rat's exponent rule needs no mirror here:
+    it refuses only values that the digit bound refuses too.  An exponent
+    above 10**5 is read as 10**5, which, for strings far shorter than
+    10**5 characters, keeps the string valid or invalid, 0 at 0 and any
+    other value past the bound, without building 10**exponent."""
     text = text.strip()
     match = re.fullmatch(r"(.*[eE][-+]?)(\d+(?:_\d+)*)", text, re.S)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if match and int(match[2]) > 10 ** 5:
             text = match[1] + "100000"
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         return None
+    finally:
+        sys.set_int_max_str_digits(limit)
     if abs(value.numerator) >= 10 ** 4300 or value.denominator >= 10 ** 4300:
         return None
     return value
@@ -86,6 +92,17 @@ STRINGS = PLAIN | NUMBER | st.text(
 @example(text="100e-4301")
 @example(text="0e5000")
 @example(text="-0.0e9999999999")
+@example(text="1" + "0" * 4300 + "e-4300")
+@example(text="0." + "0" * 4400)
+@example(text="1." + "0" * 4400)
+@example(text="0" * 4400 + "1")
+@example(text="-" + "0" * 4500 + "7/" + "0" * 4450 + "3")
+@example(text="0" * 4300 + "1" * 4300)
+@example(text="1" * 4301 + "/" + "1" * 4301)
+@example(text="0." + "0" * 4299 + "1")
+@example(text="0." + "0" * 4300 + "1")
+@example(text="25" + "0" * 4400 + "e-4402")
+@example(text="1e+" + "0" * 4500 + "4299")
 def test_parse_rat_matches_fraction(text):
     want = reference_parse(text)
     if want is None:
@@ -102,3 +119,38 @@ def test_fmt_rat_names_the_digit_limit():
         with pytest.raises(ValueError, match="a label has grown past the "
                            "4300 digits the package can print"):
             fmt_rat(value)
+
+
+def test_parse_rat_reads_zero_padding():
+    # int, and so Fraction, refuses a digit string of more than 4300
+    # characters; zeros that only pad a value are dropped before reading,
+    # whatever their number (test_parse_rat_matches_fraction has more)
+    start = time.perf_counter()
+    padded = "0" * 10 ** 6
+    assert parse_rat("-" + padded + "1/" + padded + "2") == Fraction(-1, 2)
+    assert parse_rat(padded + "25." + padded + "e-" + padded + "1") == \
+        Fraction(5, 2)
+    assert parse_rat("0." + padded + "25e%d" % (10 ** 6 + 2)) == 25
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="has more than 4300 digits"):
+        parse_rat("0" * 4400 + "1" + "0" * 4300)
+
+
+def test_parse_rat_written_digit_bound():
+    # the longest decimal mantissa in range: D = r * 5**k with k = 14284,
+    # the largest k with 2**k < 10**4300, and r < 10**4300 odd; D/10**k
+    # is r/2**k, and D has 14285 digits
+    r, k = 10 ** 4300 - 1, 14284
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        mantissa = str(r * 5 ** k)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(mantissa) == 14285
+    assert parse_rat(mantissa + "e-%d" % k) == Fraction(r, 2 ** k)
+    # a fraction is not reduced before its bound: p/q written with more
+    # than 14285 significant digits is refused even where it equals 1
+    assert parse_rat("1" * 14285 + "/" + "1" * 14285) == 1
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rat("1" * 14286 + "/" + "1" * 14286)
