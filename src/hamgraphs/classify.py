@@ -185,7 +185,8 @@ def classify_isolated(g):
     and graph_to_polygon's width equals the density, which is 0 at the
     isolated extrema, so its only horizontal edges are fixed surfaces.
     No proof is known that a free edge never lies away from the extrema,
-    so that is still checked."""
+    so that is still checked.  graph_to_polygon keeps its polygon on g,
+    so one it has already built is reused."""
     require_valid(g)
     if any(v.kind != "point" for v in g.vertices.values()):
         raise GraphError("classify_isolated needs a graph with only "

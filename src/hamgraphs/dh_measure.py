@@ -11,6 +11,12 @@ runs over interior fixed points with weights {-m_p, n_p}.  Stored values
 follow the limit from inside the support, so the function is continuous
 piecewise-linear data; pointwise evaluation with the closed H convention
 is available through ``evaluate``.
+
+``density`` computes the values in one sweep up the levels, not term by
+term: rho(y_min) = a_min, the slope starts at -e_min, each value is the
+one below plus slope times the gap, and at each interior level the slope
+drops by the sum of 1/(m_p n_p) over the points there.  The values stay
+exact, and the last one is a_max.
 """
 
 from dataclasses import dataclass
@@ -67,19 +73,19 @@ def extremal_self_intersections(g):
 def density(g):
     """Exact Duistermaat-Heckman density of a valid graph."""
     ext = extremal_self_intersections(g)
-    lo = g.min_vertex()
-    a_min = lo.area if lo.kind == "surface" else Fraction(0)
-    products = _interior_products(g)
-    bps = sorted({v.moment for v in g.vertices.values()})
-
-    def inside(y):
-        val = a_min - ext.e_min * (y - lo.moment)
-        for yp, mn in products:
-            if y > yp:
-                val -= Fraction(y - yp, mn)
-        return val
-
-    return PiecewiseLinearDensity(bps, [inside(y) for y in bps])
+    lo, hi = g.min_vertex(), g.max_vertex()
+    val = lo.area if lo.kind == "surface" else Fraction(0)
+    slope = -ext.e_min
+    bps, values = [lo.moment], [val]
+    # interior levels come in level order; the maximum closes the sweep
+    for y, mn in _interior_products(g) + [(hi.moment, None)]:
+        if y != bps[-1]:
+            val += slope * (y - bps[-1])
+            bps.append(y)
+            values.append(val)
+        if mn is not None:
+            slope -= Fraction(1, mn)
+    return PiecewiseLinearDensity(bps, values)
 
 
 def evaluate(g, y):

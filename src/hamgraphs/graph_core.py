@@ -61,11 +61,13 @@ class DecoratedGraph:
 
     ``vertices`` is a read-only mapping from id to ``Vertex`` and ``edges``
     a tuple.  Construction indexes the graph once: the (moment, id) level
-    order with its extrema (``_order``, empty when the moments do not
-    compare), and the edges at each vertex, split into up and down edges.
-    ``validate_graph`` computes its result at most once per graph, and
-    ``_extremal_pair`` the extremal self-intersections; a graph built by a
-    rewrite proved to keep validity is marked valid at once
+    order with its extrema (``_order``, empty when the moments or the ids
+    do not compare), and the edges at each vertex, split into up and down
+    edges.
+    ``validate_graph`` computes its result at most once per graph,
+    ``_extremal_pair`` the extremal self-intersections and
+    ``graph_to_polygon`` the Delzant polygon (``_polygon``); a graph built
+    by a rewrite proved to keep validity is marked valid at once
     (``_problems = ()``).
     """
 
@@ -80,6 +82,7 @@ class DecoratedGraph:
         self._problems = None   # validate_graph's result, once computed
         self._weights = {}      # vid -> isotropy weights
         self._extremal = None   # (e_min, e_max), once solved
+        self._polygon = None    # graph_to_polygon's result, once built
         at = {vid: [] for vid in by_id}
         up = {vid: [] for vid in by_id}
         down = {vid: [] for vid in by_id}
@@ -102,8 +105,8 @@ class DecoratedGraph:
                         up[e.b].append(e)
                         down[e.a].append(e)
         except TypeError:
-            # moments that do not compare; validate_graph reports them
-            # before it needs the level order
+            # moments or ids that do not compare; validate_graph reports
+            # them before it needs the level order
             order = []
         self._order = tuple(order)
         self._interior = tuple(v.id for v in order[1:-1])
@@ -166,14 +169,23 @@ def _problems(g):
     if not g.vertices:
         return ["graph has no vertices"]
     for v in g.vertices.values():
+        if not isinstance(v.id, str):
+            # such an id need not sort with the others, nor print with %s
+            problems.append("vertex %r: id is not a string" % (v.id,))
+            continue
         if v.kind not in ("point", "surface"):
             problems.append("vertex %s: unknown kind %r" % (v.id, v.kind))
         if not isinstance(v.moment, Fraction):
             problems.append("vertex %s: moment is not rational" % v.id)
         if v.kind == "surface":
-            if v.area is None or v.area <= 0:
+            if v.area is not None and not isinstance(v.area, Fraction):
+                problems.append("vertex %s: area is not rational" % v.id)
+            elif v.area is None or v.area <= 0:
                 problems.append("vertex %s: surface needs positive area" % v.id)
-            if v.genus is None or v.genus < 0:
+            if v.genus is not None and (isinstance(v.genus, bool)
+                                        or not isinstance(v.genus, int)):
+                problems.append("vertex %s: genus is not an integer" % v.id)
+            elif v.genus is None or v.genus < 0:
                 problems.append("vertex %s: surface needs genus >= 0" % v.id)
         else:
             if v.area is not None or v.genus is not None:
@@ -193,13 +205,15 @@ def _problems(g):
     if problems:
         return problems
 
-    moments = [v.moment for v in g.vertices.values()]
-    y_min, y_max = min(moments), max(moments)
-    if y_min == y_max:
+    # every id is a str and every moment a Fraction, so the level order
+    # was sorted: its ends are the extrema, and their neighbours tell
+    # whether either is attained twice
+    order = g._order
+    if order[0].moment == order[-1].moment:
         return ["minimum and maximum level coincide"]
-    if moments.count(y_min) != 1:
+    if order[1].moment == order[0].moment:
         problems.append("minimum level attained by more than one vertex")
-    if moments.count(y_max) != 1:
+    if order[-2].moment == order[-1].moment:
         problems.append("maximum level attained by more than one vertex")
     if problems:
         return problems

@@ -8,7 +8,7 @@ two chains, one drawn as the right boundary and one as the left.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .chain_arith import ChainError, _normals, _seed
 from .dh_measure import extremal_self_intersections
@@ -231,8 +231,19 @@ def graph_to_polygon(g):
     primitive normals of determinant 1 at each corner.  The ChainError
     conversion and the bottom-corner refusal stay: graphs that pass
     validate_graph still reach them.
+
+    The polygon is built once per graph and kept on it (``_polygon``), so
+    every later call returns the same object; a refusal is not kept, and
+    each call raises it again.
     """
     require_valid(g)
+    if g._polygon is None:
+        g._polygon = _build_polygon(g)
+    return g._polygon
+
+
+def _build_polygon(g):
+    """graph_to_polygon's polygon of the valid graph g."""
     for s in g.surfaces():
         if s.genus != 0:
             raise GraphError("graph with positive genus is not toric")
@@ -289,9 +300,18 @@ def affine_normal_form(P):
     order, as below, restores both.  A cyclic shift of the vertices
     changes nothing.  So the normal form of a Delzant polygon is Delzant,
     and it is marked valid, not validated.
+
+    The work runs on integer points: every coordinate is multiplied by
+    L, the least common multiple of the denominators, and the result is
+    divided by L once.  Scaling both axes by L > 0 commutes with the
+    reflection, the integer shear and the translation, keeps the order
+    of the points and of the candidate lists, and keeps each edge
+    direction's primitive vector.
     """
     require_valid_polygon(P)
-    verts = P.vertices
+    scale = lcm(*(c.denominator for p in P.vertices for c in p))
+    verts = [(x.numerator * (scale // x.denominator),
+              y.numerator * (scale // y.denominator)) for x, y in P.vertices]
     n = len(verts)
     candidates = []
     for Q in (verts, [(-x, y) for x, y in reversed(verts)]):
@@ -307,7 +327,8 @@ def affine_normal_form(P):
         R = [(x - x0, y) for x, y in R]
         start = min(range(n), key=lambda i: (R[i][1], R[i][0]))
         candidates.append(R[start:] + R[:start])
-    Q = DelzantPolygon(min(candidates))
+    Q = DelzantPolygon([(Fraction(x, scale), Fraction(y, scale))
+                        for x, y in min(candidates)])
     Q._problems = ()  # require_valid_polygon's cached result: no problems
     return Q
 

@@ -4,12 +4,13 @@ import pytest
 
 from hamgraphs import (GraphError, PiecewiseLinearDensity,
                        check_concave_nonneg, density,
-                       extremal_self_intersections, isotropy_weights,
+                       extremal_self_intersections, flip, isotropy_weights,
                        minimal_graph, polygon_pushforward, polygon_to_graph,
                        total_mass)
 from hamgraphs.dh_measure import evaluate
 from hamgraphs.graph_core import _interior_products
 from conftest import S2S2_POLYGONS, TENT_POLYGONS, s2s2_graph, tent_graph
+from test_canonical_reference import twin_chain
 
 F = Fraction
 
@@ -96,6 +97,38 @@ def test_evaluate_matches_literal_formula(enumerated_small):
             assert evaluate(g, y) == reference_evaluate(g, y), (rec, y)
         points += len(ys)
     assert points > 2000
+
+
+def reference_density(g):
+    """density as it was: every value summed afresh over all interior
+    points, O(V P) Fraction operations."""
+    ext = extremal_self_intersections(g)
+    lo = g.min_vertex()
+    a_min = lo.area if lo.kind == "surface" else F(0)
+    products = _interior_products(g)
+    bps = sorted({v.moment for v in g.vertices.values()})
+
+    def inside(y):
+        val = a_min - ext.e_min * (y - lo.moment)
+        for yp, mn in products:
+            if y > yp:
+                val -= F(y - yp, mn)
+        return val
+
+    return PiecewiseLinearDensity(bps, [inside(y) for y in bps])
+
+
+def test_density_sweep_matches_reference(enumerated):
+    graphs = [rec.graph for rec in enumerated]
+    graphs += [flip(g) for g in graphs]
+    graphs += [twin_chain(k) for k in range(1, 9)]
+    for g in graphs:
+        rho = density(g)
+        assert rho == reference_density(g), g
+        assert all(isinstance(v, F) for v in rho.values), g
+        hi = g.max_vertex()
+        assert rho.values[-1] == (hi.area if hi.kind == "surface" else 0), g
+    assert len(graphs) > 1000
 
 
 def test_concavity():

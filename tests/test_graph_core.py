@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from hamgraphs import (DecoratedGraph, Edge, NoExtensionError, Vertex,
-                       canonical_form, compare, extend_graph, flip,
-                       graph_from_json, graph_to_json, is_isomorphic,
-                       isotropy_weights, minimal_graph, polygon_to_graph,
-                       shift, validate_graph)
+from hamgraphs import (DecoratedGraph, Edge, NoExtensionError,
+                       ValidationError, Vertex, canonical_form, compare,
+                       extend_graph, flip, graph_from_json, graph_to_json,
+                       is_isomorphic, isotropy_weights, minimal_graph,
+                       polygon_to_graph, require_valid, shift,
+                       validate_graph)
 from hamgraphs.graph_core import _chains, _extremal_pair, _interior_products
 from conftest import TENT_POLYGONS, s2s2_graph, tent_graph
 from test_canonical_reference import relabel, twin_chain
@@ -36,6 +37,32 @@ def test_malformed_graph_is_built_and_reported():
     problems = validate_graph(g)
     assert any("moment is not rational" in msg for msg in problems)
     assert any("unknown endpoint" in msg for msg in problems)
+
+
+@pytest.mark.parametrize("bad_id", [1, None, ("a", 1)])
+def test_id_that_is_not_a_string_is_reported(bad_id):
+    # the id does not sort with "b" and "c", so the level order is empty
+    g = DecoratedGraph([Vertex(bad_id, "point", F(0)),
+                        Vertex("b", "point", F(1)),
+                        Vertex("c", "point", F(2))])
+    assert validate_graph(g) == ["vertex %r: id is not a string" % (bad_id,)]
+    with pytest.raises(ValidationError, match="id is not a string"):
+        require_valid(g)
+
+
+@pytest.mark.parametrize("area", ["1", 1.0, 1])
+def test_area_that_is_not_a_fraction_is_reported(area):
+    g = DecoratedGraph([Vertex("min", "surface", F(0), area=area, genus=0),
+                        Vertex("max", "surface", F(1), area=F(3), genus=0)])
+    assert validate_graph(g) == ["vertex min: area is not rational"]
+
+
+@pytest.mark.parametrize("genus", [F(1, 2), True, 0.0])
+def test_genus_that_is_not_an_int_is_reported(genus):
+    g = DecoratedGraph([Vertex("min", "surface", F(0), area=F(3), genus=0),
+                        Vertex("max", "surface", F(1), area=F(3),
+                               genus=genus)])
+    assert validate_graph(g) == ["vertex max: genus is not an integer"]
 
 
 def test_single_surface_is_invalid():

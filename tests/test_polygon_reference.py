@@ -145,11 +145,47 @@ def test_corpus_polygons_are_delzant(toric_corpus):
     assert tops == {"point", "surface"}
 
 
+def reflected(Q):
+    """Q under (x, y) -> (-x, y), read in reverse to stay counterclockwise."""
+    return DelzantPolygon([(-x, y) for x, y in reversed(Q.vertices)])
+
+
+# large denominators of different primes and prime powers
+CHOP_DENOMINATORS = (9973, 2 ** 16, 3 ** 11, 1000003, 7 ** 6 * 11)
+
+
+def chopped(Q):
+    """Q with five corners cut in turn, each at a size over one of
+    CHOP_DENOMINATORS times the room left at that corner."""
+    for j, d in enumerate(CHOP_DENOMINATORS):
+        verts = Q.vertices
+        n = len(verts)
+        i = (2 * j) % n
+        fit = min(lattice_length(verts[i - 1], verts[i]),
+                  lattice_length(verts[i], verts[(i + 1) % n]))
+        Q = polygon_chop(Q, i, fit * Fraction(j + 1, d))
+    return Q
+
+
+def translated(Q, dx, dy):
+    return DelzantPolygon([(x + dx, y + dy) for x, y in Q.vertices])
+
+
 def test_normal_form_matches_reference(toric_corpus):
     polygons = [graph_to_polygon(g) for g in toric_corpus]
     polygons += reference_polygons()
+    polygons += [chopped(Q) for Q in polygons[::7]]
+    # heights over denominators that no abscissa has, and the reverse
+    polygons += [translated(Q, Fraction(3, 2 ** 20), Fraction(-7, 3 ** 13))
+                 for Q in polygons[::5]]
+    polygons += [translated(Q, Fraction(-5, 11 ** 5), Fraction(1, 1000003))
+                 for Q in polygons[::9]]
+    polygons += [reflected(Q) for Q in polygons]
+    big = 0
     for Q in polygons:
         assert affine_normal_form(Q) == reference_normal_form(Q), Q
+        big += max(c.denominator for p in Q.vertices for c in p) > 10 ** 6
+    assert big > 50
 
 
 @pytest.mark.parametrize("Q", [

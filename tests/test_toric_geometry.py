@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from hamgraphs import (DecoratedGraph, Edge, PolygonError, Vertex,
-                       affine_normal_form, density, graph_to_polygon,
-                       is_isomorphic, minimal_graph,
+from hamgraphs import (DecoratedGraph, Edge, GraphError, PolygonError,
+                       Vertex, affine_normal_form, classify_isolated,
+                       density, graph_from_json, graph_to_json,
+                       graph_to_polygon, is_isomorphic, minimal_graph,
                        polygon_affine_equivalent, polygon_chop,
                        polygon_from_json, polygon_pushforward,
                        polygon_to_fan, polygon_to_graph, total_mass,
-                       validate_delzant, validate_fan)
+                       validate_delzant, validate_fan, validate_graph)
 from conftest import (CHOPPED_SHEARED, CHOPPED_SQUARE, P, PENTAGON,
                       PENTAGON_CHOPS, S2S2_POLYGONS, SHEARED, SQUARE_6x5,
                       TENT_POLYGONS, chopped_square_graph, s2s2_graph,
@@ -199,3 +200,51 @@ def test_polygons_validated_once_and_built_ones_marked(monkeypatch):
         assert real(R) == []
     bad._problems = ()
     assert real(bad) == ["normal determinant != 1 at vertex 0"]
+
+
+def isolated_graphs():
+    return [tent_graph(), s2s2_graph(), minimal_graph("cp2", 1, 2),
+            minimal_graph("hirzebruch", "left", 1, 1, 2)]
+
+
+def test_polygon_is_built_once_and_kept_on_the_graph():
+    for g in isolated_graphs() + [chopped_square_graph()]:
+        Q = graph_to_polygon(g)
+        assert graph_to_polygon(g) is Q and g._polygon is Q
+        assert validate_delzant(Q) == []
+
+
+def test_classify_reuses_the_kept_polygon():
+    for g in isolated_graphs():
+        fresh = graph_from_json(graph_to_json(g))
+        built = graph_from_json(graph_to_json(g))
+        Q = graph_to_polygon(built)
+        assert classify_isolated(built) == classify_isolated(fresh)
+        assert built._polygon is Q
+        assert graph_to_polygon(fresh) is fresh._polygon
+
+
+def refused_graphs():
+    """Valid graphs that graph_to_polygon refuses, with the refusal."""
+    three_on_a_level = DecoratedGraph(
+        [Vertex("lo", "surface", F(0), area=F(10), genus=0),
+         Vertex("p1", "point", F(1)), Vertex("p2", "point", F(1)),
+         Vertex("p3", "point", F(1)),
+         Vertex("hi", "surface", F(2), area=F(13), genus=0)])
+    # weights 3 along mn-mx and p-q: the chain [1, 3, 1] has no normals
+    no_normals = DecoratedGraph(
+        [Vertex("mn", "point", F(0)), Vertex("p", "point", F(1, 2)),
+         Vertex("q", "point", F(1)), Vertex("mx", "point", F(3, 2))],
+        [Edge("mn", "mx", 3), Edge("p", "q", 3)])
+    return [(minimal_graph("ruled", 2, 1, 1, 1, 0), "positive genus"),
+            (three_on_a_level, "no arrangement of free spheres"),
+            (no_normals, "admits no integral normals")]
+
+
+def test_refused_graph_is_refused_on_every_call():
+    for g, message in refused_graphs():
+        assert validate_graph(g) == []
+        for _ in range(2):
+            with pytest.raises(GraphError, match=message):
+                graph_to_polygon(g)
+            assert g._polygon is None
