@@ -9,7 +9,6 @@ reconstructed on demand by ``extend_graph``.
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -74,7 +73,12 @@ class DecoratedGraph:
     def __init__(self, vertices, edges=()):
         by_id = {}
         for v in vertices:
-            if v.id in by_id:
+            try:
+                seen = v.id in by_id
+            except TypeError:   # an unhashable id cannot be indexed
+                raise ValidationError(["vertex %r: id is not a string"
+                                       % (v.id,)]) from None
+            if seen:
                 raise ValidationError(["duplicate vertex id %r" % v.id])
             by_id[v.id] = v
         self.vertices = MappingProxyType(by_id)
@@ -87,7 +91,12 @@ class DecoratedGraph:
         up = {vid: [] for vid in by_id}
         down = {vid: [] for vid in by_id}
         for e in self.edges:
-            for end in {e.a, e.b}:
+            try:
+                ends = {e.a, e.b}
+            except TypeError:   # an unhashable endpoint is no vertex id
+                raise ValidationError(["edge %s--%s: unknown endpoint"
+                                       % (e.a, e.b)]) from None
+            for end in ends:
                 if end in at:
                     at[end].append(e)
         try:
@@ -398,17 +407,29 @@ def canonical_form(g, mode="exact"):
 
     Colour refinement splits the vertices by label and by the colours of
     their neighbours.  While a class stays tied, the search individualises
-    its vertices in turn and keeps the smallest listing, but it tries only
-    one vertex of each class of twins: vertices with the same label and
-    the same multiset of incident (k, neighbour id) pairs (the first step
-    of McKay and Piperno, "Practical graph isomorphism, II", 2014).
-    Swapping two twins is an automorphism, since it maps the edges at one
-    onto the edges at the other; twins share a level, so in a valid graph
-    no edge joins them.  The swap fixes every other vertex, and so every
-    vertex individualised so far.  Refinement commutes with automorphisms,
-    so the swap carries the search below one twin onto the search below
-    the other, and both give the same listing.  k twin points thus cost k
-    individualisations, not k! orders.
+    one vertex of the first tied class and refines again; it never
+    branches, so each tie costs one refinement and the search stays
+    polynomial.  A graph left tied must be valid (``require_valid``); one
+    that refinement splits alone is listed whatever its validity.
+
+    One branch is enough on a valid graph.  Take away its two extrema,
+    whose levels, and so whose labels, are unique.  Every other vertex has
+    at most one up and one down edge, so what is left is vertex-disjoint
+    strands: monotone paths, on which levels rise strictly.  A stable
+    colour fixes the label, and so the level, and the multiset of (k,
+    neighbour colour) pairs; the neighbour above and the one below are
+    told apart by their levels.  Walking up and down from two vertices u
+    and v of one colour thus meets the same (k, colour) sequence, out to
+    the same extrema.  So u and v sit at the same place on two strands with
+    the same signature, and the strands are distinct, since one place on
+    one strand is one vertex.  Swapping the two strands place by place is
+    an automorphism that keeps labels and colours.  Each individualised
+    vertex has a colour of its own, so it lies on neither strand and the
+    swap fixes it.  Refinement commutes with such an automorphism, so the
+    swap carries the search below u onto the search below v, and both end
+    in the same listing.  Hence, by induction on the number of tied
+    vertices, every choice of vertex gives one listing, equal to the
+    smallest listing over all choices.
 
     Listings and digests stay the same from one version to the next,
     because the digests name enumerated class files.
@@ -423,77 +444,45 @@ def canonical_form(g, mode="exact"):
         "-" if v.area is None else fmt_rat(v.area),
         "-" if v.genus is None else v.genus)
         for vid, v in g.vertices.items()}
-
-    def listing(colors):
-        order = sorted(g.vertices, key=lambda vid: (labels[vid], colors[vid]))
-        index = {vid: i for i, vid in enumerate(order)}
-        lines = ["vertex %d %s" % (i, labels[vid])
-                 for i, vid in enumerate(order)]
-        for a, b, k in sorted((min(index[e.a], index[e.b]),
-                               max(index[e.a], index[e.b]), e.k)
-                              for e in g.edges):
-            lines.append("edge %d %d k=%d" % (a, b, k))
-        return "\n".join(lines)
-
-    if len(set(labels.values())) == len(labels):
-        # refinement only splits label classes, and the listing orders
-        # the vertices by (label, colour), so distinct labels fix it alone
-        text = listing(labels)
-        return CanonicalForm(hashlib.sha256(text.encode()).hexdigest(), text)
-
-    incident = {vid: [] for vid in g.vertices}
-    for e in g.edges:
-        incident[e.a].append((e.k, e.b))
-        incident[e.b].append((e.k, e.a))
-    twin_keys = {}  # built only for the vertices of a class that stays tied
-
-    def twin_key(vid):
-        if vid not in twin_keys:
-            twin_keys[vid] = (labels[vid],
-                              frozenset(Counter(incident[vid]).items()))
-        return twin_keys[vid]
-
-    def refine(colors):
-        # Weisfeiler-Leman refinement; classes only ever split, so a
-        # stable class count means a stable partition
+    colors = labels
+    # refinement only splits label classes, and the listing orders the
+    # vertices by (label, colour), so distinct labels fix it alone
+    if len(set(labels.values())) < len(labels):
+        incident = {vid: [] for vid in g.vertices}
+        for e in g.edges:
+            incident[e.a].append((e.k, e.b))
+            incident[e.b].append((e.k, e.a))
         while True:
+            # Weisfeiler-Leman refinement; classes only ever split, so a
+            # stable class count means a stable partition
             new = {}
             for vid in g.vertices:
                 around = sorted("%d:%s" % (k, colors[w])
                                 for k, w in incident[vid])
                 data = colors[vid] + "#" + ",".join(around)
                 new[vid] = hashlib.sha256(data.encode()).hexdigest()[:16]
-            if len(set(new.values())) == len(set(colors.values())):
-                return new
+            stable = len(set(new.values())) == len(set(colors.values()))
             colors = new
-
-    def individualised(colors, vid):
-        forked = dict(colors)
-        forked[vid] += "!"
-        return forked
-
-    def canon(colors):
-        while True:
-            colors = refine(colors)
+            if not stable:
+                continue
             classes = {}
             for vid, c in colors.items():
                 classes.setdefault(c, []).append(vid)
             tied = [classes[c] for c in sorted(classes)
                     if len(classes[c]) > 1]
             if not tied:
-                return listing(colors)
-            # individualise one vertex per twin class of the first tied
-            # class and keep the smallest resulting listing; a class of
-            # twins alone needs no branching
-            tries = {}
-            for vid in tied[0]:
-                tries.setdefault(twin_key(vid), vid)
-            if len(tries) > 1:
-                return min(canon(individualised(colors, vid))
-                           for vid in tries.values())
-            colors = individualised(colors, tied[0][0])
+                break
+            require_valid(g)
+            colors[tied[0][0]] += "!"
 
-    text = canon(dict(labels))
+    order = sorted(g.vertices, key=lambda vid: (labels[vid], colors[vid]))
+    index = {vid: i for i, vid in enumerate(order)}
+    lines = ["vertex %d %s" % (i, labels[vid]) for i, vid in enumerate(order)]
+    for a, b, k in sorted((min(index[e.a], index[e.b]),
+                           max(index[e.a], index[e.b]), e.k)
+                          for e in g.edges):
+        lines.append("edge %d %d k=%d" % (a, b, k))
+    text = "\n".join(lines)
     return CanonicalForm(hashlib.sha256(text.encode()).hexdigest(), text)
 
 

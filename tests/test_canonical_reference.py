@@ -2,8 +2,10 @@
 
 The reference below individualises every vertex of the first tied class in
 turn, so it tries all k! orders of k interchangeable points.  The current
-search tries one vertex per class of twins and must give the same listing
-and the same digest, because digests name the enumerated class files.
+search individualises one vertex per tie and must give the same listing
+and the same digest on every valid graph, because digests name the
+enumerated class files.  It refuses a graph that stays tied and is not
+valid.
 """
 
 import hashlib
@@ -12,8 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from hamgraphs import (DecoratedGraph, Edge, Vertex, blowup, canonical_form,
-                       minimal_graph)
+from hamgraphs import (DecoratedGraph, Edge, ValidationError, Vertex, blowup,
+                       canonical_form, is_isomorphic, minimal_graph,
+                       validate_graph)
 from hamgraphs.graph_core import shift
 from hamgraphs.rational import fmt_rat
 
@@ -112,10 +115,48 @@ def test_twin_chain_matches_reference(k):
     assert_same_form(twin_chain(k), "exact")
 
 
-def test_twins_sharing_a_neighbour_match_reference():
-    # a, b are twins below c; d, e are twins above c; x differs from the
-    # other points at its level only by its weight-3 edge to c.  The
-    # incident multisets, not the labels alone, decide who is a twin.
+def strands(k):
+    """Surfaces at levels 0 and 3 and k weight-2 spheres p_i--q_i from
+    level 1 to level 2: the p_i are tied and interchangeable, but no two
+    are twins, since each has its own neighbour."""
+    F = Fraction
+    return DecoratedGraph(
+        [Vertex("min", "surface", F(0), F(10), 0),
+         Vertex("max", "surface", F(3), F(10) + F(3 * k, 2), 0)]
+        + [Vertex("p%d" % i, "point", F(1)) for i in range(k)]
+        + [Vertex("q%d" % i, "point", F(2)) for i in range(k)],
+        [Edge("p%d" % i, "q%d" % i, 2) for i in range(k)])
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_strands_match_reference(k):
+    g = strands(k)
+    assert validate_graph(g) == []
+    for mode in ("exact", "shift"):
+        assert_same_form(g, mode)
+        assert_same_form(relabel(g, "v"), mode)
+
+
+def test_strands_k40_is_fast_and_relabel_invariant():
+    g = strands(40)
+    copy = relabel(shift(g, Fraction(-5, 3)), "w")
+    start = time.perf_counter()
+    form, copy_form = canonical_form(g, "shift"), canonical_form(copy, "shift")
+    assert time.perf_counter() - start < 1
+    assert form == copy_form
+
+
+def assert_refused_when_tied(g):
+    for mode in ("exact", "shift"):
+        with pytest.raises(ValidationError):
+            canonical_form(g, mode)
+        with pytest.raises(ValidationError):
+            is_isomorphic(g, relabel(g, "v"), mode)
+
+
+def test_tied_graph_with_two_up_and_two_down_edges_at_a_point_is_refused():
+    # a, b stay tied below c, which has two up and two down edges, so the
+    # graph is not valid and one branch need not give the smallest listing
     F = Fraction
     g = DecoratedGraph(
         [Vertex("lo", "point", F(0)), Vertex("a", "point", F(1)),
@@ -125,16 +166,14 @@ def test_twins_sharing_a_neighbour_match_reference():
         [Edge("a", "c", 2), Edge("b", "c", 2), Edge("x", "c", 3),
          Edge("c", "d", 5), Edge("c", "e", 5), Edge("lo", "a", 7),
          Edge("lo", "b", 7), Edge("lo", "x", 7)])
-    for mode in ("exact", "shift"):
-        assert_same_form(g, mode)
-        assert_same_form(relabel(g, "v"), mode)
-    assert canonical_form(relabel(g, "v")) == canonical_form(g)
+    assert_refused_when_tied(g)
+    assert_refused_when_tied(relabel(g, "v"))
 
 
-def test_tied_points_that_are_not_twins_are_all_tried():
+def test_tied_triangle_and_square_on_one_level_is_refused():
     # a triangle and a square of weight-2 edges among seven points at one
-    # level: refinement never splits them, yet a triangle point and a
-    # square point are not interchangeable, so both must be tried
+    # level: refinement never splits them, a triangle point and a square
+    # point are not interchangeable, and the graph is not valid
     ids = ["t0", "t1", "t2", "s0", "s1", "s2", "s3"]
     edges = [Edge("t0", "t1", 2), Edge("t1", "t2", 2), Edge("t2", "t0", 2),
              Edge("s0", "s1", 2), Edge("s1", "s2", 2), Edge("s2", "s3", 2),
@@ -142,7 +181,7 @@ def test_tied_points_that_are_not_twins_are_all_tried():
     for order in (ids, ids[::-1]):
         g = DecoratedGraph([Vertex(vid, "point", Fraction(1))
                             for vid in order], edges)
-        assert_same_form(g, "exact")
+        assert_refused_when_tied(g)
 
 
 def test_twin_chain_k12_is_fast_and_relabel_invariant():

@@ -50,6 +50,17 @@ def test_id_that_is_not_a_string_is_reported(bad_id):
         require_valid(g)
 
 
+def test_unhashable_ids_are_refused_by_name():
+    with pytest.raises(ValidationError,
+                       match=r"vertex \['a'\]: id is not a string"):
+        DecoratedGraph([Vertex(["a"], "point", F(0)),
+                        Vertex("b", "point", F(1))])
+    with pytest.raises(ValidationError,
+                       match=r"edge \['a'\]--b: unknown endpoint"):
+        DecoratedGraph([Vertex("a", "point", F(0)),
+                        Vertex("b", "point", F(1))], [Edge(["a"], "b", 2)])
+
+
 @pytest.mark.parametrize("area", ["1", 1.0, 1])
 def test_area_that_is_not_a_fraction_is_reported(area):
     g = DecoratedGraph([Vertex("min", "surface", F(0), area=area, genus=0),
