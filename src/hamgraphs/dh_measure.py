@@ -15,14 +15,17 @@ is available through ``evaluate``.
 ``density`` computes the values in one sweep up the levels, not term by
 term: rho(y_min) = a_min, the slope starts at -e_min, each value is the
 one below plus slope times the gap, and at each interior level the slope
-drops by the sum of 1/(m_p n_p) over the points there.  The values stay
-exact, and the last one is a_max.
+drops by the sum of 1/(m_p n_p) over the points there.  The sweep runs on
+the graph's integer levels (``_y``, over ``_scale``), with the slope over
+one common denominator and each value made a Fraction once.  The values
+stay exact, and the last one is a_max.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .graph_core import _extremal_pair, _interior_products, require_valid
+from .graph_core import _extremal_pair, _weight_products, require_valid
 from .rational import fmt_rat
 
 
@@ -72,19 +75,25 @@ def extremal_self_intersections(g):
 
 def density(g):
     """Exact Duistermaat-Heckman density of a valid graph."""
-    ext = extremal_self_intersections(g)
+    e_min = extremal_self_intersections(g).e_min
     lo, hi = g.min_vertex(), g.max_vertex()
-    val = lo.area if lo.kind == "surface" else Fraction(0)
-    slope = -ext.e_min
-    bps, values = [lo.moment], [val]
+    a_min = lo.area if lo.kind == "surface" else Fraction(0)
+    mns = _weight_products(g)
+    # slope over den, values over den * _scale
+    den = lcm(e_min.denominator, a_min.denominator, *mns)
+    slope = -e_min.numerator * (den // e_min.denominator)
+    val = a_min.numerator * (den // a_min.denominator) * g._scale
+    y, prev = g._y, g._y[lo.id]
+    bps, values = [lo.moment], [a_min]
     # interior levels come in level order; the maximum closes the sweep
-    for y, mn in _interior_products(g) + [(hi.moment, None)]:
-        if y != bps[-1]:
-            val += slope * (y - bps[-1])
-            bps.append(y)
-            values.append(val)
+    for vid, mn in zip(g.interior_ids() + (hi.id,), mns + [None]):
+        if y[vid] != prev:
+            val += slope * (y[vid] - prev)
+            prev = y[vid]
+            bps.append(g.moment(vid))
+            values.append(Fraction(val, den * g._scale))
         if mn is not None:
-            slope -= Fraction(1, mn)
+            slope -= den // mn
     return PiecewiseLinearDensity(bps, values)
 
 

@@ -11,11 +11,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from operator import attrgetter
+from math import gcd, lcm
 from types import MappingProxyType
 
-from .rational import fmt_rat, parse_rat
+from .rational import _fmt_reduced, fmt_rat, parse_rat
 
 
 class GraphError(Exception):
@@ -59,15 +58,24 @@ class DecoratedGraph:
     """A decorated graph, immutable after construction.
 
     ``vertices`` is a read-only mapping from id to ``Vertex`` and ``edges``
-    a tuple.  Construction indexes the graph once: the (moment, id) level
-    order with its extrema (``_order``, empty when the moments or the ids
-    do not compare), and the edges at each vertex, split into up and down
-    edges.
+    a tuple.  Construction indexes the graph once.  When every moment is a
+    ``Fraction`` the levels become integers over one denominator:
+    ``_scale`` is the least common multiple of the moment denominators and
+    ``_y[vid]`` the moment times ``_scale``; otherwise both are None.  The
+    (moment, id) level order with its extrema (``_order``) and the split
+    of the edges at each vertex into up and down edges are sorted and
+    compared on ``_y``; ``_order`` is empty when there is no index or the
+    ids do not compare.  ``_problems``, ``_extremal_pair``, ``_chains``,
+    ``extend_graph``, the ``shift`` mode of ``canonical_form``,
+    ``dh_measure.density``, ``toric_geometry.graph_to_polygon`` and
+    ``homology.class_values`` read the index and make one ``Fraction`` per
+    number they return; ``Vertex.moment`` stays the public level.
     ``validate_graph`` computes its result at most once per graph,
-    ``_extremal_pair`` the extremal self-intersections and
-    ``graph_to_polygon`` the Delzant polygon (``_polygon``); a graph built
-    by a rewrite proved to keep validity is marked valid at once
-    (``_problems = ()``).
+    ``_extremal_pair`` the extremal self-intersections,
+    ``graph_to_polygon`` the Delzant polygon (``_polygon``) and
+    ``homology`` the chains of spanning spheres of a two-surface graph
+    (``_spheres``); a graph built by a rewrite proved to keep validity is
+    marked valid at once (``_problems = ()``).
     """
 
     def __init__(self, vertices, edges=()):
@@ -87,6 +95,7 @@ class DecoratedGraph:
         self._weights = {}      # vid -> isotropy weights
         self._extremal = None   # (e_min, e_max), once solved
         self._polygon = None    # graph_to_polygon's result, once built
+        self._spheres = None    # homology's chains of spheres, once built
         at = {vid: [] for vid in by_id}
         up = {vid: [] for vid in by_id}
         down = {vid: [] for vid in by_id}
@@ -99,24 +108,31 @@ class DecoratedGraph:
             for end in ends:
                 if end in at:
                     at[end].append(e)
-        try:
-            # stable sorts by id and then by moment give the (moment, id)
-            # order with one comparison per step, not a tuple's == and <
-            order = sorted(by_id.values(), key=attrgetter("id"))
-            order.sort(key=attrgetter("moment"))
+        self._scale = self._y = None
+        order = []
+        if all(isinstance(v.moment, Fraction) for v in by_id.values()):
+            scale = lcm(*(v.moment.denominator for v in by_id.values()))
+            y = {vid: v.moment.numerator * (scale // v.moment.denominator)
+                 for vid, v in by_id.items()}
+            self._scale, self._y = scale, y
             for e in self.edges:
-                if e.a in by_id and e.b in by_id:
-                    ya, yb = by_id[e.a].moment, by_id[e.b].moment
-                    if ya < yb:
+                if e.a in y and e.b in y:
+                    if y[e.a] < y[e.b]:
                         up[e.a].append(e)
                         down[e.b].append(e)
-                    elif yb < ya:
+                    elif y[e.b] < y[e.a]:
                         up[e.b].append(e)
                         down[e.a].append(e)
-        except TypeError:
-            # moments or ids that do not compare; validate_graph reports
-            # them before it needs the level order
-            order = []
+            try:
+                # stable sorts by id and then by level give the (moment,
+                # id) order
+                ids = sorted(by_id)
+                ids.sort(key=y.__getitem__)
+                order = [by_id[vid] for vid in ids]
+            except TypeError:
+                # ids that do not compare; validate_graph reports them
+                # before it needs the level order
+                pass
         self._order = tuple(order)
         self._interior = tuple(v.id for v in order[1:-1])
         self._at = {vid: tuple(es) for vid, es in at.items()}
@@ -199,6 +215,8 @@ def _problems(g):
         else:
             if v.area is not None or v.genus is not None:
                 problems.append("vertex %s: point carries area or genus" % v.id)
+    # without the index the moments are compared as given
+    level = g.moment if g._y is None else g._y.__getitem__
     for e in g.edges:
         if e.a not in g.vertices or e.b not in g.vertices:
             problems.append("edge %s--%s: unknown endpoint" % (e.a, e.b))
@@ -208,7 +226,7 @@ def _problems(g):
         if not isinstance(e.k, int) or e.k < 2:
             problems.append("edge %s--%s: weight %r is not an integer >= 2"
                             % (e.a, e.b, e.k))
-        elif g.moment(e.a) == g.moment(e.b):
+        elif level(e.a) == level(e.b):
             problems.append("edge %s--%s: endpoints at the same level"
                             % (e.a, e.b))
     if problems:
@@ -217,12 +235,12 @@ def _problems(g):
     # every id is a str and every moment a Fraction, so the level order
     # was sorted: its ends are the extrema, and their neighbours tell
     # whether either is attained twice
-    order = g._order
-    if order[0].moment == order[-1].moment:
+    y = [g._y[v.id] for v in g._order]
+    if y[0] == y[-1]:
         return ["minimum and maximum level coincide"]
-    if order[1].moment == order[0].moment:
+    if y[1] == y[0]:
         problems.append("minimum level attained by more than one vertex")
-    if order[-2].moment == order[-1].moment:
+    if y[-2] == y[-1]:
         problems.append("maximum level attained by more than one vertex")
     if problems:
         return problems
@@ -272,12 +290,13 @@ def _problems(g):
     return problems
 
 
-def _interior_products(g):
-    """(level, m_p n_p) for each interior fixed point."""
+def _weight_products(g):
+    """m_p n_p, the product of the weights {-m_p, n_p}, for each interior
+    fixed point in level order."""
     out = []
     for vid in g.interior_ids():
         w1, w2 = isotropy_weights(g, vid)
-        out.append((g.moment(vid), (-w1) * w2))
+        out.append((-w1) * w2)
     return out
 
 
@@ -288,25 +307,25 @@ def _extremal_pair(g):
 
     The Duistermaat-Heckman density vanishes above y_max: its slope there
     gives e_min + e_max = -sum 1/(m_p n_p), and its constant term gives
-    y_min e_min + y_max e_max = a_max - a_min - sum y_p/(m_p n_p).
-    Both sums run over integers, a numerator over the least common
-    denominator so far, with one Fraction made of each at the end.
+    y_min e_min + y_max e_max = a_max - a_min - sum y_p/(m_p n_p), that is
+    (y_max - y_min) e_max = a_max - a_min - sum (y_p - y_min)/(m_p n_p).
+    Both sums run over integers, on the integer levels Y = _scale y and
+    over the least common multiple den of the products m_p n_p, with one
+    Fraction made of each result at the end.
     """
     if g._extremal is None:
         lo, hi = g.min_vertex(), g.max_vertex()
-        n0, d0, n1, d1 = 0, 1, 0, 1
-        for y, mn in _interior_products(g):
-            c = gcd(d0, mn)
-            n0, d0 = n0 * (mn // c) + d0 // c, d0 // c * mn
-            den = y.denominator * mn
-            c = gcd(d1, den)
-            n1, d1 = n1 * (den // c) + y.numerator * (d1 // c), d1 // c * den
-        s0, s1 = Fraction(n0, d0), Fraction(n1, d1)
-        a_min = lo.area if lo.kind == "surface" else Fraction(0)
-        a_max = hi.area if hi.kind == "surface" else Fraction(0)
-        e_max = Fraction(a_max - a_min - s1 + lo.moment * s0,
-                         hi.moment - lo.moment)
-        g._extremal = (-s0 - e_max, e_max)
+        y, y0 = g._y, g._y[lo.id]
+        mns = _weight_products(g)
+        den = lcm(*mns)
+        s0 = sum(den // mn for mn in mns)
+        s1 = sum((y[vid] - y0) * (den // mn)
+                 for vid, mn in zip(g.interior_ids(), mns))
+        area = (hi.area or 0) - (lo.area or 0)   # a_max - a_min
+        rise = (y[hi.id] - y0) * area.denominator
+        n_max = g._scale * den * area.numerator - s1 * area.denominator
+        g._extremal = (Fraction(-s0 * rise - n_max, den * rise),
+                       Fraction(n_max, den * rise))
     return g._extremal
 
 
@@ -436,11 +455,20 @@ def canonical_form(g, mode="exact"):
     """
     if mode not in ("exact", "shift"):
         raise ValueError("mode must be 'exact' or 'shift'")
-    if mode == "shift":
-        low = (g._order[0].moment if g._order
-               else min(v.moment for v in g.vertices.values()))
+    if mode == "shift" and g._y is not None:
+        # each level over _scale, above the lowest, reduced by one gcd
+        y0 = min(g._y.values())
+        shifted = {}
+        for vid, y in g._y.items():
+            c = gcd(y - y0, g._scale)
+            shifted[vid] = _fmt_reduced((y - y0) // c, g._scale // c)
+    elif mode == "shift":
+        # moments that are not all Fractions, shifted as given
+        low = min(v.moment for v in g.vertices.values())
+        shifted = {vid: fmt_rat(v.moment - low)
+                   for vid, v in g.vertices.items()}
     labels = {vid: "%s|%s|%s|%s" % (
-        v.kind, fmt_rat(v.moment if mode == "exact" else v.moment - low),
+        v.kind, fmt_rat(v.moment) if mode == "exact" else shifted[vid],
         "-" if v.area is None else fmt_rat(v.area),
         "-" if v.genus is None else v.genus)
         for vid, v in g.vertices.items()}
@@ -545,13 +573,14 @@ def extend_graph(g):
     require_valid(g)
     lo, hi = g.min_vertex().id, g.max_vertex().id
     interiors = g.interior_ids()  # in level order
+    y = g._y
     tops = sorted((v for v in interiors if not g.up_edges(v)),
-                  key=lambda v: (-g.moment(v), v))
+                  key=lambda v: (-y[v], v))
     bottoms = [v for v in interiors if not g.down_edges(v)]
     h = min(len(tops), _free_capacity(g, hi))
     frees = [(v, hi) for v in tops[:h]]
     for v in tops[h:]:
-        w = next((w for w in bottoms if g.moment(w) > g.moment(v)), None)
+        w = next((w for w in bottoms if y[w] > y[v]), None)
         if w is None:
             raise NoExtensionError(_NO_ARRANGEMENT)
         bottoms.remove(w)
@@ -587,7 +616,7 @@ def _chains(g, frees):
         while chain[-1][1] != hi:
             chain.append(up_of[chain[-1][1]])
         chains.append(tuple(chain))
-    chains.sort(key=lambda c: ([(g.moment(s[1]), s[1]) for s in c[:-1]],
+    chains.sort(key=lambda c: ([(g._y[s[1]], s[1]) for s in c[:-1]],
                                [s[2] for s in c]))
     return chains
 

@@ -12,10 +12,10 @@ values, and positive decompositions are all computable from the labels.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import blowup_calculus
+from . import blowup_calculus, graph_core
 from .chain_arith import SURFACE_END, WeightChain, self_intersections
 from .dh_measure import extremal_self_intersections
-from .graph_core import GraphError, _chains, require_valid
+from .graph_core import GraphError, require_valid
 
 BMIN, BMAX, FIBER = "Bmin", "Bmax", "F"
 
@@ -52,11 +52,17 @@ def _two_surface_shape(g):
 
 
 def _chain_structure(g):
-    """Chains of invariant spheres, bottom to top, in deterministic order."""
-    lo, hi = _two_surface_shape(g)
-    frees = [(lo.id, vid) for vid in g.interior_ids() if not g.down_edges(vid)]
-    frees += [(vid, hi.id) for vid in g.interior_ids() if not g.up_edges(vid)]
-    return tuple(tuple(Sphere(*s) for s in c) for c in _chains(g, frees))
+    """Chains of invariant spheres, bottom to top, in deterministic order.
+    Built once per graph and kept on it (``_spheres``); a refusal is not
+    kept."""
+    if g._spheres is None:
+        lo, hi = _two_surface_shape(g)
+        ids = g.interior_ids()
+        frees = [(lo.id, vid) for vid in ids if not g.down_edges(vid)]
+        frees += [(vid, hi.id) for vid in ids if not g.up_edges(vid)]
+        g._spheres = tuple(tuple(Sphere(*s) for s in c)
+                           for c in graph_core._chains(g, frees))
+    return g._spheres
 
 
 def _labels(chains):
@@ -105,16 +111,18 @@ def _values_along(g, chains):
     also evaluates oversized blow-ups whose exceptional point overshoots
     the top surface (their values simply come out nonpositive).
     """
+    y = g._y
     surfaces = sorted((v for v in g.vertices.values()
-                       if v.kind == "surface"), key=lambda v: v.moment)
+                       if v.kind == "surface"), key=lambda v: y[v.id])
     if len(surfaces) != 2:
         raise GraphError("homology needs a graph with two fixed surfaces")
     lo, hi = surfaces
-    vals = {BMIN: lo.area, BMAX: hi.area, FIBER: hi.moment - lo.moment}
+    vals = {BMIN: lo.area, BMAX: hi.area,
+            FIBER: Fraction(y[hi.id] - y[lo.id], g._scale)}
     for ci, chain in enumerate(chains, start=1):
         for i, s in enumerate(chain, start=1):
-            vals[_elabel(ci, i)] = Fraction(
-                g.moment(s.north) - g.moment(s.south), s.k)
+            vals[_elabel(ci, i)] = Fraction(y[s.north] - y[s.south],
+                                            s.k * g._scale)
     return vals
 
 

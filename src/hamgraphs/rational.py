@@ -117,10 +117,15 @@ def fmt_rat(value):
     A ValueError names the limit when p or q has too many digits."""
     if not isinstance(value, Fraction):
         value = Fraction(value)
+    return _fmt_reduced(value.numerator, value.denominator)
+
+
+def _fmt_reduced(num, den):
+    """fmt_rat of num/den, for coprime integers num and den > 0."""
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return "%d/%d" % (value.numerator, value.denominator)
+        if den == 1:
+            return str(num)
+        return "%d/%d" % (num, den)
     except ValueError:
         raise ValueError("a label has grown past the %d digits the package "
                          "can print" % _MAX_DIGITS) from None

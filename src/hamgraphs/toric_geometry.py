@@ -269,11 +269,17 @@ def _build_polygon(g):
         raise GraphError(str(exc)) from exc
 
     def side_points(chain, bs, x0, sign):
+        # x over den = _scale * lcm(k of the chain, x0's denominator): a
+        # sphere (k, b) moves it by sign * b * (den / (k _scale)) times
+        # the rise of its integer levels
+        y = g._y
+        mult = lcm(x0.denominator, *(k for _, _, k in chain))
+        den = g._scale * mult
+        x = x0.numerator * (den // x0.denominator)
         pts = [(x0, lo.moment)]
-        x = x0
         for (low, high, k), b in zip(chain, bs):
-            x = x + sign * Fraction(b, k) * (g.moment(high) - g.moment(low))
-            pts.append((x, g.moment(high)))
+            x += sign * b * (mult // k) * (y[high] - y[low])
+            pts.append((Fraction(x, den), g.moment(high)))
         return pts
 
     verts = side_points(right, bs_r, Fraction(0), -1)

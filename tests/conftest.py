@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hamgraphs import (DecoratedGraph, Edge, Vertex, enumerate_graphs,
-                       minimal_graph, polygon_chop)
+                       isotropy_weights, minimal_graph, polygon_chop)
 from hamgraphs.toric_geometry import DelzantPolygon
 
 
@@ -80,6 +80,15 @@ def reference_polygons():
         except Exception:
             pass
     return polys + chopped
+
+
+def _interior_products(g):
+    """(level, m_p n_p) for each interior fixed point."""
+    out = []
+    for vid in g.interior_ids():
+        w1, w2 = isotropy_weights(g, vid)
+        out.append((g.moment(vid), (-w1) * w2))
+    return out
 
 
 def tent_graph():

@@ -8,8 +8,8 @@ from hamgraphs import (GraphError, PiecewiseLinearDensity,
                        minimal_graph, polygon_pushforward, polygon_to_graph,
                        total_mass)
 from hamgraphs.dh_measure import evaluate
-from hamgraphs.graph_core import _interior_products
-from conftest import S2S2_POLYGONS, TENT_POLYGONS, s2s2_graph, tent_graph
+from conftest import (S2S2_POLYGONS, TENT_POLYGONS, _interior_products,
+                      s2s2_graph, tent_graph)
 from test_canonical_reference import twin_chain
 
 F = Fraction

@@ -9,8 +9,8 @@ from hamgraphs import (DecoratedGraph, Edge, NoExtensionError,
                        is_isomorphic, isotropy_weights, minimal_graph,
                        polygon_to_graph, require_valid, shift,
                        validate_graph)
-from hamgraphs.graph_core import _chains, _extremal_pair, _interior_products
-from conftest import TENT_POLYGONS, s2s2_graph, tent_graph
+from hamgraphs.graph_core import _chains, _extremal_pair
+from conftest import TENT_POLYGONS, _interior_products, s2s2_graph, tent_graph
 from test_canonical_reference import relabel, twin_chain
 from test_reduce_reference import surface_chain
 
@@ -155,6 +155,93 @@ def test_canonical_form_shift_mode():
     h = shift(g, 3)
     assert not is_isomorphic(g, h, "exact")
     assert is_isomorphic(g, h, "shift")
+
+
+def test_shift_label_past_the_digit_limit_names_it():
+    # the shift label of a is 2 / ((10^2200 + 1)(10^2200 + 3)), whose
+    # denominator has 4401 digits; its exact label still prints
+    big = 10 ** 2200
+    g = DecoratedGraph([Vertex("a", "point", F(1, big + 1)),
+                        Vertex("b", "point", F(1, big + 3)),
+                        Vertex("c", "point", F(5))])
+    with pytest.raises(ValueError) as info:
+        canonical_form(g, "shift")
+    assert str(info.value) == ("a label has grown past the 4300 digits the "
+                               "package can print")
+    text = canonical_form(g, "exact").text
+    assert text.splitlines()[-1] == "vertex 2 point|5|-|-"
+    assert len(text) > 4400
+
+
+def test_non_fraction_moments_keep_their_problem_lists():
+    not_rational = "vertex %s: moment is not rational"
+    same_level = "edge %s--%s: endpoints at the same level"
+    ints = DecoratedGraph(
+        [Vertex("lo", "point", 0), Vertex("a", "point", 1),
+         Vertex("b", "point", 1), Vertex("hi", "point", 2)],
+        [Edge("a", "b", 2), Edge("lo", "hi", 3)])
+    floats = DecoratedGraph(
+        [Vertex("lo", "point", F(0)), Vertex("a", "point", 0.5),
+         Vertex("b", "point", 0.5), Vertex("c", "point", 1.0),
+         Vertex("hi", "point", F(1))],
+        [Edge("a", "b", 2), Edge("c", "hi", 3), Edge("lo", "a", 2)])
+    strs = DecoratedGraph(
+        [Vertex("lo", "point", "0"), Vertex("a", "point", "1/2"),
+         Vertex("b", "point", "1/2"), Vertex("hi", "point", F(1)),
+         Vertex("c", "point", "1")],
+        [Edge("a", "b", 2), Edge("lo", "a", 3), Edge("c", "hi", 2)])
+    assert validate_graph(ints) == [
+        not_rational % v for v in ("lo", "a", "b", "hi")] + [
+        same_level % ("a", "b")]
+    # 0.5 == 0.5 and 1.0 == Fraction(1) are one level each
+    assert validate_graph(floats) == [
+        not_rational % v for v in ("a", "b", "c")] + [
+        same_level % ("a", "b"), same_level % ("c", "hi")]
+    assert validate_graph(strs) == [
+        not_rational % v for v in ("lo", "a", "b", "c")] + [
+        same_level % ("a", "b")]
+    for g in (ints, floats, strs):
+        assert (g._scale, g._y, g._order) == (None, None, ())
+        for mode in ("exact", "shift"):
+            if g is strs and mode == "shift":
+                continue
+            with pytest.raises(ValidationError) as info:
+                canonical_form(g, mode)
+            assert info.value.problems == validate_graph(g)
+    assert [v["id"] for v in graph_to_json(floats)["vertices"]] == [
+        "lo", "a", "b", "c", "hi"]
+    with pytest.raises(TypeError):
+        graph_to_json(strs)
+    with pytest.raises(TypeError):
+        canonical_form(strs, "shift")
+
+
+def test_distinct_label_int_moments_list_as_given():
+    g = DecoratedGraph(
+        [Vertex("lo", "point", 0), Vertex("a", "point", 1),
+         Vertex("hi", "point", 3)], [Edge("lo", "a", 2)])
+    assert graph_to_json(g) == {
+        "vertices": [{"id": "lo", "kind": "point", "moment": "0"},
+                     {"id": "a", "kind": "point", "moment": "1"},
+                     {"id": "hi", "kind": "point", "moment": "3"}],
+        "edges": [{"a": "lo", "b": "a", "k": 2}]}
+    text = ("vertex 0 point|0|-|-\nvertex 1 point|1|-|-\n"
+            "vertex 2 point|3|-|-\nedge 0 1 k=2")
+    digest = "21df1caab23bf83939f18de4aed9dcd27349e2300c76d109175e53c372c85315"
+    for mode in ("exact", "shift"):
+        form = canonical_form(g, mode)
+        assert (form.digest, form.text) == (digest, text)
+    # string moments sort and list as strings, but do not shift
+    g = DecoratedGraph(
+        [Vertex("lo", "point", "0"), Vertex("a", "point", "1/2"),
+         Vertex("hi", "point", "1")], [Edge("lo", "a", 3)])
+    assert [v["id"] for v in graph_to_json(g)["vertices"]] == [
+        "lo", "hi", "a"]
+    assert canonical_form(g, "exact").text == (
+        "vertex 0 point|0|-|-\nvertex 1 point|1/2|-|-\n"
+        "vertex 2 point|1|-|-\nedge 0 1 k=3")
+    with pytest.raises(TypeError):
+        canonical_form(g, "shift")
 
 
 def test_different_graphs_differ():

@@ -6,6 +6,7 @@ from hamgraphs import (GraphError, blowup, blowup_class_transform,
                        blowup_symbolic, class_values, decompose_positive,
                        intersection_matrix, minimal_graph, pair_with,
                        positivity_equiv)
+from hamgraphs import graph_core
 from hamgraphs.blowup_calculus import blowup_sites, max_size, site_for_vertex
 from conftest import chopped_square_graph, s2s2_graph
 
@@ -68,6 +69,23 @@ def test_chopped_square_matrix():
     pos = {lab: i for i, lab in enumerate(data.labels)}
     assert [data.matrix[pos[l]][pos[l]] for l in data.labels] == \
         [0, -1, 0, -1, -1]
+
+
+def test_chain_structure_is_built_once_per_graph(monkeypatch):
+    data, values = intersection_matrix(twice_blown_ruled()), \
+        class_values(twice_blown_ruled())
+    g = twice_blown_ruled()
+    calls = []
+    chains = graph_core._chains
+
+    def counting(graph, frees):
+        calls.append(graph)
+        return chains(graph, frees)
+
+    monkeypatch.setattr(graph_core, "_chains", counting)
+    assert intersection_matrix(g) == data
+    assert class_values(g) == values
+    assert calls == [g]
 
 
 def test_class_values_blown_ruled():
