@@ -248,16 +248,17 @@ def _A_sites(g):
     the upper one with up weight m and the lower one with down weight n,
     becomes one interior point with weights (-n, m).  The size is the
     gap between the two points over k."""
+    y, scale = g._y, g._scale
+    ends = (g.min_vertex().id, g.max_vertex().id)
     for e in g.edges:
-        if g.is_extremal(e.a) or g.is_extremal(e.b):
+        if e.a in ends or e.b in ends:
             continue
-        v_bot, v_top = (e.a, e.b) if g.moment(e.a) < g.moment(e.b) \
-            else (e.b, e.a)
+        v_bot, v_top = (e.a, e.b) if y[e.a] < y[e.b] else (e.b, e.a)
         m = isotropy_weights(g, v_top)[1]
         n = -isotropy_weights(g, v_bot)[0]
         if m + n != e.k:
             continue
-        lam = Fraction(g.moment(v_top) - g.moment(v_bot), e.k)
+        lam = Fraction(y[v_top] - y[v_bot], e.k * scale)
         yield (0, -e.k, (v_bot, v_top)), BlowdownSite("A", (v_bot, v_top),
                                                       lam)
 
@@ -267,19 +268,17 @@ def _C_sites(g, side, ext, sgn):
     interior point q with weight n + d outward and d inward, joined by an
     edge of weight d when d >= 2, merge into one extremum with weights
     {n, n + d}.  The size is q's distance to ext over d."""
-    a, b = sorted(abs(x) for x in isotropy_weights(g, ext.id))
-    for n, d in dict.fromkeys(((a, b), (b, a))):
-        for q in g.interior_ids():
-            down, up = isotropy_weights(g, q)
-            outward, inward = (up, -down) if sgn > 0 else (-down, up)
-            if outward != a + b or inward != d:
-                continue
-            linked = any({e.a, e.b} == {ext.id, q} for e in g.edges)
-            if (d >= 2) != linked:
-                continue
-            lam = Fraction(abs(g.moment(q) - ext.moment), d)
-            yield ((1, lam, side != "min", (ext.id, q)),
-                   BlowdownSite("C", (ext.id, q), lam, side))
+    a, b = (abs(x) for x in isotropy_weights(g, ext.id))
+    linked = {e.other(ext.id) for e in g.edges_at(ext.id)}
+    y, y0 = g._y, g._y[ext.id]
+    for q in g.interior_ids():
+        down, up = isotropy_weights(g, q)
+        outward, d = (up, -down) if sgn > 0 else (-down, up)
+        if outward != a + b or d not in (a, b) or (d >= 2) != (q in linked):
+            continue
+        lam = Fraction(abs(y[q] - y0), d * g._scale)
+        yield ((1, lam, side != "min", (ext.id, q)),
+               BlowdownSite("C", (ext.id, q), lam, side))
 
 
 def _D_sites(g, side, ext):
@@ -297,12 +296,13 @@ def _D_sites(g, side, ext):
 def _B_sites(g, side, ext):
     """Pattern B: an interior point q without edges is absorbed into the
     extremal fixed surface ext, whose area grows by q's distance to it."""
+    y, y0 = g._y, g._y[ext.id]
     for q in g.interior_ids():
         if g.edges_at(q):
             continue
-        lam = abs(g.moment(q) - ext.moment)
-        yield (3, lam, side != "max", (q,)), BlowdownSite("B", (q,), lam,
-                                                          side)
+        gap = abs(y[q] - y0)  # orders the B sites of both sides as lam
+        yield ((3, gap, side != "max", (q,)),
+               BlowdownSite("B", (q,), Fraction(gap, g._scale), side))
 
 
 def _ordered_sites(g):
@@ -310,8 +310,11 @@ def _ordered_sites(g):
     largest edge weight first, then C (smaller size, min side first), then
     D (min side first), then B (smaller size, max side first).  Each site
     search yields (preference key, site); C sites lie at an isolated
-    extremum, D and B sites at a fixed surface.  g must be valid.  No
-    rewrite is built here: _rewrite builds the one a caller takes."""
+    extremum, D and B sites at a fixed surface.  g must be valid.  The
+    searches compare levels on the integer index (_scale, _y) and make one
+    Fraction per size, the integer gap over k _scale (A), d _scale (C) or
+    _scale (B); B sites are ordered by the gap itself.  No rewrite is
+    built here: _rewrite builds the one a caller takes."""
     options = list(_A_sites(g))
     for side, ext, sgn in (("min", g.min_vertex(), 1),
                            ("max", g.max_vertex(), -1)):
@@ -437,6 +440,18 @@ def _rank_bound(g):
                and not (family == "cp2-surface" and n + s > 3))
 
 
+def _state(g):
+    """The memo key of reduce_to_minimal: g exactly, as (_scale, its
+    vertices as (id, kind, Y, area, genus), its edges as (a, b, k)).  Two
+    graphs share a key exactly when they have the same vertices and edges,
+    since equal moments have one _scale and so one Y.  The integer levels
+    hash without the modular inverse a Fraction's hash takes."""
+    return (g._scale,
+            frozenset([(v.id, v.kind, g._y[v.id], v.area, v.genus)
+                       for v in g.vertices.values()]),
+            frozenset([(e.a, e.b, e.k) for e in g.edges]))
+
+
 def reduce_to_minimal(g):
     """Blow down until a graph of a minimal family remains.
 
@@ -449,7 +464,8 @@ def reduce_to_minimal(g):
     The rank is a sum over the steps, so the best sequence from a graph
     continues with a best sequence from the graph after its first step:
     the search is a dynamic program memoised on exact graph states
-    (vertices with their ids and labels, edges with their orientation).
+    (vertices with their ids and labels, edges with their orientation;
+    _state).
     Among equally ranked options a state takes the first in _ordered_sites
     order, which picks the same sequence as the first best one in
     depth-first order.  Returns the minimal graph and the blow-down
@@ -483,7 +499,7 @@ def reduce_to_minimal(g):
     best = {}  # state -> (rank, first site or None, graph after it)
 
     def solve(cur):
-        state = (frozenset(cur.vertices.values()), frozenset(cur.edges))
+        state = _state(cur)
         if state in best:
             return best[state]
         family, options = _minimal_family(cur)

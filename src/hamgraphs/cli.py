@@ -17,7 +17,7 @@ from .chain_arith import ChainError
 from .graph_core import (DecoratedGraph, GraphError, graph_from_json,
                          graph_to_json, is_isomorphic, require_valid,
                          validate_graph)
-from .rational import fmt_rat, parse_rat
+from .rational import _MAX_DIGITS, fmt_rat, parse_rat
 from .toric_geometry import (graph_to_polygon, polygon_from_json,
                              polygon_to_graph, require_valid_polygon,
                              validate_delzant)
@@ -29,13 +29,21 @@ class CliError(Exception):
         self.code = code
 
 
+def _json_int(text):
+    """int(text) for a JSON integer, refused past the digits fmt_rat can
+    print, before int refuses it with Python's own advice."""
+    if len(text) - text.startswith("-") > _MAX_DIGITS:
+        raise ValueError("an integer has more than %d digits" % _MAX_DIGITS)
+    return int(text)
+
+
 def _read_json(path):
     try:
         if path is None or path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_int=_json_int)
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_int=_json_int)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise CliError("cannot read %s: %s" % (path or "stdin", exc), 1)
 
 

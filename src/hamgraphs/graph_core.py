@@ -67,9 +67,12 @@ class DecoratedGraph:
     compared on ``_y``; ``_order`` is empty when there is no index or the
     ids do not compare.  ``_problems``, ``_extremal_pair``, ``_chains``,
     ``extend_graph``, the ``shift`` mode of ``canonical_form``,
-    ``dh_measure.density``, ``toric_geometry.graph_to_polygon`` and
-    ``homology.class_values`` read the index and make one ``Fraction`` per
-    number they return; ``Vertex.moment`` stays the public level.
+    ``dh_measure.density``, ``toric_geometry.graph_to_polygon``,
+    ``homology.class_values`` and the blow-down site searches read the
+    index and make one ``Fraction`` per number they return, and
+    ``reduce_to_minimal`` keys its memo on it; ``Vertex.moment`` stays the
+    public level.  Each of the index, the edge split and the level order
+    is built in one pass.
     ``validate_graph`` computes its result at most once per graph,
     ``_extremal_pair`` the extremal self-intersections,
     ``graph_to_polygon`` the Delzant polygon (``_polygon``) and
@@ -96,9 +99,16 @@ class DecoratedGraph:
         self._extremal = None   # (e_min, e_max), once solved
         self._polygon = None    # graph_to_polygon's result, once built
         self._spheres = None    # homology's chains of spheres, once built
-        at = {vid: [] for vid in by_id}
-        up = {vid: [] for vid in by_id}
-        down = {vid: [] for vid in by_id}
+        self._scale = y = None
+        if all(isinstance(v.moment, Fraction) for v in by_id.values()):
+            ratios = [(vid, v.moment.as_integer_ratio())
+                      for vid, v in by_id.items()]
+            self._scale = scale = lcm(*[d for _, (_, d) in ratios])
+            y = {vid: n * (scale // d) for vid, (n, d) in ratios}
+        self._y = y
+        # the edges at each vertex, and the up and down edges split on _y,
+        # in lists for the vertices an edge touches
+        at, up, down = {}, {}, {}
         for e in self.edges:
             try:
                 ends = {e.a, e.b}
@@ -106,38 +116,31 @@ class DecoratedGraph:
                 raise ValidationError(["edge %s--%s: unknown endpoint"
                                        % (e.a, e.b)]) from None
             for end in ends:
-                if end in at:
-                    at[end].append(e)
-        self._scale = self._y = None
-        order = []
-        if all(isinstance(v.moment, Fraction) for v in by_id.values()):
-            scale = lcm(*(v.moment.denominator for v in by_id.values()))
-            y = {vid: v.moment.numerator * (scale // v.moment.denominator)
-                 for vid, v in by_id.items()}
-            self._scale, self._y = scale, y
-            for e in self.edges:
-                if e.a in y and e.b in y:
-                    if y[e.a] < y[e.b]:
-                        up[e.a].append(e)
-                        down[e.b].append(e)
-                    elif y[e.b] < y[e.a]:
-                        up[e.b].append(e)
-                        down[e.a].append(e)
+                if end in by_id:
+                    at.setdefault(end, []).append(e)
+            if y is not None and e.a in y and e.b in y and y[e.a] != y[e.b]:
+                low, high = (e.a, e.b) if y[e.a] < y[e.b] else (e.b, e.a)
+                up.setdefault(low, []).append(e)
+                down.setdefault(high, []).append(e)
+        self._at = dict.fromkeys(by_id, ())
+        self._up, self._down = self._at.copy(), self._at.copy()
+        for index, lists in ((self._at, at), (self._up, up),
+                             (self._down, down)):
+            for vid, es in lists.items():
+                index[vid] = tuple(es)
+        ids = ()
+        if y is not None:
             try:
                 # stable sorts by id and then by level give the (moment,
                 # id) order
                 ids = sorted(by_id)
                 ids.sort(key=y.__getitem__)
-                order = [by_id[vid] for vid in ids]
             except TypeError:
                 # ids that do not compare; validate_graph reports them
                 # before it needs the level order
                 pass
-        self._order = tuple(order)
-        self._interior = tuple(v.id for v in order[1:-1])
-        self._at = {vid: tuple(es) for vid, es in at.items()}
-        self._up = {vid: tuple(es) for vid, es in up.items()}
-        self._down = {vid: tuple(es) for vid, es in down.items()}
+        self._order = tuple(map(by_id.__getitem__, ids))
+        self._interior = tuple(ids[1:-1])
 
     def vertex(self, vid):
         return self.vertices[vid]

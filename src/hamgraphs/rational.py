@@ -18,22 +18,6 @@ _TOO_LONG = 10 ** _MAX_DIGITS  # the least integer of more digits
 _MAX_WRITTEN = 14285  # 4300 / log10(2), rounded up
 
 
-def _plain(text):
-    """The value of "p", "-p", "p/q" or "-p/q" in at most 4300 ASCII
-    digits, the forms fmt_rat writes, or None for any other string."""
-    if len(text) > _MAX_DIGITS:
-        return None
-    num, slash, den = text.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    if not slash:
-        return Fraction(int(num))
-    if not (den.isascii() and den.isdigit()):
-        return None
-    return Fraction(int(num), int(den))
-
-
 def _int(digits):
     """int(digits) for a string of digits, read 4300 at a time."""
     value = 0
@@ -89,19 +73,19 @@ def _read(text):
 
 def parse_rat(value):
     """Parse a rational from its JSON form ("p/q", "p", or an int).  The
-    forms fmt_rat writes go through int; any other string is read as
-    Fraction reads it, whatever its zero padding."""
-    if isinstance(value, bool):
-        raise ValueError("not a rational: %r" % (value,))
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
+    forms fmt_rat writes, "p", "-p", "p/q" and "-p/q" in at most 4300
+    ASCII digits, are read by int at once: their values are in range.  Any
+    other string is read as Fraction reads it, whatever its zero padding."""
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if len(value) <= _MAX_DIGITS and value.isascii() and \
+                (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit() and den.lstrip("0"):  # _read refuses q = 0
+                return Fraction(int(num), int(den))
         try:
-            parsed = _plain(value)
-            if parsed is None:
-                parsed = _read(value)
+            parsed = _read(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("not a rational: %r" % (value,)) from exc
         if parsed is None or abs(parsed.numerator) >= _TOO_LONG or \
@@ -109,6 +93,12 @@ def parse_rat(value):
             raise ValueError("not a rational: %r has more than %d digits"
                              % (value, _MAX_DIGITS))
         return parsed
+    if isinstance(value, bool):
+        raise ValueError("not a rational: %r" % (value,))
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     raise ValueError("not a rational: %r" % (value,))
 
 

@@ -369,6 +369,57 @@ def run_on_stdin(argv, text):
     return code, out.getvalue(), err.getvalue()
 
 
+def two_spheres_of_genus(genus):
+    """Two fixed surfaces of one genus, written as the JSON integer
+    genus."""
+    surface = '{"id": "%s", "kind": "surface", "moment": "%s", "area": "1", '
+    return ('{"vertices": [' + surface % ("lo", 0) + '"genus": %s}, '
+            + surface % ("hi", 1) + '"genus": %s}]}') % (genus, genus)
+
+
+HUGE_INT = "error: cannot read %s: an integer has more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("genus", ["1" * 4301, "-" + "9" * 4301,
+                                   "1" * 5001],
+                         ids=["4301", "-4301", "5001"])
+def test_json_integer_past_the_digit_limit_exits_1(tmp_path, genus):
+    text = two_spheres_of_genus(genus)
+    for command in IN_COMMANDS:
+        assert run_on_stdin([command], text) == (1, "", HUGE_INT % "stdin")
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    for command in IN_COMMANDS:
+        assert run_on_stdin([command, "--in", str(path)], "") == \
+            (1, "", HUGE_INT % path)
+    assert run_on_stdin(["iso", str(path), str(path)], "") == \
+        (1, "", HUGE_INT % path)
+    # a readable first graph does not hide an unreadable second one
+    ok = tmp_path / "ok.json"
+    ok.write_text(two_spheres_of_genus(0))
+    assert run_on_stdin(["iso", str(ok), str(path)], "") == \
+        (1, "", HUGE_INT % path)
+
+
+def test_json_integer_at_the_digit_limit_is_read(tmp_path):
+    code, out, err = run_on_stdin(["validate"],
+                                  two_spheres_of_genus("1" * 4300))
+    assert (code, json.loads(out), err) == (0, {"valid": True}, "")
+    code, out, err = run_on_stdin(["validate"],
+                                  two_spheres_of_genus("-" + "9" * 4300))
+    assert code == 2 and err == ""
+    assert json.loads(out)["problems"][0] == \
+        "vertex lo: surface needs genus >= 0"
+
+
+def test_undecodable_input_exits_1(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_on_stdin(["validate", "--in", str(path)], "")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read %s: 'utf-8' codec" % path)
+
+
 @pytest.mark.parametrize("command", ["validate", "render"])
 @pytest.mark.parametrize("doc", [
     [], "x", 3, None, {"vertices": {"a": 1}}, {"vertices": 5},

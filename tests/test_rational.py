@@ -75,7 +75,7 @@ NUMBER = st.builds(
         st.sampled_from(["", "1", "2", "4299", "4300", "4301", "5000",
                          "1_0", "\u0663"]),
         st.sampled_from(["", " ", "\n"])))
-# the forms fmt_rat writes, which parse_rat reads through int
+# the forms fmt_rat writes, which parse_rat reads through int alone
 ASCII = st.text(st.sampled_from("0123456789"), min_size=1, max_size=6) | LONG
 PLAIN = st.builds("".join, st.tuples(st.sampled_from(["", "-"]), ASCII,
                                      st.sampled_from(["", "/"]), ASCII))
@@ -103,6 +103,19 @@ STRINGS = PLAIN | NUMBER | st.text(
 @example(text="0." + "0" * 4300 + "1")
 @example(text="25" + "0" * 4400 + "e-4402")
 @example(text="1e+" + "0" * 4500 + "4299")
+# near the forms fmt_rat writes, which parse_rat reads through int alone:
+# a sign or a space in front, zero values, padding, unreduced fractions and
+# digits that are not ASCII take that path or fall back to Fraction's
+# grammar, which refuses a superscript digit and a zero denominator
+@example(text="+3/4")
+@example(text=" 3/4")
+@example(text="-0/7")
+@example(text="3/06")
+@example(text="-7/14")
+@example(text="\u0663/4")
+@example(text="\u00b2/3")
+@example(text="1_0/3")
+@example(text="7/0")
 def test_parse_rat_matches_fraction(text):
     want = reference_parse(text)
     if want is None:
