@@ -12,8 +12,8 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .dh_measure import extremal_self_intersections
-from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _reach,
-                         isotropy_weights, require_valid)
+from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
+                         _strand_of, isotropy_weights, require_valid)
 
 
 @dataclass(frozen=True)
@@ -46,29 +46,20 @@ class SymbolicBlowup:
     comparable pair (one is extremal, or a chain of spheres with strictly
     rising levels joins them) whose slopes differ; equal slopes never bound
     lambda.  Only the one or two new points move, so only their pairs are
-    built, in O(V + E): with every vertex when the point is extremal, else
-    with the extrema and the vertices a rising or falling chain reaches.
-    ends holds the ids of the minimum and the maximum.  sup is the
-    supremum of the admissible sizes, the least -c0/c1 over the
-    constraints with c1 < 0, or None when no constraint bounds lambda."""
+    built, in O(V): near maps each moving point to the ids it is compared
+    with, None meaning every id (blowup_symbolic reads them off g's
+    strands).  sup is the supremum of the admissible sizes, the least
+    -c0/c1 over the constraints with c1 < 0, or None when no constraint
+    bounds lambda."""
 
-    def __init__(self, vertices, edges, ends):
+    def __init__(self, vertices, edges, near):
         self.vertices = vertices  # id -> (kind, moment aff, area aff|None, genus)
         self.edges = edges
-        mom = {vid: v[1] for vid, v in vertices.items()}
-        up, down = {vid: [] for vid in mom}, {vid: [] for vid in mom}
-        for e in edges:  # a sphere joins two different levels
-            a, b = (e.a, e.b) if mom[e.a] < mom[e.b] else (e.b, e.a)
-            up[a].append(b)
-            down[b].append(a)
         out, done = [], set()
-        for v, (c0, c1) in mom.items():
-            if not c1:
-                continue
-            near = mom if v in ends else \
-                ends | _reach(v, up.get) | _reach(v, down.get)
-            for w, (d0, d1) in mom.items():
-                if d1 != c1 and w in near and w not in done:
+        for v, ids in near.items():
+            c0, c1 = vertices[v][1]
+            for w, (_, (d0, d1), _, _) in vertices.items():
+                if d1 != c1 and w not in done and (ids is None or w in ids):
                     out.append((d0 - c0, d1 - c1) if (d0, d1) > (c0, c1)
                                else (c0 - d0, c1 - d1))
             done.add(v)
@@ -117,7 +108,13 @@ def blowup_symbolic(g, site):
     """The blown-up graph with labels affine in lambda.  Only site.vertex
     is read: the local model is decided from g.  The extrema are g's,
     except that a Distinct blow-up makes its new outer point extremal and
-    an 11 blow-up its new sphere."""
+    an 11 blow-up its new sphere, which are compared with every vertex.
+    A new interior point is compared with the extrema and the points of its
+    strand in the blown-up graph: at small lambda the edges keep their
+    sides, so that strand is p's strand in g, split at p (Interior), or
+    the strand beyond p's weight-m edge (Distinct).  The new point of a
+    Surface blow-up carries no edge, so it is compared with the extrema
+    only."""
     require_valid(g)
     p = g.vertex(site.vertex)
     ends = {g.min_vertex().id, g.max_vertex().id}
@@ -142,11 +139,14 @@ def blowup_symbolic(g, site):
             target = v_hi if g.moment(other) > alpha else v_lo
             edges.append(Edge(target, other, e.k))
         edges.append(Edge(v_lo, v_hi, m + n))
+        strand = ends.union((v_hi, v_lo), _strand_of(g, p.id))
+        near = {v_hi: strand, v_lo: strand}
     elif tag.startswith("Surface"):
         kind, mom, area, genus = sym_vertices[p.id]
         sym_vertices[p.id] = (kind, mom, (area[0], area[1] - 1), genus)
-        sym_vertices[_fresh(ids, p.id + ".new")] = (
-            "point", _aff(alpha, sgn), None, None)
+        v_new = _fresh(ids, p.id + ".new")
+        sym_vertices[v_new] = ("point", _aff(alpha, sgn), None, None)
+        near = {v_new: ends}
     elif tag.endswith("Distinct"):
         n, m = sorted(abs(x) for x in isotropy_weights(g, p.id))
         del sym_vertices[p.id]
@@ -154,19 +154,22 @@ def blowup_symbolic(g, site):
         v_int = _fresh(ids, p.id + ".hi" if sgn > 0 else p.id + ".lo")
         sym_vertices[v_ext] = ("point", _aff(alpha, sgn * n), None, None)
         sym_vertices[v_int] = ("point", _aff(alpha, sgn * m), None, None)
-        ends = (ends - {p.id}) | {v_ext}
         for e in touched:
             target = v_ext if e.k == n else v_int
             edges.append(Edge(target, e.other(p.id), e.k))
         if m - n >= 2:
             edges.append(Edge(v_ext, v_int, m - n))
+        # n < m, so m >= 2 and exactly one edge at p has weight m
+        w = next(e.other(p.id) for e in touched if e.k == m)
+        near = {v_ext: None,
+                v_int: (ends - {p.id}).union((v_ext,), _strand_of(g, w) or ())}
     else:  # IsolatedMin11, IsolatedMax11: the point becomes a sphere
         genus = next((s.genus for s in g.surfaces()), 0)
         del sym_vertices[p.id]
         v_s = _fresh(ids, p.id + ".s")
         sym_vertices[v_s] = ("surface", _aff(alpha, sgn), _aff(0, 1), genus)
-        ends = (ends - {p.id}) | {v_s}
-    return SymbolicBlowup(sym_vertices, edges, ends)
+        near = {v_s: None}
+    return SymbolicBlowup(sym_vertices, edges, near)
 
 
 def instantiate(sb, lam):

@@ -9,6 +9,7 @@ reconstructed on demand by ``extend_graph``.
 
 import hashlib
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -54,6 +55,11 @@ class Edge:
         raise KeyError(vid)
 
 
+# a sphere from the fixed point south up to north, with stabilizer Z_k
+# (k = 1 for a free sphere)
+Sphere = namedtuple("Sphere", "south north k")
+
+
 class DecoratedGraph:
     """A decorated graph, immutable after construction.
 
@@ -76,9 +82,10 @@ class DecoratedGraph:
     ``validate_graph`` computes its result at most once per graph,
     ``_extremal_pair`` the extremal self-intersections,
     ``graph_to_polygon`` the Delzant polygon (``_polygon``) and
-    ``homology`` the chains of spanning spheres of a two-surface graph
-    (``_spheres``); a graph built by a rewrite proved to keep validity is
-    marked valid at once (``_problems = ()``).
+    ``_strands`` the strands of a valid graph, its chains of spheres from
+    the minimum to the maximum (``_spheres``), which ``compare``,
+    ``blowup_symbolic`` and ``homology`` read; a graph built by a rewrite
+    proved to keep validity is marked valid at once (``_problems = ()``).
     """
 
     def __init__(self, vertices, edges=()):
@@ -98,7 +105,7 @@ class DecoratedGraph:
         self._weights = {}      # vid -> isotropy weights
         self._extremal = None   # (e_min, e_max), once solved
         self._polygon = None    # graph_to_polygon's result, once built
-        self._spheres = None    # homology's chains of spheres, once built
+        self._spheres = None    # _strands' chains of spheres, once walked
         self._scale = y = None
         if all(isinstance(v.moment, Fraction) for v in by_id.values()):
             ratios = [(vid, v.moment.as_integer_ratio())
@@ -363,34 +370,26 @@ def isotropy_weights(g, vid):
     return w
 
 
-def _reach(v, step):
-    """The vertices that repeated steps (a function from a vertex to the
-    vertices one step on) reach from v."""
-    seen, todo = set(), [v]
-    while todo:
-        new = set(step(todo.pop())) - seen
-        seen |= new
-        todo += new
-    return seen
-
-
 def compare(g, vid, wid):
-    """Partial order on fixed points: "less", "greater", "incomparable",
-    or "equal".
+    """Partial order on the fixed points of a valid graph: "less",
+    "greater", "incomparable", or "equal".  An id that is not in g is
+    refused.
 
     Two fixed points are comparable when their levels differ and either one
-    of them is extremal or a monotone chain of recorded spheres joins them.
+    of them is extremal or both lie on one strand (_strand_of); between two
+    interior points a strand is made of recorded spheres, so that is a
+    monotone chain of them.
     """
+    require_valid(g)
+    for x in (vid, wid):
+        if x not in g.vertices:
+            raise GraphError("unknown vertex %r" % (x,))
     if vid == wid:
         return "equal"
-    yv, yw = g.moment(vid), g.moment(wid)
-    if yv == yw:
-        return "incomparable"
-    low, high = (vid, wid) if yv < yw else (wid, vid)
-    related = (g.is_extremal(vid) or g.is_extremal(wid)
-               or high in _reach(low, lambda v: [
-                   e.other(v) for e in g.up_edges(v)]))
-    if not related:
+    yv, yw = g._y[vid], g._y[wid]
+    strand = _strand_of(g, vid)
+    if yv == yw or (strand is not None and not g.is_extremal(wid)
+                    and wid not in strand):
         return "incomparable"
     return "less" if yv < yw else "greater"
 
@@ -437,21 +436,21 @@ def canonical_form(g, mode="exact"):
     One branch is enough on a valid graph.  Take away its two extrema,
     whose levels, and so whose labels, are unique.  Every other vertex has
     at most one up and one down edge, so what is left is vertex-disjoint
-    strands: monotone paths, on which levels rise strictly.  A stable
-    colour fixes the label, and so the level, and the multiset of (k,
-    neighbour colour) pairs; the neighbour above and the one below are
-    told apart by their levels.  Walking up and down from two vertices u
-    and v of one colour thus meets the same (k, colour) sequence, out to
-    the same extrema.  So u and v sit at the same place on two strands with
-    the same signature, and the strands are distinct, since one place on
-    one strand is one vertex.  Swapping the two strands place by place is
-    an automorphism that keeps labels and colours.  Each individualised
-    vertex has a colour of its own, so it lies on neither strand and the
-    swap fixes it.  Refinement commutes with such an automorphism, so the
-    swap carries the search below u onto the search below v, and both end
-    in the same listing.  Hence, by induction on the number of tied
-    vertices, every choice of vertex gives one listing, equal to the
-    smallest listing over all choices.
+    strands (the interiors of ``_strands``): monotone paths, on which
+    levels rise strictly.  A stable colour fixes the label, and so the
+    level, and the multiset of (k, neighbour colour) pairs; the neighbour
+    above and the one below are told apart by their levels.  Walking up and
+    down from two vertices u and v of one colour thus meets the same (k,
+    colour) sequence, out to the same extrema.  So u and v sit at the same
+    place on two strands with the same signature, and the strands are
+    distinct, since one place on one strand is one vertex.  Swapping the
+    two strands place by place is an automorphism that keeps labels and
+    colours.  Each individualised vertex has a colour of its own, so it
+    lies on neither strand and the swap fixes it.  Refinement commutes with
+    such an automorphism, so the swap carries the search below u onto the
+    search below v, and both end in the same listing.  Hence, by induction
+    on the number of tied vertices, every choice of vertex gives one
+    listing, equal to the smallest listing over all choices.
 
     Listings and digests stay the same from one version to the next,
     because the digests name enumerated class files.
@@ -598,14 +597,14 @@ def extend_graph(g):
 def _chains(g, frees):
     """The chains of spheres from the minimum to the maximum, made of the
     recorded edges and the given free (k = 1) spheres, (low id, high id)
-    pairs.  Each chain is a tuple of (low id, high id, k) spheres, bottom
-    to top.  Chains are sorted by their interior levels; direct
-    minimum-maximum spheres, the only ties, by k.
+    pairs.  Each chain is a tuple of Spheres, bottom to top.  Chains are
+    sorted by their interior levels; direct minimum-maximum spheres, the
+    only ties, by k.
     """
     lo, hi = g.min_vertex().id, g.max_vertex().id
-    spheres = [(low, e.other(low), e.k)
+    spheres = [Sphere(low, e.other(low), e.k)
                for low, ups in g._up.items() for e in ups]
-    spheres += [(low, high, 1) for low, high in frees]
+    spheres += [Sphere(low, high, 1) for low, high in frees]
     up_of = {}
     starts = []
     for s in spheres:
@@ -616,12 +615,38 @@ def _chains(g, frees):
     chains = []
     for s in starts:
         chain = [s]
-        while chain[-1][1] != hi:
-            chain.append(up_of[chain[-1][1]])
+        while chain[-1].north != hi:
+            chain.append(up_of[chain[-1].north])
         chains.append(tuple(chain))
-    chains.sort(key=lambda c: ([(g._y[s[1]], s[1]) for s in c[:-1]],
-                               [s[2] for s in c]))
+    chains.sort(key=lambda c: ([(g._y[s.north], s.north) for s in c[:-1]],
+                               [s.k for s in c]))
     return chains
+
+
+def _strands(g):
+    """The strands of the valid graph g: its chains of spheres (_chains),
+    with a free sphere from the minimum to each interior point that has no
+    down edge and one to the maximum from each interior point that has no
+    up edge.  An interior point has at most one up and one down edge, so it
+    lies on exactly one strand, and a free sphere meets an extremum.
+    Walked once per graph and kept on it (``_spheres``)."""
+    if g._spheres is None:
+        lo, hi = g.min_vertex().id, g.max_vertex().id
+        ids = g.interior_ids()
+        frees = [(lo, vid) for vid in ids if not g._down[vid]]
+        frees += [(vid, hi) for vid in ids if not g._up[vid]]
+        g._spheres = tuple(_chains(g, frees))
+    return g._spheres
+
+
+def _strand_of(g, vid):
+    """The interior ids on vid's strand in the valid graph g, bottom to
+    top, or None when vid is an extremum."""
+    for strand in _strands(g):
+        ids = [s.north for s in strand[:-1]]
+        if vid in ids:
+            return ids
+    return None
 
 
 # -- JSON --------------------------------------------------------------------

@@ -25,18 +25,11 @@ def _elabel(ci, pos):
 
 
 @dataclass(frozen=True)
-class Sphere:
-    south: str
-    north: str
-    k: int
-
-
-@dataclass(frozen=True)
 class IntersectionData:
     labels: tuple          # spanning set, deterministic order
     matrix: tuple          # symmetric integer pairing, row per label
     basis: tuple           # Bmax, F, and E_i with i >= 2 in each chain
-    chains: tuple          # tuple of tuples of Sphere
+    chains: tuple          # tuple of tuples of graph_core.Sphere
 
     def to_json(self):
         return {"labels": list(self.labels),
@@ -44,25 +37,12 @@ class IntersectionData:
                 "basis": list(self.basis)}
 
 
-def _two_surface_shape(g):
-    lo, hi = g.min_vertex(), g.max_vertex()
-    if lo.kind != "surface" or hi.kind != "surface":
-        raise GraphError("homology needs a graph with two fixed surfaces")
-    return lo, hi
-
-
 def _chain_structure(g):
-    """Chains of invariant spheres, bottom to top, in deterministic order.
-    Built once per graph and kept on it (``_spheres``); a refusal is not
-    kept."""
-    if g._spheres is None:
-        lo, hi = _two_surface_shape(g)
-        ids = g.interior_ids()
-        frees = [(lo.id, vid) for vid in ids if not g.down_edges(vid)]
-        frees += [(vid, hi.id) for vid in ids if not g.up_edges(vid)]
-        g._spheres = tuple(tuple(Sphere(*s) for s in c)
-                           for c in graph_core._chains(g, frees))
-    return g._spheres
+    """Chains of invariant spheres of the valid two-surface graph g, bottom
+    to top, in deterministic order: its strands (graph_core._strands)."""
+    if g.min_vertex().kind != "surface" or g.max_vertex().kind != "surface":
+        raise GraphError("homology needs a graph with two fixed surfaces")
+    return graph_core._strands(g)
 
 
 def _labels(chains):

@@ -7,6 +7,7 @@ drawn; densities become polyline plots with ticks at the breakpoints.
 """
 
 from fractions import Fraction
+from itertools import groupby
 
 from .graph_core import DecoratedGraph
 from .rational import fmt_rat
@@ -42,9 +43,10 @@ def graph_svg(g):
     sy = _scale(ys, _H - _PAD, _PAD)
     order = sorted(g.vertices, key=lambda vid: (g.moment(vid), vid))
     slots = {}
-    for i, vid in enumerate(order):
-        level = [w for w in order if g.moment(w) == g.moment(vid)]
-        slots[vid] = level.index(vid) - Fraction(len(level) - 1, 2)
+    for _, level in groupby(order, key=g.moment):
+        level = list(level)
+        for i, vid in enumerate(level):
+            slots[vid] = i - Fraction(len(level) - 1, 2)
     max_slot = max((abs(s) for s in slots.values()), default=Fraction(1))
     sx = _scale([-max_slot - 1, max_slot + 1], _PAD, _W - _PAD)
     body = []

@@ -6,10 +6,17 @@ its own monotone-path search, and builds the constraint list from every
 order pair, equal slopes included.  The constraints a SymbolicBlowup keeps
 must be exactly those of the pairs with different slopes plus the area
 labels, and must give the same bound and the same monotonicity answers as
-the full list.
+the full list.  compare, which reads the strands of a graph, must give
+the partial order that the same search gives.
 """
 
-from hamgraphs import blowup_sites, blowup_symbolic, monotone_check
+from fractions import Fraction as F
+
+import pytest
+
+from hamgraphs import (DecoratedGraph, Edge, ValidationError, Vertex,
+                       blowup_sites, blowup_symbolic, compare, flip,
+                       monotone_check)
 
 
 def _monotone_path(low, high, level, neighbours):
@@ -89,3 +96,46 @@ def test_order_and_bound_match_reference(enumerated_small):
                     reference_check(full, lam), (rec, site, lam)
             sites += 1
     assert sites > 900
+
+
+def reference_compare(g, v, w):
+    """The partial order by a monotone-path search over the recorded
+    spheres, the way compare decided it before it read strands."""
+    if v == w:
+        return "equal"
+    if g.moment(v) == g.moment(w):
+        return "incomparable"
+    low, high = (v, w) if g.moment(v) < g.moment(w) else (w, v)
+    incident = {vid: [] for vid in g.vertices}
+    for e in g.edges:
+        incident[e.a].append(e.b)
+        incident[e.b].append(e.a)
+    if not (g.is_extremal(v) or g.is_extremal(w) or _monotone_path(
+            low, high, g.moment, incident.__getitem__)):
+        return "incomparable"
+    return "less" if low == v else "greater"
+
+
+def test_compare_matches_reference(enumerated_small):
+    pairs = 0
+    for rec in enumerated_small:
+        for g in (rec.graph, flip(rec.graph)):
+            for v in g.vertices:
+                for w in g.vertices:
+                    assert compare(g, v, w) == reference_compare(g, v, w), \
+                        (rec, v, w)
+                    pairs += 1
+    assert pairs > 8000
+
+
+def test_compare_refuses_an_invalid_graph():
+    # a has two up edges, so the graph is invalid; the search above still
+    # finds a monotone path from a to b
+    g = DecoratedGraph(
+        [Vertex("lo", "point", F(0)), Vertex("a", "point", F(1)),
+         Vertex("b", "point", F(2)), Vertex("c", "point", F(2)),
+         Vertex("hi", "point", F(3))],
+        [Edge("a", "b", 2), Edge("a", "c", 2)])
+    assert reference_compare(g, "a", "b") == "less"
+    with pytest.raises(ValidationError, match="a: more than one up edge"):
+        compare(g, "a", "b")

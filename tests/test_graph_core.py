@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamgraphs import (DecoratedGraph, Edge, NoExtensionError,
+from hamgraphs import (DecoratedGraph, Edge, GraphError, NoExtensionError,
                        ValidationError, Vertex, canonical_form, compare,
                        extend_graph, flip, graph_from_json, graph_to_json,
                        is_isomorphic, isotropy_weights, minimal_graph,
@@ -112,6 +112,14 @@ def test_compare_basic():
     assert compare(g, "a", "b") == "incomparable"
     assert compare(g, "a", "a") == "equal"
     assert compare(g, "b", "lo") == "greater"
+
+
+def test_compare_refuses_unknown_vertices():
+    g = s2s2_graph()
+    for vid, wid in (("zz", "a"), ("a", "zz"), ("zz", "zz")):
+        with pytest.raises(GraphError) as info:
+            compare(g, vid, wid)
+        assert str(info.value) == "unknown vertex 'zz'"
 
 
 def test_compare_is_strict_partial_order():

@@ -85,6 +85,12 @@ def test_chain_structure_is_built_once_per_graph(monkeypatch):
     monkeypatch.setattr(graph_core, "_chains", counting)
     assert intersection_matrix(g) == data
     assert class_values(g) == values
+    # compare and the symbolic blow-up read the same strands
+    for v in g.vertices:
+        for w in g.vertices:
+            graph_core.compare(g, v, w)
+    for site in blowup_sites(g):
+        blowup_symbolic(g, site)
     assert calls == [g]
 
 
