@@ -1,10 +1,11 @@
 """Equivariant blow-up and blow-down as exact graph rewrites.
 
-Blowing up at a fixed point rewrites the graph locally; the new moment and
-area labels are affine functions of the blow-up size lambda.  A symbolic
-blow-up keeps them as affine pairs (c0, c1) meaning c0 + c1*lambda, together
-with the constraints on lambda that keep the order the vertices carry for
-small lambda, so admissible sizes can be computed exactly.
+Blowing up at a fixed point rewrites the graph locally: the one or two new
+points lie at the level of the point they replace plus an integer slope
+times the blow-up size lambda.  A symbolic blow-up keeps g and those
+slopes, and builds the constraints on lambda that keep the order the
+vertices carry for small lambda as integer pairs over g's level index, so
+the admissible sizes cost one Fraction per site, their supremum.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,8 @@ from operator import attrgetter
 
 from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         _strand_of, isotropy_weights, require_valid)
+                         _known_vertex, _strand_of, isotropy_weights,
+                         require_valid)
 
 
 @dataclass(frozen=True)
@@ -30,43 +32,64 @@ class BlowdownSite:
     side: str = ""        # "min" or "max" for the extremal patterns
 
 
-def _aff(c0, c1=0):
-    """The label c0 + c1*lambda, with c0 a Fraction and c1 an int."""
-    return (c0 if isinstance(c0, Fraction) else Fraction(c0), c1)
-
-
-def _aff_at(a, lam):
-    return a[0] + lam * a[1] if a[1] else a[0]
+def _size(lam):
+    """lam, refusing any type but an int or a Fraction: a float, a string
+    or a bool would stand for some other number."""
+    if isinstance(lam, bool) or not isinstance(lam, (int, Fraction)):
+        raise GraphError("blow-up size must be an int or a Fraction, not %s"
+                         % type(lam).__name__)
+    return lam
 
 
 class SymbolicBlowup:
-    """Blown-up graph with labels affine in the blow-up size lambda, which
-    compare as tuples in their order for small lambda.  constraints holds
-    the (c0, c1) with c0 + c1*lambda > 0 for each area label and each
-    comparable pair (one is extremal, or a chain of spheres with strictly
-    rising levels joins them) whose slopes differ; equal slopes never bound
-    lambda.  Only the one or two new points move, so only their pairs are
-    built, in O(V): near maps each moving point to the ids it is compared
-    with, None meaning every id (blowup_symbolic reads them off g's
-    strands).  sup is the supremum of the admissible sizes, the least
-    -c0/c1 over the constraints with c1 < 0, or None when no constraint
-    bounds lambda."""
+    """The blow-up of the valid graph g at its vertex p, of any size lambda.
 
-    def __init__(self, vertices, edges, near):
-        self.vertices = vertices  # id -> (kind, moment aff, area aff|None, genus)
-        self.edges = edges
+    Every vertex of g but p stays as it is.  new lists the one or two new
+    points as (id, kind, c1, genus): on g's integer level index each lies
+    at (Y_p + c1 lambda _scale)/_scale, and a new surface (the sphere of an
+    11 blow-up) has area lambda.  p is dropped, except by a Surface
+    blow-up, which keeps it at its level with its area a (area) becoming
+    a - lambda.  edges are the blown-up graph's edges.
+
+    Only the new points move, so only their pairs are built, in O(V): near
+    maps each new point to the ids it is compared with, None meaning every
+    id (blowup_symbolic reads them off g's strands).  A comparable pair
+    (one is extremal, or a chain of spheres with strictly rising levels
+    joins them) whose slopes differ gives one constraint (dY, dc1): the
+    upper label minus the lower one in their order for small lambda, which
+    is (dY + dc1 lambda _scale)/_scale and must stay positive.  Equal
+    slopes never bound lambda.  sup is the supremum of the admissible
+    sizes, the least dY/(-dc1 _scale) over the constraints with dc1 < 0,
+    found by cross-multiplying integers and capped by a for a Surface
+    blow-up, or None when nothing bounds lambda."""
+
+    def __init__(self, g, p, new, edges, near, area=None):
+        self.g, self.p, self.new, self.edges = g, p, new, edges
+        self.area = area
+        y, yp = g._y, g._y[p]
+        slope = {vid: c1 for vid, _, c1, _ in new}
+        every = (*g.vertices, *slope)
         out, done = [], set()
         for v, ids in near.items():
-            c0, c1 = vertices[v][1]
-            for w, (_, (d0, d1), _, _) in vertices.items():
-                if d1 != c1 and w not in done and (ids is None or w in ids):
-                    out.append((d0 - c0, d1 - c1) if (d0, d1) > (c0, c1)
-                               else (c0 - d0, c1 - d1))
+            c1 = slope[v]
+            for w in every if ids is None else ids:
+                if w in done or (w == p and area is None):
+                    continue
+                d1 = slope.get(w, 0)
+                if d1 != c1:
+                    dy = 0 if w in slope else y[w] - yp
+                    out.append((dy, d1 - c1) if (dy, d1 - c1) > (0, 0)
+                               else (-dy, c1 - d1))
             done.add(v)
-        self.constraints = out + [area for _, _, area, _ in vertices.values()
-                                  if area is not None]
-        self.sup = min((-c0 / c1 for c0, c1 in self.constraints if c1 < 0),
-                       default=None)
+        self.constraints = out
+        num = den = None
+        for dy, dc1 in out:
+            if dc1 < 0 and (num is None or dy * den < num * -dc1):
+                num, den = dy, -dc1
+        sup = None if num is None else Fraction(num, den * g._scale)
+        if area is not None and (sup is None or area < sup):
+            sup = area
+        self.sup = sup
 
 
 def _tag(g, vid):
@@ -92,8 +115,7 @@ def blowup_sites(g):
 
 def site_for_vertex(g, vid):
     require_valid(g)
-    if vid not in g.vertices:
-        raise GraphError("unknown vertex %r" % (vid,))
+    _known_vertex(g, vid)
     return BlowupSite(vid, _tag(g, vid))
 
 
@@ -105,55 +127,48 @@ def _fresh(base_ids, stem):
 
 
 def blowup_symbolic(g, site):
-    """The blown-up graph with labels affine in lambda.  Only site.vertex
-    is read: the local model is decided from g.  The extrema are g's,
-    except that a Distinct blow-up makes its new outer point extremal and
-    an 11 blow-up its new sphere, which are compared with every vertex.
-    A new interior point is compared with the extrema and the points of its
+    """The blow-up of g at site.vertex, of any size.  Only site.vertex is
+    read: the local model is decided from g.  The extrema are g's, except
+    that a Distinct blow-up makes its new outer point extremal and an 11
+    blow-up its new sphere, which are compared with every vertex.  A new
+    interior point is compared with the extrema and the points of its
     strand in the blown-up graph: at small lambda the edges keep their
     sides, so that strand is p's strand in g, split at p (Interior), or
     the strand beyond p's weight-m edge (Distinct).  The new point of a
     Surface blow-up carries no edge, so it is compared with the extrema
     only."""
     require_valid(g)
-    p = g.vertex(site.vertex)
-    ends = {g.min_vertex().id, g.max_vertex().id}
-    alpha = p.moment
-    sym_vertices = {v.id: (v.kind, _aff(v.moment),
-                           None if v.area is None else _aff(v.area), v.genus)
-                    for v in g.vertices.values()}
+    p = _known_vertex(g, site.vertex)
+    lo, hi = g.min_vertex().id, g.max_vertex().id
     edges = [e for e in g.edges if p.id not in (e.a, e.b)]
-    touched = [e for e in g.edges if p.id in (e.a, e.b)]
-    ids = set(sym_vertices)
+    touched = g.edges_at(p.id)
     tag = _tag(g, p.id)
     sgn = -1 if "Max" in tag else 1
+    area = None
     if tag == "Interior":
         wdn, wup = isotropy_weights(g, p.id)
         n, m = -wdn, wup
-        del sym_vertices[p.id]
-        v_hi, v_lo = _fresh(ids, p.id + ".hi"), _fresh(ids, p.id + ".lo")
-        sym_vertices[v_hi] = ("point", _aff(alpha, m), None, None)
-        sym_vertices[v_lo] = ("point", _aff(alpha, -n), None, None)
+        v_hi = _fresh(g.vertices, p.id + ".hi")
+        v_lo = _fresh(g.vertices, p.id + ".lo")
+        new = ((v_hi, "point", m, None), (v_lo, "point", -n, None))
         for e in touched:
             other = e.other(p.id)
-            target = v_hi if g.moment(other) > alpha else v_lo
+            target = v_hi if g._y[other] > g._y[p.id] else v_lo
             edges.append(Edge(target, other, e.k))
         edges.append(Edge(v_lo, v_hi, m + n))
-        strand = ends.union((v_hi, v_lo), _strand_of(g, p.id))
+        strand = (lo, hi, v_hi, v_lo, *_strand_of(g, p.id))
         near = {v_hi: strand, v_lo: strand}
     elif tag.startswith("Surface"):
-        kind, mom, area, genus = sym_vertices[p.id]
-        sym_vertices[p.id] = (kind, mom, (area[0], area[1] - 1), genus)
-        v_new = _fresh(ids, p.id + ".new")
-        sym_vertices[v_new] = ("point", _aff(alpha, sgn), None, None)
-        near = {v_new: ends}
+        area = p.area
+        v_new = _fresh(g.vertices, p.id + ".new")
+        new = ((v_new, "point", sgn, None),)
+        near = {v_new: (lo, hi)}
     elif tag.endswith("Distinct"):
         n, m = sorted(abs(x) for x in isotropy_weights(g, p.id))
-        del sym_vertices[p.id]
-        v_ext = _fresh(ids, p.id + ".lo" if sgn > 0 else p.id + ".hi")
-        v_int = _fresh(ids, p.id + ".hi" if sgn > 0 else p.id + ".lo")
-        sym_vertices[v_ext] = ("point", _aff(alpha, sgn * n), None, None)
-        sym_vertices[v_int] = ("point", _aff(alpha, sgn * m), None, None)
+        v_ext = _fresh(g.vertices, p.id + ".lo" if sgn > 0 else p.id + ".hi")
+        v_int = _fresh(g.vertices, p.id + ".hi" if sgn > 0 else p.id + ".lo")
+        new = ((v_ext, "point", sgn * n, None),
+               (v_int, "point", sgn * m, None))
         for e in touched:
             target = v_ext if e.k == n else v_int
             edges.append(Edge(target, e.other(p.id), e.k))
@@ -162,53 +177,66 @@ def blowup_symbolic(g, site):
         # n < m, so m >= 2 and exactly one edge at p has weight m
         w = next(e.other(p.id) for e in touched if e.k == m)
         near = {v_ext: None,
-                v_int: (ends - {p.id}).union((v_ext,), _strand_of(g, w) or ())}
+                v_int: (hi if sgn > 0 else lo, v_ext,
+                        *(_strand_of(g, w) or ()))}
     else:  # IsolatedMin11, IsolatedMax11: the point becomes a sphere
         genus = next((s.genus for s in g.surfaces()), 0)
-        del sym_vertices[p.id]
-        v_s = _fresh(ids, p.id + ".s")
-        sym_vertices[v_s] = ("surface", _aff(alpha, sgn), _aff(0, 1), genus)
+        v_s = _fresh(g.vertices, p.id + ".s")
+        new = ((v_s, "surface", sgn, genus),)
         near = {v_s: None}
-    return SymbolicBlowup(sym_vertices, edges, near)
+    return SymbolicBlowup(g, p.id, new, edges, near, area)
 
 
 def instantiate(sb, lam):
-    """Evaluate a symbolic blow-up at a concrete size lambda > 0.  At a
-    size that passes monotone_check the graph is marked valid, not
-    validated: a blow-up of a valid graph is valid.  Each model inverts a
-    blow-down proved valid in _rewrite: Interior A, Surface B, Distinct
-    C, 11 D.  At an admissible lambda the carried order holds strictly:
-    every sphere keeps its side, the extrema stay unique, old vertices
-    keep their weights and new ones are coprime.  The far extremum keeps
-    its e; the near one keeps it (Interior: s0, s1 stay), loses exactly 1
-    (Surface), gets -1/(n (m - n)) (Distinct, weights {n, m - n}) or
-    becomes a sphere with e = -1 (11).  Any other size is left to be
-    validated when asked."""
-    lam = Fraction(lam)
-    if lam <= 0:
+    """Evaluate a symbolic blow-up at a concrete size lambda > 0, an int
+    or a Fraction.  Every vertex of g that does not move is reused; for
+    lambda = n/d a new point's level is the one Fraction
+    (Y_p d + c1 n _scale)/(d _scale).  At a size that passes
+    monotone_check the graph is marked valid, not validated: a blow-up of
+    a valid graph is valid.  Each model inverts a blow-down proved valid
+    in _rewrite: Interior A, Surface B, Distinct C, 11 D.  At an
+    admissible lambda the carried order holds strictly: every sphere keeps
+    its side, the extrema stay unique, old vertices keep their weights and
+    new ones are coprime.  The far extremum keeps its e; the near one
+    keeps it (Interior: s0, s1 stay), loses exactly 1 (Surface), gets
+    -1/(n (m - n)) (Distinct, weights {n, m - n}) or becomes a sphere with
+    e = -1 (11).  Any other size is left to be validated when asked."""
+    if _size(lam) <= 0:
         raise GraphError("blow-up size must be positive")
-    g = DecoratedGraph(
-        [Vertex(vid, kind, _aff_at(mom, lam),
-                None if area is None else _aff_at(area, lam), genus)
-         for vid, (kind, mom, area, genus) in sb.vertices.items()], sb.edges)
+    g, p = sb.g, sb.p
+    n, d = lam.numerator, lam.denominator
+    scale = g._scale
+    yp = g._y[p] * d
+    if sb.area is None:
+        vertices = [v for v in g.vertices.values() if v.id != p]
+    else:
+        vertices = [Vertex(p, v.kind, v.moment, sb.area - lam, v.genus)
+                    if v.id == p else v for v in g.vertices.values()]
+    for vid, kind, c1, genus in sb.new:
+        vertices.append(Vertex(vid, kind,
+                               Fraction(yp + c1 * n * scale, d * scale),
+                               Fraction(n, d) if kind == "surface" else None,
+                               genus))
+    h = DecoratedGraph(vertices, sb.edges)
     if monotone_check(sb, lam):
-        g._problems = ()  # validate_graph's cached result: no problems
-    return g
+        h._problems = ()  # validate_graph's cached result: no problems
+    return h
 
 
 def monotone_check(sb, lam):
     """True iff the blown-up labels at lambda respect the carried order
     strictly and all area labels stay positive, that is iff lambda is in
-    (0, sb.sup).  Every constraint (c0, c1) is lexicographically
-    positive: c0 > 0, or c0 = 0 and c1 > 0.  A pair constraint is the
-    difference of two labels with different slopes, taken from the
-    smaller to the larger as tuples.  An area label is a surface area
-    a > 0 of g as (a, 0), that of a blown-up surface as (a, -1), or the
-    new sphere's (0, 1).  So at lambda > 0 a constraint with c1 >= 0 is
-    positive at once, and one with c1 < 0 has c0 > 0 and is positive
-    exactly for lambda < -c0/c1; the least of those is sb.sup."""
-    lam = Fraction(lam)
-    return lam > 0 and (sb.sup is None or lam < sb.sup)
+    (0, sb.sup); lambda must be an int or a Fraction.  Every constraint
+    (dY, dc1) is lexicographically positive: dY > 0, or dY = 0 and
+    dc1 > 0.  A pair constraint is the difference of two labels with
+    different slopes, taken from the smaller to the larger as tuples.  An
+    area label is a surface area a > 0 of g, that of a blown-up surface
+    a - lambda, or the new sphere's lambda.  So at lambda > 0 a constraint
+    with dc1 >= 0 holds at once, and one with dc1 < 0 has dY > 0 and holds
+    exactly for lambda < dY/(-dc1 _scale); g's areas hold at once, a
+    blown-up one exactly for lambda < a, and the sphere's at once.  The
+    least of those bounds is sb.sup."""
+    return _size(lam) > 0 and (sb.sup is None or lam < sb.sup)
 
 
 def max_size(g, site):
@@ -220,7 +248,8 @@ def max_size(g, site):
 
 
 def blowup(g, vid, lam):
-    """Blow up at the vertex by size lambda, refusing non-monotone sizes."""
+    """Blow up at the vertex by size lambda, an int or a Fraction,
+    refusing non-monotone sizes."""
     sb = blowup_symbolic(g, site_for_vertex(g, vid))
     if not monotone_check(sb, lam):
         raise GraphError("monotonicity violated: lambda = %s is not in "

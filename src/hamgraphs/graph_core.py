@@ -74,11 +74,11 @@ class DecoratedGraph:
     ids do not compare.  ``_problems``, ``_extremal_pair``, ``_chains``,
     ``extend_graph``, the ``shift`` mode of ``canonical_form``,
     ``dh_measure.density``, ``toric_geometry.graph_to_polygon``,
-    ``homology.class_values`` and the blow-down site searches read the
-    index and make one ``Fraction`` per number they return, and
-    ``reduce_to_minimal`` keys its memo on it; ``Vertex.moment`` stays the
-    public level.  Each of the index, the edge split and the level order
-    is built in one pass.
+    ``homology.class_values``, the symbolic blow-up and the blow-down
+    site searches read the index and make one ``Fraction`` per number
+    they return, and ``reduce_to_minimal`` keys its memo on it;
+    ``Vertex.moment`` stays the public level.  Each of the index, the edge
+    split and the level order is built in one pass.
     ``validate_graph`` computes its result at most once per graph,
     ``_extremal_pair`` the extremal self-intersections,
     ``graph_to_polygon`` the Delzant polygon (``_polygon``) and
@@ -346,6 +346,15 @@ def require_valid(g):
     return g
 
 
+def _known_vertex(g, vid):
+    """g's vertex vid; an id that is not in g, an unhashable one too, is
+    refused with "unknown vertex ..."."""
+    try:
+        return g.vertices[vid]
+    except (KeyError, TypeError):
+        raise GraphError("unknown vertex %r" % (vid,)) from None
+
+
 def isotropy_weights(g, vid):
     """Weights of the circle action on the tangent space at a fixed point.
 
@@ -382,8 +391,7 @@ def compare(g, vid, wid):
     """
     require_valid(g)
     for x in (vid, wid):
-        if x not in g.vertices:
-            raise GraphError("unknown vertex %r" % (x,))
+        _known_vertex(g, x)
     if vid == wid:
         return "equal"
     yv, yw = g._y[vid], g._y[wid]

@@ -115,36 +115,37 @@ def class_values(g):
 
 
 def positivity_equiv(sb, lams):
-    """Whether, for each lambda in lams, positivity of all class values of
-    the instantiated blow-up agrees with the monotonicity check.  A
-    supremum is positive (see blowup_calculus.monotone_check), so only a
-    missing one is refused."""
+    """Whether, for each lambda in lams, an int or a Fraction, positivity
+    of all class values of the instantiated blow-up agrees with the
+    monotonicity check.  A supremum is positive (see
+    blowup_calculus.monotone_check), so only a missing one is refused."""
     if sb.sup is None:
         raise GraphError("site admits no blow-up at all")
     ref = blowup_calculus.instantiate(sb, sb.sup / 2)
     chains = _chain_structure(ref)
     for lam in lams:
-        lam = Fraction(lam)
+        admissible = blowup_calculus.monotone_check(sb, lam)
         if lam <= 0:
             continue
         inst = blowup_calculus.instantiate(sb, lam)
         positive = all(v > 0 for v in _values_along(inst, chains).values())
-        if positive != blowup_calculus.monotone_check(sb, lam):
+        if positive != admissible:
             return False
     return True
 
 
 def blowup_class_transform(g, values, site, lam):
-    """Transform class values under a blow-up of size lam at the site.
+    """Transform class values under a blow-up of size lam, an int or a
+    Fraction, at the site.
 
     Each curve's value drops by lam times its intersection with the
     exceptional sphere, and the exceptional sphere itself gets value lam.
     Returns values keyed by the spanning labels of the blown-up graph.
     """
-    lam = Fraction(lam)
     require_valid(g)
     chains = _chain_structure(g)
     gb = blowup_calculus.blowup(g, site.vertex, lam)
+    lam = Fraction(lam)
     new_chains = _chain_structure(gb)
     old_ids = [frozenset(s.north for s in c[:-1]) for c in chains]
     out = {BMIN: values[BMIN], BMAX: values[BMAX], FIBER: values[FIBER]}

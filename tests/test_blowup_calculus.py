@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from hamgraphs import (GraphError, blowdown, blowup, blowup_sites,
-                       blowup_symbolic, compare, extremal_self_intersections,
-                       instantiate, is_isomorphic, match_minimal_family,
-                       max_size, minimal_graph, monotone_check,
+from hamgraphs import (GraphError, blowdown, blowup,
+                       blowup_class_transform, blowup_sites,
+                       blowup_symbolic, class_values, compare,
+                       extremal_self_intersections, instantiate,
+                       is_isomorphic, match_minimal_family, max_size,
+                       minimal_graph, monotone_check, positivity_equiv,
                        reduce_to_minimal, toric_geometry, validate_graph)
 from hamgraphs.blowup_calculus import (BlowupSite, blowdown_sites,
                                        site_for_vertex)
 from conftest import chopped_square_graph, s2s2_graph, tent_graph
-from test_carried_order_reference import full_constraints
+from test_carried_order_reference import (affine_model, pair_constraints,
+                                           scaled_constraints)
 
 F = Fraction
 
@@ -63,6 +66,32 @@ def test_monotone_check_bounds():
     assert not monotone_check(sb, F(1))
     assert not monotone_check(sb, F(0))
     assert not monotone_check(sb, F(-1, 2))
+
+
+def test_blowup_size_must_be_an_int_or_a_fraction():
+    # a float, a string or a bool would be read as some other number
+    g = minimal_graph("ruled", 0, 0, 3, 2)
+    vid = g.min_vertex().id
+    site = site_for_vertex(g, vid)
+    sb = blowup_symbolic(g, site)
+    values = class_values(g)
+    for lam, name in ((0.1, "float"), (float("inf"), "float"),
+                      ("1/2", "str"), (True, "bool"), (None, "NoneType")):
+        for call in (lambda: blowup(g, vid, lam),
+                     lambda: instantiate(sb, lam),
+                     lambda: monotone_check(sb, lam),
+                     lambda: positivity_equiv(sb, [lam]),
+                     lambda: blowup_class_transform(g, values, site, lam)):
+            with pytest.raises(GraphError) as info:
+                call()
+            assert str(info.value) == ("blow-up size must be an int or a "
+                                       "Fraction, not " + name)
+    # an int is the Fraction of the same value
+    assert sb.sup == 2 and monotone_check(sb, 1) and not monotone_check(sb, 2)
+    h, h_frac = blowup(g, vid, 1), blowup(g, vid, F(1))
+    assert repr(list(h.vertices.values())) == \
+        repr(list(h_frac.vertices.values()))
+    assert h.edges == h_frac.edges and h._problems == h_frac._problems == ()
 
 
 def test_max_size_hirzebruch():
@@ -116,8 +145,9 @@ def test_carried_order_matches_compare(enumerated_small):
             h = instantiate(sb, sup / 2)
             less = {(a, b) for a in h.vertices for b in h.vertices
                     if compare(h, a, b) == "less"}
-            assert sorted(sb.constraints) == sorted(full_constraints(
-                sb, less, equal_slopes=False)), (rec, site)
+            model, _ = affine_model(sb)
+            assert sorted(scaled_constraints(sb, rec.graph)) == sorted(
+                pair_constraints(model, less, equal_slopes=False)), (rec, site)
             checked += 1
     assert checked > 900
 
@@ -244,7 +274,7 @@ def test_blowup_model_is_derived_from_the_graph():
     right = blowup_symbolic(g, site_for_vertex(g, "b"))
     for wrong in ("SurfaceMin", "IsolatedMin11"):
         sb = blowup_symbolic(g, BlowupSite("b", wrong))
-        assert sb.vertices == right.vertices
+        assert affine_model(sb) == affine_model(right)
         assert sb.edges == right.edges
         assert sb.constraints == right.constraints
         assert sb.sup == right.sup

@@ -3,9 +3,11 @@ replaced.
 
 The reference below decides every vertex pair of a symbolic blow-up with
 its own monotone-path search, and builds the constraint list from every
-order pair, equal slopes included.  The constraints a SymbolicBlowup keeps
-must be exactly those of the pairs with different slopes plus the area
-labels, and must give the same bound and the same monotonicity answers as
+order pair, equal slopes included, and the area labels.  It reads each
+label of the blown-up graph as an affine pair c0 + c1 lambda off two
+instantiations, in Fractions.  The integer constraints a SymbolicBlowup
+keeps, over g's _scale, must be exactly those of the pairs with different
+slopes, and must give the same bound and the same monotonicity answers as
 the full list.  compare, which reads the strands of a graph, must give
 the partial order that the same search gives.
 """
@@ -16,7 +18,7 @@ import pytest
 
 from hamgraphs import (DecoratedGraph, Edge, ValidationError, Vertex,
                        blowup_sites, blowup_symbolic, compare, flip,
-                       monotone_check)
+                       instantiate, monotone_check)
 
 
 def _monotone_path(low, high, level, neighbours):
@@ -40,13 +42,34 @@ def _monotone_path(low, high, level, neighbours):
     return False
 
 
-def reference_order(sb):
-    ids = list(sb.vertices)
-    mom = {vid: sb.vertices[vid][1] for vid in ids}
+def affine_model(sb):
+    """({id: (kind, moment (c0, c1), area (c0, c1) or None, genus)}, edges)
+    of the blow-up sb, each label's affine pair c0 + c1 lambda read off
+    the graphs instantiated at two sizes."""
+    l1, l2 = (F(1), F(2)) if sb.sup is None else (sb.sup / 3, sb.sup / 2)
+    h1, h2 = instantiate(sb, l1), instantiate(sb, l2)
+    assert h1.edges == h2.edges
+
+    def aff(x1, x2):
+        c1 = (x2 - x1) / (l2 - l1)
+        return (x1 - c1 * l1, c1)
+
+    model = {}
+    for v in h1.vertices.values():
+        w = h2.vertex(v.id)
+        model[v.id] = (v.kind, aff(v.moment, w.moment),
+                       None if v.area is None else aff(v.area, w.area),
+                       v.genus)
+    return model, h1.edges
+
+
+def reference_order(model, edges):
+    ids = list(model)
+    mom = {vid: model[vid][1] for vid in ids}
     lo = min(ids, key=lambda v: (mom[v], v))
     hi = max(ids, key=lambda v: (mom[v], v))
     incident = {vid: [] for vid in ids}
-    for e in sb.edges:
+    for e in edges:
         incident[e.a].append(e.b)
         incident[e.b].append(e.a)
     pairs = set()
@@ -61,17 +84,28 @@ def reference_order(sb):
     return pairs
 
 
-def full_constraints(sb, pairs, equal_slopes=True):
+def pair_constraints(model, pairs, equal_slopes=True):
     """(c0, c1) for each (lower, upper) pair, with or without the pairs
-    whose levels have equal slopes, then the area labels."""
+    whose levels have equal slopes."""
     out = []
     for v, w in sorted(pairs):
-        mv, mw = sb.vertices[v][1], sb.vertices[w][1]
+        mv, mw = model[v][1], model[w][1]
         if equal_slopes or mv[1] != mw[1]:
             out.append((mw[0] - mv[0], mw[1] - mv[1]))
-    out += [area for _, _, area, _ in sb.vertices.values()
-            if area is not None]
     return out
+
+
+def full_constraints(model, pairs):
+    """The constraints of every (lower, upper) pair, then the area
+    labels."""
+    return pair_constraints(model, pairs) + [
+        area for _, _, area, _ in model.values() if area is not None]
+
+
+def scaled_constraints(sb, g):
+    """The integer constraints of sb, a blow-up of g, as (c0, c1) with c0
+    a Fraction."""
+    return [(F(dy, g._scale), dc1) for dy, dc1 in sb.constraints]
 
 
 def reference_check(constraints, lam):
@@ -83,11 +117,13 @@ def test_order_and_bound_match_reference(enumerated_small):
     for rec in enumerated_small:
         for site in blowup_sites(rec.graph):
             sb = blowup_symbolic(rec.graph, site)
-            pairs = reference_order(sb)
+            model, edges = affine_model(sb)
+            pairs = reference_order(model, edges)
             # every constraint once: a list equal up to order
-            assert sorted(sb.constraints) == sorted(
-                full_constraints(sb, pairs, equal_slopes=False)), (rec, site)
-            full = full_constraints(sb, pairs)
+            assert sorted(scaled_constraints(sb, rec.graph)) == sorted(
+                pair_constraints(model, pairs, equal_slopes=False)), \
+                (rec, site)
+            full = full_constraints(model, pairs)
             sup = min((-c0 / c1 for c0, c1 in full if c1 < 0), default=None)
             assert sup is not None and sb.sup == sup, (rec, site)
             roots = {-c0 / c1 for c0, c1 in full if c1 != 0}

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from hamgraphs import (DecoratedGraph, Edge, GraphError, NoExtensionError,
-                       ValidationError, Vertex, canonical_form, compare,
-                       extend_graph, flip, graph_from_json, graph_to_json,
-                       is_isomorphic, isotropy_weights, minimal_graph,
-                       polygon_to_graph, require_valid, shift,
-                       validate_graph)
+                       ValidationError, Vertex, blowup, canonical_form,
+                       compare, extend_graph, flip, graph_from_json,
+                       graph_to_json, is_isomorphic, isotropy_weights,
+                       max_size, minimal_graph, polygon_to_graph,
+                       require_valid, shift, validate_graph)
+from hamgraphs.blowup_calculus import BlowupSite, site_for_vertex
 from hamgraphs.graph_core import _chains, _extremal_pair
 from conftest import TENT_POLYGONS, _interior_products, s2s2_graph, tent_graph
 from test_canonical_reference import relabel, twin_chain
@@ -115,11 +116,20 @@ def test_compare_basic():
 
 
 def test_compare_refuses_unknown_vertices():
+    # a list id is not in g either: it must not fail on being unhashable,
+    # here or in the blow-up functions that look a vertex up the same way
     g = s2s2_graph()
-    for vid, wid in (("zz", "a"), ("a", "zz"), ("zz", "zz")):
-        with pytest.raises(GraphError) as info:
-            compare(g, vid, wid)
-        assert str(info.value) == "unknown vertex 'zz'"
+    for bad, message in (("zz", "unknown vertex 'zz'"),
+                         (["a"], "unknown vertex ['a']")):
+        calls = [lambda: compare(g, bad, "a"), lambda: compare(g, "a", bad),
+                 lambda: compare(g, bad, bad),
+                 lambda: site_for_vertex(g, bad),
+                 lambda: blowup(g, bad, F(1, 2)),
+                 lambda: max_size(g, BlowupSite(bad, "Interior"))]
+        for call in calls:
+            with pytest.raises(GraphError) as info:
+                call()
+            assert str(info.value) == message
 
 
 def test_compare_is_strict_partial_order():
