@@ -3,9 +3,9 @@
 Blowing up at a fixed point rewrites the graph locally: the one or two new
 points lie at the level of the point they replace plus an integer slope
 times the blow-up size lambda.  A symbolic blow-up keeps g and those
-slopes, and builds the constraints on lambda that keep the order the
-vertices carry for small lambda as integer pairs over g's level index, so
-the admissible sizes cost one Fraction per site, their supremum.
+slopes, and reads the supremum of the admissible sizes off the spheres at
+the blown-up point and g's level order, on g's integer level index, so
+the admissible sizes cost one Fraction per site.
 """
 
 from dataclasses import dataclass
@@ -14,8 +14,7 @@ from operator import attrgetter
 
 from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         _known_vertex, _strand_of, isotropy_weights,
-                         require_valid)
+                         _known_vertex, isotropy_weights, require_valid)
 
 
 @dataclass(frozen=True)
@@ -49,47 +48,12 @@ class SymbolicBlowup:
     at (Y_p + c1 lambda _scale)/_scale, and a new surface (the sphere of an
     11 blow-up) has area lambda.  p is dropped, except by a Surface
     blow-up, which keeps it at its level with its area a (area) becoming
-    a - lambda.  edges are the blown-up graph's edges.
+    a - lambda.  edges are the blown-up graph's edges, and sup, a positive
+    Fraction, is the supremum of the admissible sizes (blowup_symbolic)."""
 
-    Only the new points move, so only their pairs are built, in O(V): near
-    maps each new point to the ids it is compared with, None meaning every
-    id (blowup_symbolic reads them off g's strands).  A comparable pair
-    (one is extremal, or a chain of spheres with strictly rising levels
-    joins them) whose slopes differ gives one constraint (dY, dc1): the
-    upper label minus the lower one in their order for small lambda, which
-    is (dY + dc1 lambda _scale)/_scale and must stay positive.  Equal
-    slopes never bound lambda.  sup is the supremum of the admissible
-    sizes, the least dY/(-dc1 _scale) over the constraints with dc1 < 0,
-    found by cross-multiplying integers and capped by a for a Surface
-    blow-up, or None when nothing bounds lambda."""
-
-    def __init__(self, g, p, new, edges, near, area=None):
+    def __init__(self, g, p, new, edges, sup, area=None):
         self.g, self.p, self.new, self.edges = g, p, new, edges
-        self.area = area
-        y, yp = g._y, g._y[p]
-        slope = {vid: c1 for vid, _, c1, _ in new}
-        every = (*g.vertices, *slope)
-        out, done = [], set()
-        for v, ids in near.items():
-            c1 = slope[v]
-            for w in every if ids is None else ids:
-                if w in done or (w == p and area is None):
-                    continue
-                d1 = slope.get(w, 0)
-                if d1 != c1:
-                    dy = 0 if w in slope else y[w] - yp
-                    out.append((dy, d1 - c1) if (dy, d1 - c1) > (0, 0)
-                               else (-dy, c1 - d1))
-            done.add(v)
-        self.constraints = out
-        num = den = None
-        for dy, dc1 in out:
-            if dc1 < 0 and (num is None or dy * den < num * -dc1):
-                num, den = dy, -dc1
-        sup = None if num is None else Fraction(num, den * g._scale)
-        if area is not None and (sup is None or area < sup):
-            sup = area
-        self.sup = sup
+        self.sup, self.area = sup, area
 
 
 def _tag(g, vid):
@@ -126,24 +90,67 @@ def _fresh(base_ids, stem):
     return vid
 
 
+def _least(g, a, b):
+    """The lesser of two level ratios (dY, k), each dY/(k _scale) with
+    k > 0, compared by cross-multiplying integers; one Fraction."""
+    (ya, ka), (yb, kb) = a, b
+    dy, k = a if ya * kb <= yb * ka else b
+    return Fraction(dy, k * g._scale)
+
+
 def blowup_symbolic(g, site):
     """The blow-up of g at site.vertex, of any size.  Only site.vertex is
-    read: the local model is decided from g.  The extrema are g's, except
-    that a Distinct blow-up makes its new outer point extremal and an 11
-    blow-up its new sphere, which are compared with every vertex.  A new
-    interior point is compared with the extrema and the points of its
-    strand in the blown-up graph: at small lambda the edges keep their
-    sides, so that strand is p's strand in g, split at p (Interior), or
-    the strand beyond p's weight-m edge (Distinct).  The new point of a
-    Surface blow-up carries no edge, so it is compared with the extrema
-    only."""
+    read: the local model is decided from g.
+
+    A size lambda > 0 is admissible when every vertex keeps its place in
+    the order the blown-up graph carries for small lambda (two vertices
+    are ordered when one is extremal or a chain of spheres with strictly
+    rising levels joins them) and every area stays positive.  Only the new
+    points move, each at rate c1 from Y_p, and at small lambda the edges
+    keep their sides.  So a new point leaves the carried order exactly
+    when it reaches the next vertex on its own sphere, and a new extremum
+    when it reaches the next level of g.  The admissible sizes are the
+    interval (0, sup), and sup is one expression per model, on g's
+    integer level index:
+
+    Interior, weights (-n, m): v_hi rises at rate m along p's up sphere to
+    u, the other end of p's up edge or the maximum when p has none (then
+    m = 1), and v_lo sinks at rate n to d, the other end of p's down edge
+    or the minimum.  The rest of p's strand lies beyond u and d, the
+    extrema bound nothing tighter than u and d, and v_lo and v_hi never
+    cross (slopes -n and m).  So sup = min((Y_u - Y_p)/m, (Y_p - Y_d)/n)
+    / _scale, the lesser area of p's two strand spheres.
+
+    SurfaceMin/Max: the new point carries no edge, so it is ordered with
+    the extrema only and reaches the far one at the fibre's area
+    (Y_max - Y_min)/_scale; p's area a - lambda stays positive up to a.
+    So sup = min(a, (Y_max - Y_min)/_scale).
+
+    Distinct, weights n < m: the new extremum v_ext moves inward at rate
+    n and is ordered with every vertex, so it leaves the order when it
+    reaches the next level of g, gap = |Y - Y_p| at _order[1] (_order[-2]
+    at the maximum); v_int moves faster (rate m), so it stays beyond
+    v_ext.  v_int moves along p's weight-m sphere to its far end w, and
+    w's strand and the far extremum lie beyond w.  So
+    sup = min(gap/n, |Y_w - Y_p|/m)/_scale.
+
+    11: the new sphere is extremal, moves at rate 1 and has area
+    lambda > 0.  So sup = gap/_scale.
+
+    Every term is a positive level difference over a positive weight or a
+    positive area (the extrema are unique and every sphere joins two
+    levels), so sup is a positive Fraction and never None.  Each form reads
+    p's own spheres and two ends of g's level order, in O(1), and makes
+    its one Fraction last."""
     require_valid(g)
     p = _known_vertex(g, site.vertex)
-    lo, hi = g.min_vertex().id, g.max_vertex().id
+    y, yp, order = g._y, g._y[p.id], g._order
     edges = [e for e in g.edges if p.id not in (e.a, e.b)]
     touched = g.edges_at(p.id)
     tag = _tag(g, p.id)
     sgn = -1 if "Max" in tag else 1
+    # the gap from an extremal p to the next level of g
+    gap = abs(y[order[1 if sgn > 0 else -2].id] - yp)
     area = None
     if tag == "Interior":
         wdn, wup = isotropy_weights(g, p.id)
@@ -153,16 +160,18 @@ def blowup_symbolic(g, site):
         new = ((v_hi, "point", m, None), (v_lo, "point", -n, None))
         for e in touched:
             other = e.other(p.id)
-            target = v_hi if g._y[other] > g._y[p.id] else v_lo
+            target = v_hi if y[other] > yp else v_lo
             edges.append(Edge(target, other, e.k))
         edges.append(Edge(v_lo, v_hi, m + n))
-        strand = (lo, hi, v_hi, v_lo, *_strand_of(g, p.id))
-        near = {v_hi: strand, v_lo: strand}
+        up, down = g.up_edges(p.id), g.down_edges(p.id)
+        u = up[0].other(p.id) if up else order[-1].id
+        d = down[0].other(p.id) if down else order[0].id
+        sup = _least(g, (y[u] - yp, m), (yp - y[d], n))
     elif tag.startswith("Surface"):
         area = p.area
         v_new = _fresh(g.vertices, p.id + ".new")
         new = ((v_new, "point", sgn, None),)
-        near = {v_new: (lo, hi)}
+        sup = min(area, Fraction(y[order[-1].id] - y[order[0].id], g._scale))
     elif tag.endswith("Distinct"):
         n, m = sorted(abs(x) for x in isotropy_weights(g, p.id))
         v_ext = _fresh(g.vertices, p.id + ".lo" if sgn > 0 else p.id + ".hi")
@@ -176,15 +185,13 @@ def blowup_symbolic(g, site):
             edges.append(Edge(v_ext, v_int, m - n))
         # n < m, so m >= 2 and exactly one edge at p has weight m
         w = next(e.other(p.id) for e in touched if e.k == m)
-        near = {v_ext: None,
-                v_int: (hi if sgn > 0 else lo, v_ext,
-                        *(_strand_of(g, w) or ()))}
+        sup = _least(g, (gap, n), (abs(y[w] - yp), m))
     else:  # IsolatedMin11, IsolatedMax11: the point becomes a sphere
         genus = next((s.genus for s in g.surfaces()), 0)
         v_s = _fresh(g.vertices, p.id + ".s")
         new = ((v_s, "surface", sgn, genus),)
-        near = {v_s: None}
-    return SymbolicBlowup(g, p.id, new, edges, near, area)
+        sup = Fraction(gap, g._scale)
+    return SymbolicBlowup(g, p.id, new, edges, sup, area)
 
 
 def instantiate(sb, lam):
@@ -200,7 +207,17 @@ def instantiate(sb, lam):
     new ones are coprime.  The far extremum keeps its e; the near one
     keeps it (Interior: s0, s1 stay), loses exactly 1 (Surface), gets
     -1/(n (m - n)) (Distinct, weights {n, m - n}) or becomes a sphere with
-    e = -1 (11).  Any other size is left to be validated when asked."""
+    e = -1 (11).  Every recorded sphere keeps an integer self-intersection
+    (m_low - m_high)/k (graph_core._sphere_square): one away from p keeps
+    the weights at its ends; one of p's spheres moves to a new point whose
+    other weight is p's lowered by k at a lower end (Interior -n to
+    -(m + n); Distinct at a minimum m to m - n and n to n - m) or raised
+    by k at an upper end (Interior m to m + n; Distinct at a maximum, the
+    mirror image), so it loses exactly 1; and the sphere joining the two
+    new points has (-n - m)/(m + n) = -1 (Interior) or
+    (n - m)/(m - n) = -1 (Distinct).  Surface and 11 blow-ups add and move
+    no recorded sphere.  Any other size is left to be validated when
+    asked."""
     if _size(lam) <= 0:
         raise GraphError("blow-up size must be positive")
     g, p = sb.g, sb.p
@@ -224,26 +241,15 @@ def instantiate(sb, lam):
 
 
 def monotone_check(sb, lam):
-    """True iff the blown-up labels at lambda respect the carried order
-    strictly and all area labels stay positive, that is iff lambda is in
-    (0, sb.sup); lambda must be an int or a Fraction.  Every constraint
-    (dY, dc1) is lexicographically positive: dY > 0, or dY = 0 and
-    dc1 > 0.  A pair constraint is the difference of two labels with
-    different slopes, taken from the smaller to the larger as tuples.  An
-    area label is a surface area a > 0 of g, that of a blown-up surface
-    a - lambda, or the new sphere's lambda.  So at lambda > 0 a constraint
-    with dc1 >= 0 holds at once, and one with dc1 < 0 has dY > 0 and holds
-    exactly for lambda < dY/(-dc1 _scale); g's areas hold at once, a
-    blown-up one exactly for lambda < a, and the sphere's at once.  The
-    least of those bounds is sb.sup."""
-    return _size(lam) > 0 and (sb.sup is None or lam < sb.sup)
+    """True iff lambda, an int or a Fraction, is in (0, sb.sup), the
+    admissible sizes (blowup_symbolic)."""
+    return 0 < _size(lam) < sb.sup
 
 
 def max_size(g, site):
-    """(supremum of admissible blow-up sizes, or None when no constraint
-    bounds lambda; whether a blow-up of exactly that size passes
-    monotone_check).  The second is always False: monotone_check needs
-    lambda < sup."""
+    """(supremum of admissible blow-up sizes; whether a blow-up of exactly
+    that size passes monotone_check).  The second is always False:
+    monotone_check needs lambda < sup."""
     return blowup_symbolic(g, site).sup, False
 
 
@@ -384,6 +390,14 @@ def _rewrite(g, site):
     level leaves the other extremum's self-intersection as it was.  Then
     e_min + e_max = -s0 gives the merged point
     -1/(nd) + 1/(d (n + d)) = -1/(n (n + d)), as its weights demand.
+
+    A and C drop the sphere joining the two merged points, and each other
+    sphere at them moves to the merged point, whose other weight along it
+    is raised by k at a lower end or lowered by k at an upper end (the
+    inverse of instantiate's), so its self-intersection (m_low - m_high)/k
+    (graph_core._sphere_square) rises by exactly 1 and stays an integer;
+    every other sphere keeps the weights at its ends.  B and D move no
+    recorded sphere.
 
     D: a point at ext.moment - sgn area replaces the surface ext, beyond
     every other vertex; ext carried no edges.  Solved from the labels, the

@@ -221,13 +221,12 @@ class EnumeratedGraph:
 def enumerate_graphs(seeds, max_blowups):
     """Breadth-first closure of the seed graphs under blow-ups.
 
-    seeds: list of (key, DecoratedGraph).  At every site with a bounded
-    supremum of admissible sizes the blow-up size is half of it, which
-    is admissible (the interval is (0, sup), see
-    blowup_calculus.monotone_check), so instantiate marks each child
-    valid.  Graphs are deduplicated by exact canonical form; output order
-    is deterministic.  A label too long to print raises a ValueError that
-    names the seed's key and the depth.
+    seeds: list of (key, DecoratedGraph).  At every site the blow-up size
+    is half the supremum of admissible sizes, which is admissible (the
+    interval is (0, sup), see blowup_calculus.blowup_symbolic), so
+    instantiate marks each child valid.  Graphs are deduplicated by exact
+    canonical form; output order is deterministic.  A label too long to
+    print raises a ValueError that names the seed's key and the depth.
     """
     def digest_of(g, key, depth):
         try:
@@ -253,8 +252,6 @@ def enumerate_graphs(seeds, max_blowups):
         for rec in frontier:
             for site in blowup_calculus.blowup_sites(rec.graph):
                 sb = blowup_calculus.blowup_symbolic(rec.graph, site)
-                if sb.sup is None:
-                    continue
                 child = blowup_calculus.instantiate(sb, sb.sup / 2)
                 digest = digest_of(child, rec.seed_key, depth)
                 if digest in index:

@@ -202,7 +202,7 @@ def _cmd_blowup(ns):
         for s in sites:
             sup, attain = blowup_calculus.max_size(g, s)
             rows.append({"vertex": s.vertex, "tag": s.tag,
-                         "max_size": None if sup is None else fmt_rat(sup),
+                         "max_size": fmt_rat(sup),
                          "attainable": attain})
         _emit_json({"sites": rows}, ns.out)
         return 0

@@ -83,9 +83,9 @@ class DecoratedGraph:
     ``_extremal_pair`` the extremal self-intersections,
     ``graph_to_polygon`` the Delzant polygon (``_polygon``) and
     ``_strands`` the strands of a valid graph, its chains of spheres from
-    the minimum to the maximum (``_spheres``), which ``compare``,
-    ``blowup_symbolic`` and ``homology`` read; a graph built by a rewrite
-    proved to keep validity is marked valid at once (``_problems = ()``).
+    the minimum to the maximum (``_spheres``), which ``compare`` and
+    ``homology`` read; a graph built by a rewrite proved to keep validity
+    is marked valid at once (``_problems = ()``).
     """
 
     def __init__(self, vertices, edges=()):
@@ -187,9 +187,10 @@ class DecoratedGraph:
 def validate_graph(g):
     """Return a list of human-readable problems; empty means valid.
 
-    The last stage solves the extremal self-intersections from the labels
-    and requires -1/(n n') at an isolated extremum with weights {n, n'} and
-    an integer at a fixed surface.
+    The extremal stage solves the extremal self-intersections from the
+    labels and requires -1/(n n') at an isolated extremum with weights
+    {n, n'} and an integer at a fixed surface.  The last stage requires an
+    integer self-intersection on every recorded sphere (_sphere_square).
 
     The problems are found once per graph and kept on it; each call returns
     a fresh copy.
@@ -297,6 +298,17 @@ def _problems(g):
                                 "{%d, %d} has self-intersection %s, not %s"
                                 % (ext.id, abs(w1), abs(w2), fmt_rat(e),
                                    fmt_rat(Fraction(-1, w1 * w2))))
+    if problems:
+        return problems
+
+    y = g._y
+    for e in g.edges:
+        low, high = (e.a, e.b) if y[e.a] < y[e.b] else (e.b, e.a)
+        square = _sphere_square(g, low, high, e.k)
+        if square.denominator != 1:
+            problems.append("edge %s--%s: sphere of weight %d has non-integer "
+                            "self-intersection %s"
+                            % (e.a, e.b, e.k, fmt_rat(square)))
     return problems
 
 
@@ -377,6 +389,22 @@ def isotropy_weights(g, vid):
             w = (-(downs[0] if downs else 1), ups[0] if ups else 1)
         g._weights[vid] = w
     return w
+
+
+def _sphere_square(g, low, high, k):
+    """S.S = (m_low - m_high)/k, the self-intersection of the sphere of
+    weight k from the fixed point low up to high, where m_low is the
+    isotropy weight at low other than +k and m_high the one at high other
+    than -k; a surface end has other weight 0.  The Atiyah-Bott-Berline-
+    Vergne formula restricted to the sphere gives it, and
+    <c_1, S> = 2 + S.S, so both are integers on the graph of a space
+    (Atiyah and Bott, Topology 23, 1984; Audin, Torus Actions on
+    Symplectic Manifolds, 2004).  An int when it is an integer, so the
+    check on a valid graph makes no Fraction; else a Fraction."""
+    m_low = sum(isotropy_weights(g, low)) - k
+    m_high = sum(isotropy_weights(g, high)) + k
+    square, rest = divmod(m_low - m_high, k)
+    return Fraction(m_low - m_high, k) if rest else square
 
 
 def compare(g, vid, wid):

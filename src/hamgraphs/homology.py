@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import blowup_calculus, graph_core
-from .chain_arith import SURFACE_END, WeightChain, self_intersections
 from .dh_measure import extremal_self_intersections
 from .graph_core import GraphError, require_valid
 
@@ -53,7 +52,9 @@ def _labels(chains):
 
 
 def intersection_matrix(g):
-    """Integer pairing of the spanning curves of a two-surface graph."""
+    """Integer pairing of the spanning curves of a two-surface graph.  The
+    diagonal entry of a chain sphere is its self-intersection
+    (graph_core._sphere_square), an int on a valid graph."""
     ext = extremal_self_intersections(g)
     chains = _chain_structure(g)
     labels = _labels(chains)
@@ -71,10 +72,9 @@ def intersection_matrix(g):
     put(FIBER, BMAX, 1)
     basis = [BMAX, FIBER]
     for ci, chain in enumerate(chains, start=1):
-        ks = [s.k for s in chain]
-        es = self_intersections(WeightChain(ks, SURFACE_END, SURFACE_END))
-        for i, e in enumerate(es, start=1):
-            put(_elabel(ci, i), _elabel(ci, i), e)
+        for i, s in enumerate(chain, start=1):
+            put(_elabel(ci, i), _elabel(ci, i),
+                graph_core._sphere_square(g, s.south, s.north, s.k))
         for i in range(1, len(chain)):
             put(_elabel(ci, i), _elabel(ci, i + 1), 1)
         put(BMIN, _elabel(ci, 1), 1)
@@ -117,10 +117,8 @@ def class_values(g):
 def positivity_equiv(sb, lams):
     """Whether, for each lambda in lams, an int or a Fraction, positivity
     of all class values of the instantiated blow-up agrees with the
-    monotonicity check.  A supremum is positive (see
-    blowup_calculus.monotone_check), so only a missing one is refused."""
-    if sb.sup is None:
-        raise GraphError("site admits no blow-up at all")
+    monotonicity check.  The supremum is a positive Fraction (see
+    blowup_calculus.blowup_symbolic), so sup/2 is admissible."""
     ref = blowup_calculus.instantiate(sb, sb.sup / 2)
     chains = _chain_structure(ref)
     for lam in lams:

@@ -1,15 +1,16 @@
 """The symbolic blow-up on the integer level index against the Fraction
 form it replaced.
 
-``blowup_symbolic`` keeps g, its slopes and integer constraints over g's
-``_scale``, and ``instantiate`` reuses g's vertices and makes one
-``Fraction`` per new level.  The reference below is the form they
-replaced: every vertex of the blown-up graph as a pair (c0, c1) of labels
-c0 + c1 lambda, with c0 a ``Fraction``, and the constraints and the
-supremum built from those pairs.  At every blow-up site both must give
-the same supremum, and at sup/3, sup/2, sup, 2 sup and 1 the same graph:
-the same vertices in the same order, the same edges in the same order and
-the same validity mark.  The graphs are the small enumeration corpus with
+``blowup_symbolic`` keeps g and its slopes and reads the supremum off
+the spheres at the blown-up point on g's ``_scale``, and ``instantiate``
+reuses g's vertices and makes one ``Fraction`` per new level.  The
+reference below is the form they replaced: every vertex of the blown-up
+graph as a pair (c0, c1) of labels c0 + c1 lambda, with c0 a
+``Fraction``, and the pairwise constraints and the supremum built from
+those pairs.  At every blow-up site both must give the same supremum,
+and at sup/3, sup/2, sup, 2 sup and 1 the same graph: the same vertices
+in the same order, the same edges in the same order and the same
+validity mark.  The graphs are the small enumeration corpus with
 its flips, and the 25-prime chain (``_scale`` > 10^36) and the shifted
 corpus of the level-index reference with their flips.
 """

@@ -1,15 +1,15 @@
-"""The blow-up constraints and bound against the pairwise search they
-replaced.
+"""The blow-up bound against the pairwise search it replaced.
 
 The reference below decides every vertex pair of a symbolic blow-up with
 its own monotone-path search, and builds the constraint list from every
 order pair, equal slopes included, and the area labels.  It reads each
 label of the blown-up graph as an affine pair c0 + c1 lambda off two
-instantiations, in Fractions.  The integer constraints a SymbolicBlowup
-keeps, over g's _scale, must be exactly those of the pairs with different
-slopes, and must give the same bound and the same monotonicity answers as
-the full list.  compare, which reads the strands of a graph, must give
-the partial order that the same search gives.
+instantiations, in Fractions.  The closed-form supremum a SymbolicBlowup
+keeps must be the least root of that full list, and must give the same
+monotonicity answers as the list, on the small enumeration corpus and on
+the valid grid graphs, which no blow-up builds, with their flips.
+compare, which reads the strands of a graph, must give the partial order
+that the same search gives.
 """
 
 from fractions import Fraction as F
@@ -19,6 +19,7 @@ import pytest
 from hamgraphs import (DecoratedGraph, Edge, ValidationError, Vertex,
                        blowup_sites, blowup_symbolic, compare, flip,
                        instantiate, monotone_check)
+from test_polygon_reference import grid_graphs
 
 
 def _monotone_path(low, high, level, neighbours):
@@ -46,7 +47,7 @@ def affine_model(sb):
     """({id: (kind, moment (c0, c1), area (c0, c1) or None, genus)}, edges)
     of the blow-up sb, each label's affine pair c0 + c1 lambda read off
     the graphs instantiated at two sizes."""
-    l1, l2 = (F(1), F(2)) if sb.sup is None else (sb.sup / 3, sb.sup / 2)
+    l1, l2 = sb.sup / 3, sb.sup / 2
     h1, h2 = instantiate(sb, l1), instantiate(sb, l2)
     assert h1.edges == h2.edges
 
@@ -102,10 +103,10 @@ def full_constraints(model, pairs):
         area for _, _, area, _ in model.values() if area is not None]
 
 
-def scaled_constraints(sb, g):
-    """The integer constraints of sb, a blow-up of g, as (c0, c1) with c0
-    a Fraction."""
-    return [(F(dy, g._scale), dc1) for dy, dc1 in sb.constraints]
+def least_root(constraints):
+    """The least size at which a constraint c0 + c1 lambda with c1 < 0
+    reaches 0."""
+    return min(-c0 / c1 for c0, c1 in constraints if c1 < 0)
 
 
 def reference_check(constraints, lam):
@@ -113,25 +114,23 @@ def reference_check(constraints, lam):
 
 
 def test_order_and_bound_match_reference(enumerated_small):
+    grid = list(grid_graphs())
+    graphs = [rec.graph for rec in enumerated_small]
+    graphs += grid + [flip(g) for g in grid]
     sites = 0
-    for rec in enumerated_small:
-        for site in blowup_sites(rec.graph):
-            sb = blowup_symbolic(rec.graph, site)
+    for g in graphs:
+        for site in blowup_sites(g):
+            sb = blowup_symbolic(g, site)
             model, edges = affine_model(sb)
-            pairs = reference_order(model, edges)
-            # every constraint once: a list equal up to order
-            assert sorted(scaled_constraints(sb, rec.graph)) == sorted(
-                pair_constraints(model, pairs, equal_slopes=False)), \
-                (rec, site)
-            full = full_constraints(model, pairs)
-            sup = min((-c0 / c1 for c0, c1 in full if c1 < 0), default=None)
-            assert sup is not None and sb.sup == sup, (rec, site)
+            full = full_constraints(model, reference_order(model, edges))
+            sup = least_root(full)
+            assert sb.sup == sup, (g, site)
             roots = {-c0 / c1 for c0, c1 in full if c1 != 0}
             for lam in {sup / 2, sup, 2 * sup} | roots:
                 assert monotone_check(sb, lam) == \
-                    reference_check(full, lam), (rec, site, lam)
+                    reference_check(full, lam), (g, site, lam)
             sites += 1
-    assert sites > 900
+    assert len(grid) > 100 and sites > 1900
 
 
 def reference_compare(g, v, w):

@@ -504,6 +504,43 @@ def test_every_command_rejects_bad_extrema_alike(command, doc, first):
         assert out == "" and err.startswith("error: " + first + ";")
 
 
+def _points(levels, edges):
+    return {"vertices": [{"id": vid, "kind": "point", "moment": y}
+                         for vid, y in levels],
+            "edges": [{"a": a, "b": b, "k": k} for a, b, k in edges]}
+
+
+# two graphs that pass every other condition but carry a sphere whose
+# self-intersection (m_low - m_high)/k is not an integer: S.S = 2/3 on
+# mn--mx and -2/3 on p--q, and 1/5 on mn--p0
+FRACTIONAL_SPHERES = [
+    (_points([("mn", "0"), ("p", "1/2"), ("q", "1"), ("mx", "3/2")],
+             [("mn", "mx", 3), ("p", "q", 3)]),
+     "edge mn--mx: sphere of weight 3 has non-integer self-intersection "
+     "2/3"),
+    (_points([("mn", "0"), ("p0", "1/2"), ("p1", "11/12"),
+              ("p2", "23/24"), ("mx", "1")],
+             [("mn", "mx", 3), ("mn", "p0", 5), ("p0", "p1", 2),
+              ("p1", "p2", 5)]),
+     "edge mn--p0: sphere of weight 5 has non-integer self-intersection "
+     "1/5"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "dh", "minimal", "classify",
+                                     "graph2polygon", "homology", "blowup",
+                                     "blowdown"])
+@pytest.mark.parametrize("doc,first", FRACTIONAL_SPHERES)
+def test_every_command_rejects_a_fractional_sphere_alike(command, doc,
+                                                          first):
+    code, out, err = run_on_stdin([command], json.dumps(doc))
+    assert code == 2 and "Traceback" not in err
+    if command == "validate":
+        assert json.loads(out)["problems"][0] == first
+    else:
+        assert out == "" and err.startswith("error: " + first + ";")
+
+
 # an edge to an unknown vertex, and two vertices on one level
 UNKNOWN_END = {"vertices": [{"id": "lo", "kind": "point", "moment": "0"},
                             {"id": "hi", "kind": "point", "moment": "1"}],

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hamgraphs import (DecoratedGraph, Edge, GraphError, PolygonError,
+from hamgraphs import (DecoratedGraph, Edge, PolygonError,
                        Vertex, affine_normal_form, classify_isolated,
                        density, enumerate_graphs, extend_graph,
                        extremal_self_intersections, graph_to_polygon,
@@ -240,18 +240,16 @@ def grid_graphs():
 
 
 def test_grid_polygons_are_delzant_or_refused():
-    # graphs that come from no space reach the refusals the proof rests on
-    built = refused = 0
+    # every valid grid graph has a polygon: the graphs that come from no
+    # space, which graph_to_polygon refused, now fail validation on a
+    # sphere with a non-integer self-intersection
+    built = 0
     for g in grid_graphs():
-        try:
-            Q = graph_to_polygon(g)
-        except GraphError:
-            refused += 1
-            continue
+        Q = graph_to_polygon(g)
         assert validate_delzant(Q) == [], g
         assert_closes(g, Q)
         built += 1
-    assert built > 100 and refused > 10
+    assert built > 100
 
 
 CHOP_POLYGONS = reference_polygons()

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from hamgraphs import (DecoratedGraph, Edge, GraphError, PolygonError,
-                       Vertex, affine_normal_form, classify_isolated,
-                       density, graph_from_json, graph_to_json,
-                       graph_to_polygon, is_isomorphic, minimal_graph,
-                       polygon_affine_equivalent, polygon_chop,
-                       polygon_from_json, polygon_pushforward,
+                       ValidationError, Vertex, affine_normal_form,
+                       classify_isolated, density, graph_from_json,
+                       graph_to_json, graph_to_polygon, is_isomorphic,
+                       minimal_graph, polygon_affine_equivalent,
+                       polygon_chop, polygon_from_json, polygon_pushforward,
                        polygon_to_fan, polygon_to_graph, total_mass,
                        validate_delzant, validate_fan, validate_graph)
 from conftest import (CHOPPED_SHEARED, CHOPPED_SQUARE, P, PENTAGON,
@@ -231,14 +231,23 @@ def refused_graphs():
          Vertex("p1", "point", F(1)), Vertex("p2", "point", F(1)),
          Vertex("p3", "point", F(1)),
          Vertex("hi", "surface", F(2), area=F(13), genus=0)])
-    # weights 3 along mn-mx and p-q: the chain [1, 3, 1] has no normals
+    return [(minimal_graph("ruled", 2, 1, 1, 1, 0), "positive genus"),
+            (three_on_a_level, "no arrangement of free spheres")]
+
+
+def test_chain_without_normals_is_invalid():
+    # weights 3 along mn-mx and p-q: the chain [1, 3, 1], which has no
+    # integral normals, comes from no space, since the sphere mn-mx has
+    # S.S = (m_mn - m_mx)/3 = 2/3
     no_normals = DecoratedGraph(
         [Vertex("mn", "point", F(0)), Vertex("p", "point", F(1, 2)),
          Vertex("q", "point", F(1)), Vertex("mx", "point", F(3, 2))],
         [Edge("mn", "mx", 3), Edge("p", "q", 3)])
-    return [(minimal_graph("ruled", 2, 1, 1, 1, 0), "positive genus"),
-            (three_on_a_level, "no arrangement of free spheres"),
-            (no_normals, "admits no integral normals")]
+    assert validate_graph(no_normals)[0] == (
+        "edge mn--mx: sphere of weight 3 has non-integer self-intersection "
+        "2/3")
+    with pytest.raises(ValidationError):
+        graph_to_polygon(no_normals)
 
 
 def test_refused_graph_is_refused_on_every_call():
