@@ -14,7 +14,8 @@ from operator import attrgetter
 
 from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         _known_vertex, isotropy_weights, require_valid)
+                         _known_vertex, _weight_table, isotropy_weights,
+                         require_valid)
 
 
 @dataclass(frozen=True)
@@ -286,14 +287,14 @@ def _A_sites(g):
     the upper one with up weight m and the lower one with down weight n,
     becomes one interior point with weights (-n, m).  The size is the
     gap between the two points over k."""
-    y, scale = g._y, g._scale
+    y, scale, weights = g._y, g._scale, _weight_table(g)
     ends = (g.min_vertex().id, g.max_vertex().id)
     for e in g.edges:
         if e.a in ends or e.b in ends:
             continue
         v_bot, v_top = (e.a, e.b) if y[e.a] < y[e.b] else (e.b, e.a)
-        m = isotropy_weights(g, v_top)[1]
-        n = -isotropy_weights(g, v_bot)[0]
+        m = weights[v_top][1]
+        n = -weights[v_bot][0]
         if m + n != e.k:
             continue
         lam = Fraction(y[v_top] - y[v_bot], e.k * scale)
@@ -306,11 +307,12 @@ def _C_sites(g, side, ext, sgn):
     interior point q with weight n + d outward and d inward, joined by an
     edge of weight d when d >= 2, merge into one extremum with weights
     {n, n + d}.  The size is q's distance to ext over d."""
-    a, b = (abs(x) for x in isotropy_weights(g, ext.id))
+    weights = _weight_table(g)
+    a, b = (abs(x) for x in weights[ext.id])
     linked = {e.other(ext.id) for e in g.edges_at(ext.id)}
     y, y0 = g._y, g._y[ext.id]
     for q in g.interior_ids():
-        down, up = isotropy_weights(g, q)
+        down, up = weights[q]
         outward, d = (up, -down) if sgn > 0 else (-down, up)
         if outward != a + b or d not in (a, b) or (d >= 2) != (q in linked):
             continue
@@ -371,10 +373,14 @@ def _rewrite(g, site):
     alone.  The rewrite of a valid graph is valid, so it is marked valid,
     not validated.  sgn is 1 at the minimum and -1 at the maximum.
 
+    On g's integer level index (_y, _scale) the merged level of A and C
+    is one Fraction, as instantiate's levels are.
+
     A: the merged point lies at moment(v_top) - m lambda, m the up weight
-    of v_top and lambda the gap over k = m + n, so strictly between the
-    two points.  It keeps their other edges as one up and one down edge,
-    and every other vertex keeps its weights.  The upper point's weights
+    of v_top and lambda the gap over k = m + n, that is at
+    (n Y_top + m Y_bot)/(k _scale), so strictly between the two points.
+    It keeps their other edges as one up and one down edge, and every
+    other vertex keeps its weights.  The upper point's weights
     (-k, m) are coprime, so gcd(n, m) = gcd(k, m) = 1.  The extremal
     self-intersections depend on the interior points only through
     s0 = sum 1/(m_p n_p) and s1 = sum y_p/(m_p n_p), and both stay the
@@ -382,7 +388,9 @@ def _rewrite(g, site):
     (n y_top + m y_bot)/k.
 
     C: the merged point lies at ext.moment - sgn n lambda, n = (a + b) - d
-    for ext's weights {a, b} and the inward weight d of q, so beyond ext:
+    for ext's weights {a, b} and the inward weight d of q, with lambda =
+    sgn (Y_q - Y_ext)/(d _scale), that is at
+    ((n + d) Y_ext - n Y_q)/(d _scale), so beyond ext:
     it is the unique extremum, it takes ext's other edge and q's outward
     edge, and every other vertex keeps its weights.
     gcd(n, n + d) = gcd(n, d) = 1.  Removing q takes 1/(d (n + d)) from s0
@@ -410,16 +418,19 @@ def _rewrite(g, site):
     self-intersection of the surface rises by exactly 1 while the other
     extremum keeps its own, so both stay integers."""
     sgn = -1 if site.side == "max" else 1
+    y, scale, weights = g._y, g._scale, _weight_table(g)
     if site.pattern == "A":
         v_bot, v_top = site.vertices
-        m = isotropy_weights(g, v_top)[1]
-        result = _merge(g, v_bot, v_top, g.moment(v_top) - m * site.lam)
+        m, n = weights[v_top][1], -weights[v_bot][0]
+        result = _merge(g, v_bot, v_top, Fraction(
+            n * y[v_top] + m * y[v_bot], (m + n) * scale))
     elif site.pattern == "C":
         ext, q = site.vertices
-        down, up = isotropy_weights(g, q)
+        down, up = weights[q]
         d = -down if sgn > 0 else up  # the inward weight of q
-        n = sum(abs(w) for w in isotropy_weights(g, ext)) - d
-        result = _merge(g, ext, q, g.moment(ext) - sgn * n * site.lam)
+        n = sum(abs(w) for w in weights[ext]) - d
+        result = _merge(g, ext, q, Fraction(
+            (n + d) * y[ext] - n * y[q], d * scale))
     elif site.pattern == "D":
         ext = g.vertex(site.vertices[0])
         vertices = [v for v in g.vertices.values() if v.id != ext.id]

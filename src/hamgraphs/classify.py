@@ -15,11 +15,10 @@ from numbers import Rational
 from . import blowup_calculus
 from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         _json_int, _json_str, canonical_form, extend_graph,
-                         flip, require_valid)
+                         _free_capacity, _json_int, _json_str,
+                         canonical_form, extend_graph, flip, require_valid)
 from .rational import parse_rat
-from .toric_geometry import (affine_normal_form, graph_to_polygon,
-                             outward_normal)
+from .toric_geometry import affine_normal_form, graph_to_polygon
 
 
 def _edges(pairs):
@@ -185,20 +184,26 @@ def classify_isolated(g):
     and graph_to_polygon's width equals the density, which is 0 at the
     isolated extrema, so its only horizontal edges are fixed surfaces.
     No proof is known that a free edge never lies away from the extrema,
-    so that is still checked.  graph_to_polygon keeps its polygon on g,
-    so one it has already built is reused."""
+    so that is still checked, by a count on g.  Each edge of the polygon
+    is one sphere of extend_graph's chains, or the direct minimum-maximum
+    free sphere graph_to_polygon adds to a lone chain, and a sphere of
+    weight k has |normal x| = k, so the free (k = 1) spheres are the
+    edges with |normal x| = 1.  A free sphere away from the extrema joins
+    two interior points, a top (no up edge) and a bottom (no down edge),
+    and extend_graph sends the first min(#tops, c) tops to the maximum,
+    c = 2 - #edges at the maximum (_free_capacity), and matches each
+    other top to a bottom (see its docstring).  So such an edge exists
+    exactly when the tops outnumber c.  graph_to_polygon keeps its
+    polygon on g, so one it has already built is reused."""
     require_valid(g)
     if any(v.kind != "point" for v in g.vertices.values()):
         raise GraphError("classify_isolated needs a graph with only "
                          "isolated fixed points")
     P = graph_to_polygon(g)
-    heights = [y for _, y in P.vertices]
-    y_min, y_max = min(heights), max(heights)
-    for p, q in P.edge_list():
-        if abs(outward_normal(p, q)[0]) == 1 and \
-                y_min not in (p[1], q[1]) and y_max not in (p[1], q[1]):
-            raise GraphError("internal failure: free edge away from the "
-                             "extrema")
+    tops = sum(1 for vid in g.interior_ids() if not g.up_edges(vid))
+    if tops > _free_capacity(g, g.max_vertex().id):
+        raise GraphError("internal failure: free edge away from the "
+                         "extrema")
     return affine_normal_form(P)
 
 

@@ -80,7 +80,9 @@ class DecoratedGraph:
     ``Vertex.moment`` stays the public level.  Each of the index, the edge
     split and the level order is built in one pass.
     ``validate_graph`` computes its result at most once per graph,
-    ``_extremal_pair`` the extremal self-intersections,
+    ``isotropy_weights`` fills the weights of every vertex in one pass on
+    its first call (``_weights``), ``_extremal_pair`` the extremal
+    self-intersections,
     ``graph_to_polygon`` the Delzant polygon (``_polygon``) and
     ``_strands`` the strands of a valid graph, its chains of spheres from
     the minimum to the maximum (``_spheres``), which ``compare`` and
@@ -102,7 +104,7 @@ class DecoratedGraph:
         self.vertices = MappingProxyType(by_id)
         self.edges = tuple(edges)
         self._problems = None   # validate_graph's result, once computed
-        self._weights = {}      # vid -> isotropy weights
+        self._weights = {}      # every vid's isotropy weights, once filled
         self._extremal = None   # (e_min, e_max), once solved
         self._polygon = None    # graph_to_polygon's result, once built
         self._spheres = None    # _strands' chains of spheres, once walked
@@ -275,8 +277,9 @@ def _problems(g):
     if problems:
         return problems
 
+    weights = _weight_table(g)
     for vid in g.vertices:
-        w1, w2 = isotropy_weights(g, vid)
+        w1, w2 = weights[vid]
         if gcd(abs(w1), abs(w2)) != 1:
             problems.append("vertex %s: isotropy weights %d, %d not coprime"
                             % (vid, w1, w2))
@@ -292,8 +295,9 @@ def _problems(g):
                 problems.append("vertex %s: fixed surface has non-integer "
                                 "self-intersection %s" % (ext.id, fmt_rat(e)))
         else:
-            w1, w2 = isotropy_weights(g, ext.id)
-            if e != Fraction(-1, w1 * w2):
+            # -1/(w1 w2) in lowest terms, as w1 w2 > 0 at an extremum
+            w1, w2 = weights[ext.id]
+            if e.numerator != -1 or e.denominator != w1 * w2:
                 problems.append("vertex %s: isolated extremum with weights "
                                 "{%d, %d} has self-intersection %s, not %s"
                                 % (ext.id, abs(w1), abs(w2), fmt_rat(e),
@@ -315,11 +319,8 @@ def _problems(g):
 def _weight_products(g):
     """m_p n_p, the product of the weights {-m_p, n_p}, for each interior
     fixed point in level order."""
-    out = []
-    for vid in g.interior_ids():
-        w1, w2 = isotropy_weights(g, vid)
-        out.append((-w1) * w2)
-    return out
+    weights = _weight_table(g)
+    return [-weights[vid][0] * weights[vid][1] for vid in g.interior_ids()]
 
 
 def _extremal_pair(g):
@@ -371,23 +372,48 @@ def isotropy_weights(g, vid):
     """Weights of the circle action on the tangent space at a fixed point.
 
     Returned as an increasing pair of integers.  Missing edges contribute
-    weight 1; a fixed surface contributes weight 0.  Kept on the graph once
-    computed.
+    weight 1; a fixed surface contributes weight 0.  The first call fills
+    the weights of every vertex of g in one pass (_weight_table), and
+    every later call is one lookup.  An id that is not in g is refused
+    with "unknown vertex ...", an unhashable one too.
     """
-    w = g._weights.get(vid)
-    if w is None:
-        lo, hi = g.min_vertex().id, g.max_vertex().id
-        ups = [e.k for e in g.up_edges(vid)]
-        downs = [e.k for e in g.down_edges(vid)]
-        if g.vertex(vid).kind == "surface":
-            w = (0, 1) if vid == lo else (-1, 0)
-        elif vid == lo:
-            w = tuple(sorted((sorted(ups) + [1, 1])[:2]))
-        elif vid == hi:
-            w = tuple(sorted(-k for k in (sorted(downs) + [1, 1])[:2]))
-        else:
-            w = (-(downs[0] if downs else 1), ups[0] if ups else 1)
-        g._weights[vid] = w
+    try:
+        return g._weights[vid]
+    except (KeyError, TypeError):
+        _known_vertex(g, vid)
+    return _weight_table(g)[vid]
+
+
+def _weight_table(g):
+    """g's isotropy weights, id -> pair, filled in one pass over the level
+    order and the up and down edges on the first call and kept on g
+    (``_weights``).  Needs the level order: a graph without one raises
+    IndexError.
+
+    The extrema take their two least edge weights, padded with 1s for
+    missing edges, positive at the minimum and negative at the maximum;
+    an interior point takes the weights of its first down and up edge,
+    or -1 and 1 for a missing one; a fixed surface takes (0, 1) at the
+    minimum and (-1, 0) anywhere else, so an interior surface of a graph
+    that fails validation has weights too."""
+    w = g._weights
+    if not w:
+        order, up, down = g._order, g._up, g._down
+        lo, hi = order[0].id, order[-1].id
+        for v in order:
+            vid = v.id
+            if v.kind == "surface":
+                w[vid] = (0, 1) if vid == lo else (-1, 0)
+            elif vid == lo:
+                w[vid] = tuple(sorted((sorted(e.k for e in up[vid])
+                                       + [1, 1])[:2]))
+            elif vid == hi:
+                w[vid] = tuple(sorted(-k for k in (sorted(
+                    e.k for e in down[vid]) + [1, 1])[:2]))
+            else:
+                ups, downs = up[vid], down[vid]
+                w[vid] = (-downs[0].k if downs else -1,
+                          ups[0].k if ups else 1)
     return w
 
 
@@ -401,8 +427,9 @@ def _sphere_square(g, low, high, k):
     (Atiyah and Bott, Topology 23, 1984; Audin, Torus Actions on
     Symplectic Manifolds, 2004).  An int when it is an integer, so the
     check on a valid graph makes no Fraction; else a Fraction."""
-    m_low = sum(isotropy_weights(g, low)) - k
-    m_high = sum(isotropy_weights(g, high)) + k
+    weights = _weight_table(g)
+    m_low = sum(weights[low]) - k
+    m_high = sum(weights[high]) + k
     square, rest = divmod(m_low - m_high, k)
     return Fraction(m_low - m_high, k) if rest else square
 

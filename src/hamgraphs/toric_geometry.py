@@ -67,10 +67,14 @@ def polygon_from_json(data):
 
 def primitive(dx, dy):
     """Primitive integer vector positively parallel to the rational (dx, dy).
-    (a/b, c/d) is a positive multiple of the integer vector (a d, c b)."""
-    dx, dy = _rat(dx), _rat(dy)
-    ix = dx.numerator * dy.denominator
-    iy = dy.numerator * dx.denominator
+    (a/b, c/d) is a positive multiple of the integer vector (a d, c b);
+    two ints, as affine_normal_form passes, are that vector already."""
+    if isinstance(dx, int) and isinstance(dy, int):
+        ix, iy = dx, dy
+    else:
+        dx, dy = _rat(dx), _rat(dy)
+        ix = dx.numerator * dy.denominator
+        iy = dy.numerator * dx.denominator
     if ix == iy == 0:
         raise ValueError("zero vector")
     g = gcd(ix, iy)
@@ -229,8 +233,10 @@ def graph_to_polygon(g):
     and down on the left, and the turns add up to exactly 2 pi: the
     polygon is simple, strictly convex and counterclockwise, with
     primitive normals of determinant 1 at each corner.  The ChainError
-    conversion and the bottom-corner refusal stay: graphs that pass
-    validate_graph still reach them.
+    conversion and the bottom-corner refusal stay, unproved: no known
+    graph that passes validate_graph reaches either since every recorded
+    sphere must have an integer self-intersection, but no proof shows
+    that none can.
 
     The polygon is built once per graph and kept on it (``_polygon``), so
     every later call returns the same object; a refusal is not kept, and

@@ -120,8 +120,7 @@ def test_blowup_blowdown_round_trip(enumerated):
         g = rec.graph
         for site in blowup_sites(g):
             sup, _ = max_size(g, site)
-            if sup is None or sup <= 0:
-                continue
+            assert sup > 0
             for lam in (sup / 2, sup / 4):
                 h = blowup(g, site.vertex, lam)
                 # a listed site of this size blows the graph back down
@@ -204,14 +203,12 @@ def test_class_positivity_matches_monotonicity():
             sites = blowup_sites(g)
             site = sites[rng.randrange(len(sites))]
             sup, _ = max_size(g, site)
-            if sup is None or sup <= 0:
-                break
+            assert sup > 0
             g = blowup(g, site.vertex, sup * F(1, rng.randint(2, 5)))
         sites = blowup_sites(g)
         site = sites[rng.randrange(len(sites))]
         sup, _ = max_size(g, site)
-        if sup is None or sup <= 0:
-            continue
+        assert sup > 0
         lam = sup * F(rng.randint(1, 8), 4)   # from sup/4 up to 2 sup
         assert positivity_equiv(blowup_symbolic(g, site), [lam])
         triples += 1

@@ -84,8 +84,6 @@ def test_enumerated_children_are_valid(enumerated):
         for site in blowup_sites(rec.graph):
             sb = blowup_symbolic(rec.graph, site)
             sup = sb.sup
-            if sup is None:
-                continue
             child = instantiate(sb, sup / 2)
             assert sup > 0 and monotone_check(sb, sup / 2), site
             assert child._problems == ()

@@ -117,15 +117,18 @@ def test_compare_basic():
 
 def test_compare_refuses_unknown_vertices():
     # a list id is not in g either: it must not fail on being unhashable,
-    # here or in the blow-up functions that look a vertex up the same way
+    # here or in the blow-up functions that look a vertex up the same way;
+    # isotropy_weights refuses it before and after g's weights are filled
     g = s2s2_graph()
     for bad, message in (("zz", "unknown vertex 'zz'"),
                          (["a"], "unknown vertex ['a']")):
-        calls = [lambda: compare(g, bad, "a"), lambda: compare(g, "a", bad),
+        calls = [lambda: isotropy_weights(s2s2_graph(), bad),
+                 lambda: compare(g, bad, "a"), lambda: compare(g, "a", bad),
                  lambda: compare(g, bad, bad),
                  lambda: site_for_vertex(g, bad),
                  lambda: blowup(g, bad, F(1, 2)),
-                 lambda: max_size(g, BlowupSite(bad, "Interior"))]
+                 lambda: max_size(g, BlowupSite(bad, "Interior")),
+                 lambda: isotropy_weights(g, bad)]
         for call in calls:
             with pytest.raises(GraphError) as info:
                 call()

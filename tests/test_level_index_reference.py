@@ -239,7 +239,7 @@ Q1 = Vertex("q", "point", F(2, 5))
 HI = Vertex("hi", "point", F(1))
 
 
-@pytest.mark.parametrize("vertices,edges", [
+MALFORMED = [
     ([LO, P1, HI], [Edge("p", "p", 2)]),                     # self-loop
     ([LO, P1, HI], [Edge("p", "nowhere", 2), Edge("nowhere", "hi", 3)]),
     ([LO, P1, Q1, HI], [Edge("p", "q", 2), Edge("q", "p", 2)]),  # twice
@@ -257,7 +257,10 @@ HI = Vertex("hi", "point", F(1))
     ([LO, P1, HI], [Edge("p", {"hi": 1}, 2)]),
     ([LO, P1, P1, HI], []),                                  # duplicate id
     ([], [Edge("a", "b", 2)]),
-])
+]
+
+
+@pytest.mark.parametrize("vertices,edges", MALFORMED)
 def test_index_matches_reference_on_malformed_graphs(vertices, edges):
     assert_same_index(vertices, edges)
 
