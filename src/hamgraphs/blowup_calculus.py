@@ -553,15 +553,18 @@ def reduce_to_minimal(g):
     its first option builds one.
     """
     require_valid(g)
-    best = {}  # state -> (rank, first site or None, graph after it)
+    # state -> (rank, first site or None, graph after it, state of that
+    # graph or None)
+    best = {}
 
     def solve(cur):
+        """The state of cur, with its entry in best filled."""
         state = _state(cur)
         if state in best:
-            return best[state]
+            return state
         family, options = _minimal_family(cur)
         if family is not None:
-            choice = ((0, 0, -len(cur.vertices)), None, cur)
+            choice = ((0, 0, -len(cur.vertices)), None, cur, None)
         else:
             if options is None:
                 options = _ordered_sites(cur)
@@ -572,20 +575,21 @@ def reduce_to_minimal(g):
             choice = None
             for site in options:
                 nxt = _rewrite(cur, site)
-                (n_other, n_all, size), _, _ = solve(nxt)
+                key = solve(nxt)
+                n_other, n_all, size = best[key][0]
                 rank = (n_other + (site.pattern != "D"), n_all + 1, size)
                 if choice is None or rank > choice[0]:
-                    choice = (rank, site, nxt)
+                    choice = (rank, site, nxt, key)
                     if rank == bound:
                         break
         best[state] = choice
-        return choice
+        return state
 
+    # the best sequence follows the memo from g's state, each entry naming
+    # the state after its step
     steps = []
-    cur = g
-    while True:
-        _, site, nxt = solve(cur)
-        if site is None:
-            return nxt, steps
+    _, site, cur, key = best[solve(g)]
+    while site is not None:
         steps.append(site)
-        cur = nxt
+        _, site, cur, key = best[key]
+    return cur, steps

@@ -332,8 +332,12 @@ _COMMANDS = {
 }
 
 
+_SUBPARSERS = {}  # command name -> its own parser, filled by _parser()
+
+
 @functools.cache
 def _parser():
+    """The full parser, with each command's parser in _SUBPARSERS."""
     p = argparse.ArgumentParser(
         prog="hamgraphs",
         description="Decorated graphs of 4-dimensional Hamiltonian "
@@ -341,7 +345,7 @@ def _parser():
                     "measures, polygons, blow-ups, classification.")
     sub = p.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sp = sub.add_parser(name)
+        sp = _SUBPARSERS[name] = sub.add_parser(name)
         if name == "iso":
             sp.add_argument("paths", nargs=2)
         else:
@@ -370,13 +374,28 @@ def _parser():
     return p
 
 
+def _parse(argv):
+    """(command, namespace) of argv.  A command's own parser reads its
+    arguments; the full parser reads argv when there is no command, an
+    unknown one, a help flag, or an argument the command's parser leaves
+    over, so usage errors and help read as the full parser prints them."""
+    full = _parser()
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is not None and "-h" not in argv and "--help" not in argv:
+        ns, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return argv[0], ns
+    ns = full.parse_args(argv)
+    return ns.command, ns
+
+
 def run(argv=None):
     try:
-        ns = _parser().parse_args(argv)
+        command, ns = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[ns.command](ns)
+        return _COMMANDS[command](ns)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

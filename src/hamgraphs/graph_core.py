@@ -78,7 +78,11 @@ class DecoratedGraph:
     site searches read the index and make one ``Fraction`` per number
     they return, and ``reduce_to_minimal`` keys its memo on it;
     ``Vertex.moment`` stays the public level.  Each of the index, the edge
-    split and the level order is built in one pass.
+    split and the level order is built in one pass: the vertices are keyed
+    by id in one dict comprehension, and only when an id is unhashable or
+    repeated does a second scan name the first such id; one pass over the
+    edges fills the edges at each vertex (a self-loop once) and splits
+    them into up and down edges, with no set built per edge.
     ``validate_graph`` computes its result at most once per graph,
     ``isotropy_weights`` fills the weights of every vertex in one pass on
     its first call (``_weights``), ``_extremal_pair`` the extremal
@@ -91,44 +95,45 @@ class DecoratedGraph:
     """
 
     def __init__(self, vertices, edges=()):
-        by_id = {}
-        for v in vertices:
-            try:
-                seen = v.id in by_id
-            except TypeError:   # an unhashable id cannot be indexed
-                raise ValidationError(["vertex %r: id is not a string"
-                                       % (v.id,)]) from None
-            if seen:
-                raise ValidationError(["duplicate vertex id %r" % v.id])
-            by_id[v.id] = v
+        if not isinstance(vertices, (list, tuple)):
+            vertices = list(vertices)
+        try:
+            by_id = {v.id: v for v in vertices}
+        except TypeError:   # an unhashable id; named below
+            by_id = {}
+        if len(by_id) < len(vertices):
+            _refuse_ids(vertices)
         self.vertices = MappingProxyType(by_id)
-        self.edges = tuple(edges)
+        self.edges = edges = tuple(edges)
         self._problems = None   # validate_graph's result, once computed
         self._weights = {}      # every vid's isotropy weights, once filled
         self._extremal = None   # (e_min, e_max), once solved
         self._polygon = None    # graph_to_polygon's result, once built
         self._spheres = None    # _strands' chains of spheres, once walked
         self._scale = y = None
-        if all(isinstance(v.moment, Fraction) for v in by_id.values()):
-            ratios = [(vid, v.moment.as_integer_ratio())
-                      for vid, v in by_id.items()]
-            self._scale = scale = lcm(*[d for _, (_, d) in ratios])
-            y = {vid: n * (scale // d) for vid, (n, d) in ratios}
+        ratios = [v.moment.as_integer_ratio() for v in vertices
+                  if isinstance(v.moment, Fraction)]
+        if len(ratios) == len(vertices):
+            self._scale = scale = lcm(*[d for _, d in ratios])
+            y = {vid: n * (scale // d) for vid, (n, d) in zip(by_id, ratios)}
         self._y = y
         # the edges at each vertex, and the up and down edges split on _y,
-        # in lists for the vertices an edge touches
+        # in lists for the vertices an edge touches; a self-loop is at its
+        # vertex once
         at, up, down = {}, {}, {}
-        for e in self.edges:
+        for e in edges:
+            a, b = e.a, e.b
             try:
-                ends = {e.a, e.b}
+                has_a, has_b = a in by_id, b in by_id
             except TypeError:   # an unhashable endpoint is no vertex id
                 raise ValidationError(["edge %s--%s: unknown endpoint"
-                                       % (e.a, e.b)]) from None
-            for end in ends:
-                if end in by_id:
-                    at.setdefault(end, []).append(e)
-            if y is not None and e.a in y and e.b in y and y[e.a] != y[e.b]:
-                low, high = (e.a, e.b) if y[e.a] < y[e.b] else (e.b, e.a)
+                                       % (a, b)]) from None
+            if has_a:
+                at.setdefault(a, []).append(e)
+            if has_b and b != a:
+                at.setdefault(b, []).append(e)
+            if has_a and has_b and y is not None and y[a] != y[b]:
+                low, high = (a, b) if y[a] < y[b] else (b, a)
                 up.setdefault(low, []).append(e)
                 down.setdefault(high, []).append(e)
         self._at = dict.fromkeys(by_id, ())
@@ -184,6 +189,21 @@ class DecoratedGraph:
     def __repr__(self):
         return "DecoratedGraph(%d vertices, %d edges)" % (
             len(self.vertices), len(self.edges))
+
+
+def _refuse_ids(vertices):
+    """Raise the ValidationError that names the first vertex id of
+    vertices that cannot key the index: an unhashable id or a repeat."""
+    seen = set()
+    for v in vertices:
+        try:
+            repeat = v.id in seen
+        except TypeError:   # an unhashable id cannot be indexed
+            raise ValidationError(["vertex %r: id is not a string"
+                                   % (v.id,)]) from None
+        if repeat:
+            raise ValidationError(["duplicate vertex id %r" % v.id])
+        seen.add(v.id)
 
 
 def validate_graph(g):
@@ -375,20 +395,24 @@ def isotropy_weights(g, vid):
     weight 1; a fixed surface contributes weight 0.  The first call fills
     the weights of every vertex of g in one pass (_weight_table), and
     every later call is one lookup.  An id that is not in g is refused
-    with "unknown vertex ...", an unhashable one too.
+    with "unknown vertex ...", an unhashable one too, and a graph without
+    a level order (a moment that is not a Fraction, ids that do not
+    compare) with its ValidationError.
     """
     try:
         return g._weights[vid]
     except (KeyError, TypeError):
         _known_vertex(g, vid)
+        if not g._order:
+            require_valid(g)
     return _weight_table(g)[vid]
 
 
 def _weight_table(g):
     """g's isotropy weights, id -> pair, filled in one pass over the level
     order and the up and down edges on the first call and kept on g
-    (``_weights``).  Needs the level order: a graph without one raises
-    IndexError.
+    (``_weights``).  Needs the level order, which isotropy_weights
+    checks for.
 
     The extrema take their two least edge weights, padded with 1s for
     missing edges, positive at the minimum and negative at the maximum;
@@ -750,16 +774,42 @@ def _json_str(d, key):
 
 
 def graph_from_json(data):
+    """The DecoratedGraph of a JSON graph (a dict, or its text).  The
+    vertex rows and the edge rows are read in one loop each: a str id or
+    endpoint and an int weight pass a type test in line, and anything
+    else goes to _json_str or _json_int, which accept a str or int
+    subclass or an integral float and name the field of any other value.
+    A missing key, a row that is not an object and a bad value are all
+    refused as "malformed graph JSON: ..."."""
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        vertices = [Vertex(_json_str(d, "id"), d["kind"],
-                           parse_rat(d["moment"]),
-                           parse_rat(d["area"]) if "area" in d else None,
-                           _json_int(d, "genus") if "genus" in d else None)
-                    for d in data["vertices"]]
-        edges = [Edge(_json_str(d, "a"), _json_str(d, "b"), _json_int(d, "k"))
-                 for d in data.get("edges", [])]
+        vertices = []
+        for d in data["vertices"]:
+            vid = d["id"]
+            if type(vid) is not str:
+                vid = _json_str(d, "id")
+            kind = d["kind"]
+            moment = parse_rat(d["moment"])
+            area = parse_rat(d["area"]) if "area" in d else None
+            genus = None
+            if "genus" in d:
+                genus = d["genus"]
+                if type(genus) is not int:
+                    genus = _json_int(d, "genus")
+            vertices.append(Vertex(vid, kind, moment, area, genus))
+        edges = []
+        for d in data.get("edges", []):
+            a = d["a"]
+            if type(a) is not str:
+                a = _json_str(d, "a")
+            b = d["b"]
+            if type(b) is not str:
+                b = _json_str(d, "b")
+            k = d["k"]
+            if type(k) is not int:
+                k = _json_int(d, "k")
+            edges.append(Edge(a, b, k))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(["malformed graph JSON: %s" % exc]) from exc
     return DecoratedGraph(vertices, edges)

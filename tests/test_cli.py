@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamgraphs import blowdown, blowdown_sites, graph_to_json, minimal_graph
-from hamgraphs.cli import run
+from hamgraphs.cli import _parser, run
 from conftest import CHOPPED_SQUARE, S2S2_POLYGONS, s2s2_graph, tent_graph
 
 F = Fraction
@@ -595,3 +595,47 @@ def test_any_json_on_stdin_exits_cleanly(doc):
         code, _, err = run_on_stdin(["iso", path, path], "")
     assert code in (0, 1, 2), ("iso", text)
     assert "Traceback" not in err
+
+
+# -- argument parsing ---------------------------------------------------------
+
+COMMANDS = ["validate", "iso", "dh", "polygon2graph", "graph2polygon",
+            "blowup", "blowdown", "minimal", "enumerate", "classify",
+            "homology", "render"]
+USAGE_ERRORS = ([[], ["-h"], ["--help"], ["nosuch"]]
+                + [[name, "-h"] for name in COMMANDS]
+                + [["blowdown", "--bogus"], ["blowdown", "extra"],
+                   ["blowdown", "--site", "x"],
+                   ["enumerate", "--max-blowups"], ["iso", "a.json"],
+                   ["minimal", "--bogus", "-h"], ["iso", "a", "b", "c"],
+                   ["render", "--format", "pdf"]])
+
+
+def full_parser_result(argv):
+    """The full parser's own (exit code, stdout, stderr) on argv, with its
+    exit status mapped to an exit code as run maps it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as info:
+            _parser().parse_args(argv)
+    code = 1 if info.value.code not in (0, None) else 0
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_and_help_read_as_the_full_parser_prints_them(
+        monkeypatch, argv):
+    # each command's own parser reads its arguments; what it cannot read
+    # alone, and every help flag, goes to the full parser
+    want = full_parser_result(argv)
+    parsed = []
+    full = _parser()
+
+    def parse_args(args):
+        parsed.append(args)
+        return type(full).parse_args(full, args)
+
+    monkeypatch.setattr(full, "parse_args", parse_args)
+    assert run_on_stdin(argv, "") == want
+    if "-h" in argv or "--help" in argv:
+        assert parsed == [argv]

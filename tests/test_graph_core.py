@@ -107,6 +107,22 @@ def test_isotropy_weights_surfaces():
     assert isotropy_weights(g, "max") == (-1, 0)
 
 
+@pytest.mark.parametrize("vertices,problem", [
+    ([Vertex("a", "point", 1), Vertex("b", "point", F(2))],
+     "vertex a: moment is not rational"),
+    ([Vertex("a", "point", F(0)), Vertex(1, "point", F(1)),
+      Vertex("b", "point", F(2))],
+     "vertex 1: id is not a string")])
+def test_isotropy_weights_refuse_a_graph_without_level_order(vertices,
+                                                             problem):
+    # no level order to read the extrema off: the graph's own problems
+    g = DecoratedGraph(vertices)
+    assert g._order == ()
+    with pytest.raises(ValidationError) as info:
+        isotropy_weights(g, "a")
+    assert str(info.value) == problem
+
+
 def test_compare_basic():
     g = s2s2_graph()
     assert compare(g, "lo", "a") == "less"
