@@ -6,6 +6,13 @@ times the blow-up size lambda.  A symbolic blow-up keeps g and those
 slopes, and reads the supremum of the admissible sizes off the spheres at
 the blown-up point and g's level order, on g's integer level index, so
 the admissible sizes cost one Fraction per site.
+
+Blowing down collapses an exceptional sphere, of genus 0 and
+self-intersection -1.  One on a strand, with S.S = -1 by localization
+(graph_core._sphere_square), merges its two ends into one vertex (patterns
+A, B and C, named by where its ends lie); an extremal fixed sphere with
+e = -1 becomes an isolated extremum (D).  The size of a blow-down is the
+area of the sphere it collapses.
 """
 
 from dataclasses import dataclass
@@ -13,9 +20,9 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .dh_measure import extremal_self_intersections
-from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         _known_vertex, _weight_table, isotropy_weights,
-                         require_valid)
+from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _exact,
+                         _known_vertex, _strand_frees, _weight_table,
+                         isotropy_weights, require_valid)
 
 
 @dataclass(frozen=True)
@@ -30,15 +37,6 @@ class BlowdownSite:
     vertices: tuple       # ids consumed by the rewrite
     lam: Fraction
     side: str = ""        # "min" or "max" for the extremal patterns
-
-
-def _size(lam):
-    """lam, refusing any type but an int or a Fraction: a float, a string
-    or a bool would stand for some other number."""
-    if isinstance(lam, bool) or not isinstance(lam, (int, Fraction)):
-        raise GraphError("blow-up size must be an int or a Fraction, not %s"
-                         % type(lam).__name__)
-    return lam
 
 
 class SymbolicBlowup:
@@ -201,8 +199,9 @@ def instantiate(sb, lam):
     lambda = n/d a new point's level is the one Fraction
     (Y_p d + c1 n _scale)/(d _scale).  At a size that passes
     monotone_check the graph is marked valid, not validated: a blow-up of
-    a valid graph is valid.  Each model inverts a blow-down proved valid
-    in _rewrite: Interior A, Surface B, Distinct C, 11 D.  At an
+    a valid graph is valid.  Each model inverts the blow-down that
+    collapses the exceptional sphere it creates, whose rewrite _rewrite
+    proves valid: Interior A, Surface B, Distinct C, 11 D.  At an
     admissible lambda the carried order holds strictly: every sphere keeps
     its side, the extrema stay unique, old vertices keep their weights and
     new ones are coprime.  The far extremum keeps its e; the near one
@@ -219,7 +218,7 @@ def instantiate(sb, lam):
     (n - m)/(m - n) = -1 (Distinct).  Surface and 11 blow-ups add and move
     no recorded sphere.  Any other size is left to be validated when
     asked."""
-    if _size(lam) <= 0:
+    if _exact(lam, "blow-up size") <= 0:
         raise GraphError("blow-up size must be positive")
     g, p = sb.g, sb.p
     n, d = lam.numerator, lam.denominator
@@ -244,7 +243,7 @@ def instantiate(sb, lam):
 def monotone_check(sb, lam):
     """True iff lambda, an int or a Fraction, is in (0, sb.sup), the
     admissible sizes (blowup_symbolic)."""
-    return 0 < _size(lam) < sb.sup
+    return 0 < _exact(lam, "blow-up size") < sb.sup
 
 
 def max_size(g, site):
@@ -266,103 +265,63 @@ def blowup(g, vid, lam):
 
 # -- blow-down ---------------------------------------------------------------
 
-def _merge_id(g, *parts):
-    return _fresh(set(g.vertices), "+".join(parts))
-
-
-def _merge(g, u, w, mu):
-    """g with the points u and w merged into one point at level mu and the
-    spheres between them dropped."""
-    merged = _merge_id(g, u, w)
-    vertices = [v for v in g.vertices.values() if v.id not in (u, w)]
-    vertices.append(Vertex(merged, "point", mu))
-    edges = [Edge(merged if e.a in (u, w) else e.a,
-                  merged if e.b in (u, w) else e.b, e.k)
-             for e in g.edges if {e.a, e.b} != {u, w}]
-    return DecoratedGraph(vertices, edges)
-
-
-def _A_sites(g):
-    """Pattern A: an edge of weight k = m + n between two interior points,
-    the upper one with up weight m and the lower one with down weight n,
-    becomes one interior point with weights (-n, m).  The size is the
-    gap between the two points over k."""
-    y, scale, weights = g._y, g._scale, _weight_table(g)
-    ends = (g.min_vertex().id, g.max_vertex().id)
-    for e in g.edges:
-        if e.a in ends or e.b in ends:
-            continue
-        v_bot, v_top = (e.a, e.b) if y[e.a] < y[e.b] else (e.b, e.a)
-        m = weights[v_top][1]
-        n = -weights[v_bot][0]
-        if m + n != e.k:
-            continue
-        lam = Fraction(y[v_top] - y[v_bot], e.k * scale)
-        yield (0, -e.k, (v_bot, v_top)), BlowdownSite("A", (v_bot, v_top),
-                                                      lam)
-
-
-def _C_sites(g, side, ext, sgn):
-    """Pattern C: the isolated extremum ext with weights {n, d} and an
-    interior point q with weight n + d outward and d inward, joined by an
-    edge of weight d when d >= 2, merge into one extremum with weights
-    {n, n + d}.  The size is q's distance to ext over d."""
-    weights = _weight_table(g)
-    a, b = (abs(x) for x in weights[ext.id])
-    linked = {e.other(ext.id) for e in g.edges_at(ext.id)}
-    y, y0 = g._y, g._y[ext.id]
-    for q in g.interior_ids():
-        down, up = weights[q]
-        outward, d = (up, -down) if sgn > 0 else (-down, up)
-        if outward != a + b or d not in (a, b) or (d >= 2) != (q in linked):
-            continue
-        lam = Fraction(abs(y[q] - y0), d * g._scale)
-        yield ((1, lam, side != "min", (ext.id, q)),
-               BlowdownSite("C", (ext.id, q), lam, side))
-
-
-def _D_sites(g, side, ext):
-    """Pattern D: the extremal fixed surface ext becomes an isolated
-    extremum with weights {1, 1}, one area beyond it.  This is the inverse
-    of a blow-up exactly when ext is an exceptional sphere: genus 0 and
-    self-intersection -1 (McDuff, "The structure of rational and ruled
-    symplectic 4-manifolds", JAMS 3, 1990)."""
-    if ext.genus == 0 and getattr(extremal_self_intersections(g),
-                                  "e_" + side) == -1:
-        yield (2, side != "min"), BlowdownSite("D", (ext.id,), ext.area,
-                                               side)
-
-
-def _B_sites(g, side, ext):
-    """Pattern B: an interior point q without edges is absorbed into the
-    extremal fixed surface ext, whose area grows by q's distance to it."""
-    y, y0 = g._y, g._y[ext.id]
-    for q in g.interior_ids():
-        if g.edges_at(q):
-            continue
-        gap = abs(y[q] - y0)  # orders the B sites of both sides as lam
-        yield ((3, gap, side != "max", (q,)),
-               BlowdownSite("B", (q,), Fraction(gap, g._scale), side))
-
-
 def _ordered_sites(g):
-    """Every blow-down site of g in preference order: A sites with the
-    largest edge weight first, then C (smaller size, min side first), then
-    D (min side first), then B (smaller size, max side first).  Each site
-    search yields (preference key, site); C sites lie at an isolated
-    extremum, D and B sites at a fixed surface.  g must be valid.  The
-    searches compare levels on the integer index (_scale, _y) and make one
-    Fraction per size, the integer gap over k _scale (A), d _scale (C) or
-    _scale (B); B sites are ordered by the gap itself.  No rewrite is
-    built here: _rewrite builds the one a caller takes."""
-    options = list(_A_sites(g))
-    for side, ext, sgn in (("min", g.min_vertex(), 1),
-                           ("max", g.max_vertex(), -1)):
+    """Every blow-down site of the valid graph g in preference order: A
+    sites with the largest edge weight first, then C (smaller size, min
+    side first), then D (min side first), then B (smaller size, max side
+    first).  No rewrite is built here: _rewrite builds the one a caller
+    takes.
+
+    Undoing a blow-up collapses an exceptional sphere: genus 0 and
+    self-intersection -1 (McDuff, "The structure of rational and ruled
+    symplectic 4-manifolds", JAMS 3, 1990).  A, B and C collapse a sphere
+    of a strand: a recorded edge, or a free sphere that _strands adds
+    (_strand_frees).  Such a sphere of weight k from low up to high is a
+    site exactly when S.S = (m_low - m_high)/k = -1
+    (graph_core._sphere_square), it does not join the two extrema, and,
+    when it is free, an isolated extremum at its end has a free weight
+    (1 at the minimum, -1 at the maximum; a surface's (0, 1) or (-1, 0)
+    and an interior end always have it).  Its pattern is A when both ends
+    are interior, C when one is an isolated extremum and B when one is a
+    fixed surface, and its size lambda is its area
+    (Y_high - Y_low)/(k _scale), one Fraction on g's integer level index.
+    B sites are ordered by the gap Y_high - Y_low itself.  D collapses an
+    extremal fixed surface of genus 0 and e = -1 (_rewrite)."""
+    y, scale, weights = g._y, g._scale, _weight_table(g)
+    lo, hi = g.min_vertex(), g.max_vertex()
+    lo_id, hi_id = lo.id, hi.id
+    spheres = [(low, e.other(low), e.k) for low, ups in g._up.items()
+               for e in ups]
+    # a free sphere has weight 1 at its low end and -1 at its high end,
+    # which an interior end has by construction
+    spheres += [(low, high, 1) for low, high in _strand_frees(g)
+                if 1 in weights[low] and -1 in weights[high]]
+    options = []
+    for low, high, k in spheres:
+        # S.S = (m_low - m_high)/k (_sphere_square), where m_low =
+        # sum(weights[low]) - k and m_high = sum(weights[high]) + k, is -1
+        # exactly when the two weight sums differ by k
+        if (sum(weights[low]) - sum(weights[high]) != k
+                or (low == lo_id and high == hi_id)):
+            continue
+        lam = Fraction(y[high] - y[low], k * scale)
+        if low != lo_id and high != hi_id:
+            options.append(((0, -k, (low, high)),
+                            BlowdownSite("A", (low, high), lam)))
+            continue
+        side, ext, q = ("min", lo, high) if low == lo_id else ("max", hi, low)
         if ext.kind == "point":
-            options += _C_sites(g, side, ext, sgn)
+            options.append(((1, lam, side != "min", (ext.id, q)),
+                            BlowdownSite("C", (ext.id, q), lam, side)))
         else:
-            options += _D_sites(g, side, ext)
-            options += _B_sites(g, side, ext)
+            options.append(((3, y[high] - y[low], side != "max", (q,)),
+                            BlowdownSite("B", (q,), lam, side)))
+    for side, ext in (("min", lo), ("max", hi)):
+        if (ext.kind == "surface" and ext.genus == 0
+                and getattr(extremal_self_intersections(g),
+                            "e_" + side) == -1):
+            options.append(((2, side != "min"),
+                            BlowdownSite("D", (ext.id,), ext.area, side)))
     options.sort(key=lambda option: option[0])
     return [site for _, site in options]
 
@@ -371,78 +330,88 @@ def _rewrite(g, site):
     """The graph that the blow-down at site leaves, for a site that
     _ordered_sites lists for the valid graph g, built from g and the site
     alone.  The rewrite of a valid graph is valid, so it is marked valid,
-    not validated.  sgn is 1 at the minimum and -1 at the maximum.
+    not validated.
 
-    On g's integer level index (_y, _scale) the merged level of A and C
-    is one Fraction, as instantiate's levels are.
+    A, B and C merge the two ends of the sphere of weight k from low up to
+    high into one vertex with weights {m_low, m_high}, where m_low is the
+    weight at low other than +k and m_high the one at high other than -k.
+    It lies at moment(low) - m_low lambda, which is moment(high) -
+    m_high lambda, since the heights differ by k lambda and the weights by
+    m_high - m_low = k (S.S = -1).  With m_low = sum(weights[low]) - k
+    and m_high = sum(weights[high]) + k, that also gives k as the
+    difference of the two weight sums, and on g's integer level index the
+    level is the one Fraction (k Y_low - m_low (Y_high - Y_low))/(k
+    _scale).  When one
+    end is a fixed surface (B) the merged vertex is that surface, at its
+    own level, with its area raised by lambda; else it is a new point.
+    The sphere is dropped, and every other sphere at its ends moves to the
+    merged vertex.
 
-    A: the merged point lies at moment(v_top) - m lambda, m the up weight
-    of v_top and lambda the gap over k = m + n, that is at
-    (n Y_top + m Y_bot)/(k _scale), so strictly between the two points.
-    It keeps their other edges as one up and one down edge, and every
-    other vertex keeps its weights.  The upper point's weights
-    (-k, m) are coprime, so gcd(n, m) = gcd(k, m) = 1.  The extremal
-    self-intersections depend on the interior points only through
-    s0 = sum 1/(m_p n_p) and s1 = sum y_p/(m_p n_p), and both stay the
-    same: 1/(mn) = 1/(mk) + 1/(nk), and the merged level is
-    (n y_top + m y_bot)/k.
+    Why the rule is exact.  A: both ends are interior, m_low = -n and
+    m_high = m for the down weight n of low and the up weight m of high,
+    so S.S = -(m + n)/k is -1 iff k = m + n, and the merged point has
+    weights (-n, m), strictly between the two levels.  C at the minimum
+    ext, weights {a, b} with k = d one of them, and q above it with up
+    weight u: m_low = a + b - d and m_high = u, so S.S = -1 iff
+    u = a + b, and the merged point is the minimum with weights
+    {a + b - d, a + b}, beyond ext.  B at a surface minimum: k = 1,
+    m_low = 0 and m_high is q's up weight, so S.S = -1 iff q has no
+    edges.  The maximum is the mirror image.  These are the inverses of
+    the Interior, Distinct and Surface blow-ups: coprimality holds, since
+    gcd(n, m) = gcd(k, m) = 1 and gcd(a + b - d, a + b) = gcd(d, a + b) =
+    1; the extremal self-intersections depend on the interior points only
+    through s0 = sum 1/(m_p n_p) and s1 = sum y_p/(m_p n_p), so A keeps
+    both (1/(mn) = 1/(mk) + 1/(nk)), C gives its merged extremum
+    -1/(d (a + b - d)) + 1/(d (a + b)) = -1/((a + b - d)(a + b)) as its
+    weights demand while the other extremum keeps its e, and B raises e
+    at the surface by exactly 1.  Every other sphere at a merged end has
+    its other weight raised by k at a lower end or lowered by k at an
+    upper end (the inverse of instantiate's), so its self-intersection
+    (m_low - m_high)/k rises by exactly 1 and stays an integer; every
+    other sphere keeps the weights at its ends.
 
-    C: the merged point lies at ext.moment - sgn n lambda, n = (a + b) - d
-    for ext's weights {a, b} and the inward weight d of q, with lambda =
-    sgn (Y_q - Y_ext)/(d _scale), that is at
-    ((n + d) Y_ext - n Y_q)/(d _scale), so beyond ext:
-    it is the unique extremum, it takes ext's other edge and q's outward
-    edge, and every other vertex keeps its weights.
-    gcd(n, n + d) = gcd(n, d) = 1.  Removing q takes 1/(d (n + d)) from s0
-    and its level share from s1, which together with the new extremal
-    level leaves the other extremum's self-intersection as it was.  Then
-    e_min + e_max = -s0 gives the merged point
-    -1/(nd) + 1/(d (n + d)) = -1/(n (n + d)), as its weights demand.
-
-    A and C drop the sphere joining the two merged points, and each other
-    sphere at them moves to the merged point, whose other weight along it
-    is raised by k at a lower end or lowered by k at an upper end (the
-    inverse of instantiate's), so its self-intersection (m_low - m_high)/k
-    (graph_core._sphere_square) rises by exactly 1 and stays an integer;
-    every other sphere keeps the weights at its ends.  B and D move no
-    recorded sphere.
-
-    D: a point at ext.moment - sgn area replaces the surface ext, beyond
-    every other vertex; ext carried no edges.  Solved from the labels, the
-    new point has self-intersection -1, as its weights {1, 1} demand,
-    exactly when ext had -1, which the search requires; the other
-    extremum then keeps its own.
-
-    B: the surface's area grows by lambda, q's distance to it.  q has
-    weights (-1, 1) and touches no other vertex, and the
-    self-intersection of the surface rises by exactly 1 while the other
-    extremum keeps its own, so both stay integers."""
+    D: a point at ext.moment - sgn area, sgn 1 at the minimum and -1 at
+    the maximum, replaces the extremal surface ext, beyond every other
+    vertex; ext carried no edges.  Solved from the labels, the new point
+    has self-intersection -1, as its weights {1, 1} demand, exactly when
+    ext had -1, which the search requires; the other extremum then keeps
+    its own."""
     sgn = -1 if site.side == "max" else 1
-    y, scale, weights = g._y, g._scale, _weight_table(g)
-    if site.pattern == "A":
-        v_bot, v_top = site.vertices
-        m, n = weights[v_top][1], -weights[v_bot][0]
-        result = _merge(g, v_bot, v_top, Fraction(
-            n * y[v_top] + m * y[v_bot], (m + n) * scale))
-    elif site.pattern == "C":
-        ext, q = site.vertices
-        down, up = weights[q]
-        d = -down if sgn > 0 else up  # the inward weight of q
-        n = sum(abs(w) for w in weights[ext]) - d
-        result = _merge(g, ext, q, Fraction(
-            (n + d) * y[ext] - n * y[q], d * scale))
-    elif site.pattern == "D":
+    if site.pattern == "D":
         ext = g.vertex(site.vertices[0])
         vertices = [v for v in g.vertices.values() if v.id != ext.id]
-        vertices.append(Vertex(_merge_id(g, ext.id), "point",
+        vertices.append(Vertex(_fresh(g.vertices, ext.id), "point",
                                ext.moment - sgn * ext.area))
         result = DecoratedGraph(vertices, g.edges)
     else:
-        ext = g.min_vertex() if sgn > 0 else g.max_vertex()
-        vertices = [Vertex(v.id, v.kind, v.moment, v.area + site.lam,
-                           v.genus) if v.id == ext.id else v
-                    for v in g.vertices.values() if v.id != site.vertices[0]]
-        result = DecoratedGraph(vertices, g.edges)
+        ends = site.vertices
+        if site.pattern == "B":
+            ends = ((g.min_vertex() if sgn > 0 else g.max_vertex()).id,
+                    ends[0])
+        low, high = ends if sgn > 0 else ends[::-1]
+        u, w = g.vertices[low], g.vertices[high]
+        if "surface" in (u.kind, w.kind):
+            # neither end carries an edge: a surface has none, and S.S = -1
+            # leaves the point none
+            s = u if u.kind == "surface" else w
+            merged = Vertex(s.id, s.kind, s.moment, s.area + site.lam,
+                            s.genus)
+            edges = g.edges
+        else:
+            y, weights = g._y, _weight_table(g)
+            k = sum(weights[low]) - sum(weights[high])
+            m_low = sum(weights[low]) - k
+            merged = Vertex(_fresh(g.vertices, "+".join(site.vertices)),
+                            "point", Fraction(
+                                k * y[low] - m_low * (y[high] - y[low]),
+                                k * g._scale))
+            at = {low: merged.id, high: merged.id}
+            # the sphere goes, and the other edges at its ends move
+            edges = [Edge(at.get(e.a, e.a), at.get(e.b, e.b), e.k)
+                     for e in g.edges if e.a not in at or e.b not in at]
+        vertices = [v for v in g.vertices.values() if v.id not in (low, high)]
+        vertices.append(merged)
+        result = DecoratedGraph(vertices, edges)
     result._problems = ()  # validate_graph's cached result: no problems
     return result
 

@@ -197,6 +197,8 @@ def _cmd_graph2polygon(ns):
 def _cmd_blowup(ns):
     g = _load_graph(getattr(ns, "in"))
     if ns.vertex is None:
+        if getattr(ns, "lambda") is not None:
+            raise CliError("--vertex is required with --lambda", 1)
         sites = blowup_calculus.blowup_sites(g)
         rows = []
         for s in sites:

@@ -75,7 +75,7 @@ class DecoratedGraph:
     ``extend_graph``, the ``shift`` mode of ``canonical_form``,
     ``dh_measure.density``, ``toric_geometry.graph_to_polygon``,
     ``homology.class_values``, the symbolic blow-up and the blow-down
-    site searches read the index and make one ``Fraction`` per number
+    site search read the index and make one ``Fraction`` per number
     they return, and ``reduce_to_minimal`` keys its memo on it;
     ``Vertex.moment`` stays the public level.  Each of the index, the edge
     split and the level order is built in one pass: the vertices are keyed
@@ -90,8 +90,10 @@ class DecoratedGraph:
     ``graph_to_polygon`` the Delzant polygon (``_polygon``) and
     ``_strands`` the strands of a valid graph, its chains of spheres from
     the minimum to the maximum (``_spheres``), which ``compare`` and
-    ``homology`` read; a graph built by a rewrite proved to keep validity
-    is marked valid at once (``_problems = ()``).
+    ``homology`` read, and whose spheres (its edges and ``_strand_frees``)
+    the blow-down site search tests for S.S = -1; a graph built by a
+    rewrite proved to keep validity is marked valid at once
+    (``_problems = ()``).
     """
 
     def __init__(self, vertices, edges=()):
@@ -388,6 +390,16 @@ def _known_vertex(g, vid):
         raise GraphError("unknown vertex %r" % (vid,)) from None
 
 
+def _exact(x, what):
+    """x, refusing any type but an int or a Fraction with a GraphError
+    that names what x is and its type: a float, a string or a bool would
+    stand for some other number."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise GraphError("%s must be an int or a Fraction, not %s"
+                         % (what, type(x).__name__))
+    return x
+
+
 def isotropy_weights(g, vid):
     """Weights of the circle action on the tangent space at a fixed point.
 
@@ -490,8 +502,8 @@ def flip(g):
 
 
 def shift(g, c):
-    """Translate all moment levels by the rational c."""
-    c = Fraction(c)
+    """Translate all moment levels by c, an int or a Fraction."""
+    c = _exact(c, "level shift")
     return DecoratedGraph(
         [Vertex(v.id, v.kind, v.moment + c, v.area, v.genus)
          for v in g.vertices.values()],
@@ -718,12 +730,20 @@ def _strands(g):
     lies on exactly one strand, and a free sphere meets an extremum.
     Walked once per graph and kept on it (``_spheres``)."""
     if g._spheres is None:
-        lo, hi = g.min_vertex().id, g.max_vertex().id
-        ids = g.interior_ids()
-        frees = [(lo, vid) for vid in ids if not g._down[vid]]
-        frees += [(vid, hi) for vid in ids if not g._up[vid]]
-        g._spheres = tuple(_chains(g, frees))
+        g._spheres = tuple(_chains(g, _strand_frees(g)))
     return g._spheres
+
+
+def _strand_frees(g):
+    """The free spheres of the strands of the valid graph g, as (low id,
+    high id) pairs: one from the minimum to each interior point that has
+    no down edge, then one from each interior point that has no up edge
+    to the maximum."""
+    lo, hi = g.min_vertex().id, g.max_vertex().id
+    ids = g.interior_ids()
+    frees = [(lo, vid) for vid in ids if not g._down[vid]]
+    frees += [(vid, hi) for vid in ids if not g._up[vid]]
+    return frees
 
 
 def _strand_of(g, vid):

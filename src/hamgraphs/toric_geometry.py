@@ -12,7 +12,7 @@ from math import gcd, lcm
 
 from .chain_arith import ChainError, _normals, _seed
 from .dh_measure import extremal_self_intersections
-from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
+from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _exact,
                          extend_graph, require_valid)
 from .rational import fmt_rat, parse_rat
 
@@ -353,7 +353,8 @@ def polygon_affine_equivalent(P1, P2):
 # -- corner chopping ---------------------------------------------------------
 
 def polygon_chop(P, index, t):
-    """Cut the corner at the given vertex at lattice distance t.
+    """Cut the corner at the given vertex at lattice distance t, an int or
+    a Fraction.
 
     P is validated and t checked, but the result is Delzant by
     construction, so it is marked valid, not validated.  t is less than
@@ -368,7 +369,7 @@ def polygon_chop(P, index, t):
     det(n_in, n_out) = 1.
     """
     require_valid_polygon(P)
-    t = Fraction(t)
+    t = Fraction(_exact(t, "chop size"))
     if t <= 0:
         raise PolygonError("chop size must be positive")
     verts = P.vertices

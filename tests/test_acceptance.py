@@ -15,14 +15,15 @@ from math import ceil, gcd
 from hamgraphs import (SURFACE_END, WeightChain, b_sequence, blowup,
                        blowup_symbolic, chain_fan, classify_isolated,
                        decompose_positive, density, extend_graph,
-                       extremal_self_intersections, intersection_matrix,
+                       extremal_self_intersections, flip, intersection_matrix,
                        is_isomorphic, isotropy_weights, kho_d,
                        match_minimal_family, minimal_graph, pair_with,
                        polygon_affine_equivalent, polygon_pushforward,
                        polygon_to_graph, positivity_equiv, reduce_to_minimal,
                        validate_chain, validate_delzant)
-from hamgraphs.blowup_calculus import (_rewrite, blowdown_sites,
-                                       blowup_sites, max_size)
+from hamgraphs.blowup_calculus import (_ordered_sites, _rewrite,
+                                       blowdown_sites, blowup_sites,
+                                       max_size)
 from conftest import (S2S2_POLYGONS, TENT_POLYGONS, chopped_square_graph,
                       corpus_seeds, tent_graph)
 
@@ -157,6 +158,27 @@ def test_hirzebruch_blowup_bounds():
     assert len(sites) == 3
     for site in sites:
         assert max_size(g, site) == (1, False)
+
+
+def test_every_blowdown_step_blows_back_up(enumerated):
+    # the other direction of the round trip: undo each listed blow-down by
+    # a blow-up of its size at the vertex it made (a B step keeps the
+    # surface on its side), which must give back exactly g
+    patterns = set()
+    steps = 0
+    for rec in enumerated:
+        for g in (rec.graph, flip(rec.graph)):
+            for site in _ordered_sites(g):
+                h = _rewrite(g, site)
+                if site.pattern == "B":
+                    vid = (h.min_vertex() if site.side == "min"
+                           else h.max_vertex()).id
+                else:
+                    (vid,) = set(h.vertices) - set(g.vertices)
+                assert is_isomorphic(blowup(h, vid, site.lam), g), site
+                patterns.add(site.pattern)
+                steps += 1
+    assert patterns == set("ABCD") and steps > 4000
 
 
 def test_isolated_graphs_classify_and_round_trip(enumerated):

@@ -121,6 +121,17 @@ def test_blowup_missing_lambda_exits_1(hirzebruch_path, tmp_path):
                 "--out", out_path(tmp_path)]) == 1
 
 
+def test_blowup_lambda_without_vertex_exits_1(hirzebruch_path, tmp_path,
+                                              capsys):
+    # the size is not dropped in silence: no site list is written
+    out = out_path(tmp_path)
+    assert run(["blowup", "--in", hirzebruch_path, "--lambda", "1/2",
+                "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        "error: --vertex is required with --lambda\n"
+    assert not os.path.exists(out)
+
+
 def test_blowdown_and_minimal(tmp_path):
     from conftest import chopped_square_graph
     g = chopped_square_graph()

@@ -194,6 +194,21 @@ def test_canonical_form_shift_mode():
     assert is_isomorphic(g, h, "shift")
 
 
+def test_shift_must_be_an_int_or_a_fraction():
+    # a float, a string or a bool would be read as some other number
+    g = s2s2_graph()
+    for c, name in ((0.1, "float"), (float("inf"), "float"),
+                    ("1/3", "str"), (True, "bool"), (None, "NoneType")):
+        with pytest.raises(GraphError) as info:
+            shift(g, c)
+        assert str(info.value) == ("level shift must be an int or a "
+                                   "Fraction, not " + name)
+    # an int is the Fraction of the same value
+    assert graph_to_json(shift(g, 3)) == graph_to_json(shift(g, F(3)))
+    assert graph_to_json(shift(g, F(-5, 3))) == graph_to_json(
+        shift(shift(g, -2), F(1, 3)))
+
+
 def test_shift_label_past_the_digit_limit_names_it():
     # the shift label of a is 2 / ((10^2200 + 1)(10^2200 + 3)), whose
     # denominator has 4401 digits; its exact label still prints

@@ -117,6 +117,18 @@ def test_chop_too_large_rejected():
         polygon_chop(P((0, 0), (1, 0), (1, 1), (0, 1)), 7, F(1, 2))
 
 
+def test_chop_size_must_be_an_int_or_a_fraction():
+    # a float, a string or a bool would be read as some other number
+    for t, name in ((0.1, "float"), (float("nan"), "float"),
+                    ("1/3", "str"), (True, "bool"), (None, "NoneType")):
+        with pytest.raises(GraphError) as info:
+            polygon_chop(PENTAGON, 0, t)
+        assert str(info.value) == ("chop size must be an int or a "
+                                   "Fraction, not " + name)
+    # an int is the Fraction of the same value
+    assert polygon_chop(PENTAGON, 0, 4) == polygon_chop(PENTAGON, 0, F(4))
+
+
 def test_chop_commutes_with_blowup(corpus_polygons):
     """Chopping a corner then reading the graph agrees with blowing up
     the graph vertex at that corner's height."""
