@@ -15,7 +15,7 @@ e = -1 becomes an isolated extremum (D).  The size of a blow-down is the
 area of the sphere it collapses.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import attrgetter
 
@@ -25,18 +25,12 @@ from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _exact,
                          isotropy_weights, require_valid)
 
 
-@dataclass(frozen=True)
-class BlowupSite:
-    vertex: str
-    tag: str
+BlowupSite = namedtuple("BlowupSite", "vertex tag")
 
-
-@dataclass(frozen=True)
-class BlowdownSite:
-    pattern: str          # "A", "B", "C", or "D"
-    vertices: tuple       # ids consumed by the rewrite
-    lam: Fraction
-    side: str = ""        # "min" or "max" for the extremal patterns
+# pattern is "A", "B", "C" or "D", vertices the ids the rewrite consumes,
+# lam its size and side "min" or "max" for the extremal patterns
+BlowdownSite = namedtuple("BlowdownSite", "pattern vertices lam side",
+                          defaults=("",))
 
 
 class SymbolicBlowup:
@@ -446,8 +440,9 @@ def blowdown_sites(g):
 
 
 def blowdown(g, site):
-    """Apply the inverse rewrite at a site that blowdown_sites lists."""
-    if site not in blowdown_sites(g):
+    """Apply the inverse rewrite at a site that blowdown_sites lists.  A
+    plain tuple equal to a listed site is not one."""
+    if not isinstance(site, BlowdownSite) or site not in blowdown_sites(g):
         raise GraphError("not a blow-down site: %r" % (site,))
     return _rewrite(g, site)
 
@@ -468,14 +463,15 @@ def _rank_bound(g):
 
 def _state(g):
     """The memo key of reduce_to_minimal: g exactly, as (_scale, its
-    vertices as (id, kind, Y, area, genus), its edges as (a, b, k)).  Two
-    graphs share a key exactly when they have the same vertices and edges,
-    since equal moments have one _scale and so one Y.  The integer levels
-    hash without the modular inverse a Fraction's hash takes."""
+    vertices as (id, kind, Y, area, genus), its edges, each the tuple
+    (a, b, k)).  Two graphs share a key exactly when they have the same
+    vertices and edges, since equal moments have one _scale and so one Y.
+    The integer levels hash without the modular inverse a Fraction's hash
+    takes."""
     return (g._scale,
             frozenset([(v.id, v.kind, g._y[v.id], v.area, v.genus)
                        for v in g.vertices.values()]),
-            frozenset([(e.a, e.b, e.k) for e in g.edges]))
+            frozenset(g.edges))
 
 
 def reduce_to_minimal(g):

@@ -6,7 +6,7 @@ surface (contributing neighbor weight 0) or an isolated extremum, whose
 second isotropy weight is carried explicitly on the boundary marker.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 
@@ -17,14 +17,18 @@ class ChainError(Exception):
 SURFACE_END = None  # boundary marker: adjacent to a fixed surface
 
 
-@dataclass(frozen=True)
-class WeightChain:
-    weights: tuple        # k_1..k_l, positive integers
-    bottom: int | None = SURFACE_END  # other isotropy weight, or SURFACE_END
-    top: int | None = SURFACE_END
+class WeightChain(namedtuple("WeightChain", "weights bottom top",
+                             defaults=(SURFACE_END, SURFACE_END))):
+    """weights: k_1..k_l, positive integers, kept as a tuple; bottom and
+    top: the other isotropy weight at each end, or SURFACE_END."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
+    def __new__(cls, weights, bottom=SURFACE_END, top=SURFACE_END):
+        return super().__new__(cls, tuple(weights), bottom, top)
+
+    @classmethod
+    def _make(cls, iterable):   # so _replace keeps weights a tuple
+        return cls(*iterable)
 
     def end_weight(self, which):
         """Neighbor weight beyond the chain: 0 at a surface end."""

@@ -7,7 +7,6 @@ genus-g curve (two fixed surfaces, no interior points).  Everything else
 arises from these by blow-ups.
 """
 
-import inspect
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
@@ -141,14 +140,16 @@ def minimal_graph(family, *args, flipped=False, **kw):
     if family not in _FAMILIES:
         raise GraphError("unknown minimal family %r" % (family,))
     build = _FAMILIES[family]
-    sig = inspect.signature(build)
-    try:
-        sig.bind(*args, **kw)
-    except TypeError:
-        params = sig.parameters.values()
+    # the builders take positional-or-keyword parameters only: the call
+    # binds when it gives each parameter at most once, none unknown, and
+    # every one without a default
+    names = build.__code__.co_varnames[:build.__code__.co_argcount]
+    required = len(names) - len(build.__defaults__ or ())
+    if (len(args) > len(names) or not set(kw) <= set(names[len(args):])
+            or not set(names[len(args):required]) <= set(kw)):
         raise GraphError("%s takes %d to %d parameters (%s), not %d" % (
-            family, sum(p.default is p.empty for p in params), len(params),
-            ", ".join(p.name for p in params), len(args) + len(kw))) from None
+            family, required, len(names), ", ".join(names),
+            len(args) + len(kw)))
     g = build(*args, **kw)
     return flip(g) if flipped else g
 

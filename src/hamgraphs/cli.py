@@ -12,7 +12,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import blowup_calculus, classify, dh_measure, homology, render
+from . import blowup_calculus, classify, dh_measure, homology
 from .chain_arith import ChainError
 from .graph_core import (DecoratedGraph, GraphError, graph_from_json,
                          graph_to_json, is_isomorphic, require_valid,
@@ -175,7 +175,8 @@ def _cmd_dh(ns):
     ext = dh_measure.extremal_self_intersections(g)
     # the picture first, so a failed write leaves no JSON behind
     if ns.svg:
-        _write(render.density_svg(rho), ns.svg)
+        from .render import density_svg  # loaded only to draw
+        _write(density_svg(rho), ns.svg)
     _emit_json({"density": rho.to_json(),
                 "e_min": fmt_rat(ext.e_min), "e_max": fmt_rat(ext.e_max),
                 "total_mass": fmt_rat(dh_measure.total_mass(rho))}, ns.out)
@@ -319,7 +320,8 @@ def _cmd_render(ns):
         require_valid(obj)
     elif not isinstance(obj, dh_measure.PiecewiseLinearDensity):
         require_valid_polygon(obj)
-    doc = render.render(obj, ns.format)
+    from .render import render  # loaded only to draw
+    doc = render(obj, ns.format)
     _write(doc, ns.svg or ns.out)
     return 0
 

@@ -21,7 +21,7 @@ one common denominator and each value made a Fraction once.  The values
 stay exact, and the last one is a_max.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -29,21 +29,24 @@ from .graph_core import _extremal_pair, _weight_products, require_valid
 from .rational import fmt_rat
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearDensity:
+class PiecewiseLinearDensity(namedtuple("PiecewiseLinearDensity",
+                                        "breakpoints values")):
     """Continuous piecewise-linear function on [breakpoints[0], breakpoints[-1]],
     zero outside; values are the limits from inside the support."""
-    breakpoints: tuple
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.breakpoints) != len(self.values):
+    def __new__(cls, breakpoints, values):
+        breakpoints, values = tuple(breakpoints), tuple(values)
+        if len(breakpoints) != len(values):
             raise ValueError("breakpoints and values differ in length")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
+        for a, b in zip(breakpoints, breakpoints[1:]):
             if a >= b:
                 raise ValueError("breakpoints must increase strictly")
+        return super().__new__(cls, breakpoints, values)
+
+    @classmethod
+    def _make(cls, iterable):   # so _replace checks as the constructor does
+        return cls(*iterable)
 
     def value_inside(self, y):
         bp, vals = self.breakpoints, self.values
@@ -60,10 +63,7 @@ class PiecewiseLinearDensity:
                 "values": [fmt_rat(v) for v in self.values]}
 
 
-@dataclass(frozen=True)
-class ExtremalData:
-    e_min: Fraction
-    e_max: Fraction
+ExtremalData = namedtuple("ExtremalData", "e_min e_max")
 
 
 def extremal_self_intersections(g):

@@ -10,7 +10,6 @@ reconstructed on demand by ``extend_graph``.
 import hashlib
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -32,20 +31,13 @@ class NoExtensionError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    kind: str  # "point" or "surface"
-    moment: Fraction
-    area: Fraction | None = None
-    genus: int | None = None
+# kind is "point" or "surface"; a surface has an area and a genus
+Vertex = namedtuple("Vertex", "id kind moment area genus",
+                    defaults=(None, None))
 
 
-@dataclass(frozen=True)
-class Edge:
-    a: str
-    b: str
-    k: int
+class Edge(namedtuple("Edge", "a b k")):
+    __slots__ = ()
 
     def other(self, vid):
         if vid == self.a:
@@ -512,10 +504,7 @@ def shift(g, c):
 
 # -- canonical forms ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    digest: str
-    text: str
+CanonicalForm = namedtuple("CanonicalForm", "digest text")
 
 
 def canonical_form(g, mode="exact"):
@@ -626,11 +615,9 @@ def is_isomorphic(g1, g2, mode="exact"):
 
 # -- extensions by free spheres ---------------------------------------------
 
-@dataclass
-class ExtendedGraph:
-    free_edges: list  # (low id, high id) pairs
-    branches: list    # vertex id paths, min..max
-    chains: list      # the chains of _chains(g, free_edges)
+# free_edges: (low id, high id) pairs; branches: vertex id paths, min..max;
+# chains: the chains of _chains(g, free_edges)
+ExtendedGraph = namedtuple("ExtendedGraph", "free_edges branches chains")
 
 
 _NO_ARRANGEMENT = ("no arrangement of free spheres with at most two chains "

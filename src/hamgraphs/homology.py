@@ -9,7 +9,7 @@ fiber F these curves span the homology, and their pairing matrix, class
 values, and positive decompositions are all computable from the labels.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import blowup_calculus, graph_core
@@ -23,12 +23,12 @@ def _elabel(ci, pos):
     return "E:%d:%d" % (ci, pos)
 
 
-@dataclass(frozen=True)
-class IntersectionData:
-    labels: tuple          # spanning set, deterministic order
-    matrix: tuple          # symmetric integer pairing, row per label
-    basis: tuple           # Bmax, F, and E_i with i >= 2 in each chain
-    chains: tuple          # tuple of tuples of graph_core.Sphere
+class IntersectionData(namedtuple("IntersectionData",
+                                  "labels matrix basis chains")):
+    """labels: the spanning set, in deterministic order; matrix: their
+    symmetric integer pairing, a row per label; basis: Bmax, F and E_i
+    with i >= 2 in each chain; chains: tuples of graph_core.Sphere."""
+    __slots__ = ()
 
     def to_json(self):
         return {"labels": list(self.labels),
@@ -184,11 +184,8 @@ def blowup_class_transform(g, values, site, lam):
     return out
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    ok: bool
-    coefficients: dict | None
-    failure: str | None
+# coefficients is a dict, or None with failure the reason
+Decomposition = namedtuple("Decomposition", "ok coefficients failure")
 
 
 def decompose_positive(g, inters):

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -186,14 +185,29 @@ def test_blowdown_refuses_unlisted_sites(enumerated_small):
                    if site not in listed
                    and set(site.vertices) <= set(g.vertices)]
         n_foreign += len(foreign)
-        wrong = foreign + [replace(site, lam=site.lam * 2) for site in listed]
-        wrong += [replace(site, side=side) for site in listed
+        wrong = foreign + [site._replace(lam=site.lam * 2) for site in listed]
+        wrong += [site._replace(side=side) for site in listed
                   for side in ("", "min", "max") if side != site.side]
         for site in wrong:
             if site not in listed:
                 with pytest.raises(GraphError, match="not a blow-down site"):
                     blowdown(g, site)
     assert patterns == set("ABCD") and n_foreign > 20
+
+
+def test_blowdown_refuses_a_look_alike_site(enumerated_small):
+    # a site is a named tuple, so a plain tuple with its fields equals it;
+    # neither that nor a blow-up site at one of its vertices is a site
+    patterns = set()
+    for rec in enumerated_small:
+        g = rec.graph
+        for site in blowdown_sites(g):
+            assert tuple(site) == site
+            for fake in (tuple(site), BlowupSite(site.vertices[0], "Interior")):
+                with pytest.raises(GraphError, match="not a blow-down site"):
+                    blowdown(g, fake)
+            patterns.add(site.pattern)
+    assert patterns == set("ABCD")
 
 
 # (family, parameters, sides with an exceptional fixed sphere): ruled(0, n)

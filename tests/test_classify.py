@@ -1,3 +1,4 @@
+import inspect
 import time
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hamgraphs import (GraphError, affine_normal_form, assign_labels,
                        is_toric_extendable, match_minimal_family,
                        minimal_graph, polygon_pushforward, reduce_to_minimal,
                        validate_graph)
+from hamgraphs.classify import _FAMILIES
+from hamgraphs.cli import run
 from hamgraphs.toric_geometry import DelzantPolygon
 from conftest import (P, S2S2_POLYGONS, chopped_square_graph, s2s2_graph,
                       tent_graph, triangle)
@@ -220,3 +223,59 @@ def test_assign_labels_trivial_ruled():
     assert is_isomorphic(g, minimal_graph("ruled", 0, 0, 3, 1))
     with pytest.raises(GraphError):
         assign_labels(skel, {"lo": 0, "hi": 1}, 3, 2, (0, 0))
+
+
+# a valid value for each parameter of each family, in signature order
+_ARITY_VALUES = {"cp2": (1, 2, 0, 1), "cp2-surface": (0, 1),
+                 "hirzebruch": ("left", 1, 1, 1, 1, 1, 0),
+                 "ruled": (0, 0, 1, 1, 0)}
+
+
+def _arity_cases():
+    """Each family with 0 to n+1 positional arguments, n its parameter
+    count, and no keyword, an unknown one, one that repeats the first
+    positional, the last parameter, the missing required ones, or all
+    the rest."""
+    for family, values in _ARITY_VALUES.items():
+        params = inspect.signature(_FAMILIES[family]).parameters.values()
+        names = [p.name for p in params]
+        required = sum(p.default is p.empty for p in params)
+        for npos in range(len(names) + 2):
+            keywords = [{}, {"bogus": 1}, {names[0]: values[0]},
+                        {names[-1]: values[-1]},
+                        dict(zip(names[npos:required], values[npos:required])),
+                        dict(zip(names[npos:], values[npos:]))]
+            for kw in keywords:
+                yield family, (values + (0,))[:npos], kw
+
+
+def _bind_message(family, args, kw):
+    """The message minimal_graph gives when inspect's bind refuses the
+    call, or None when it binds."""
+    sig = inspect.signature(_FAMILIES[family])
+    try:
+        sig.bind(*args, **kw)
+    except TypeError:
+        params = sig.parameters.values()
+        return "%s takes %d to %d parameters (%s), not %d" % (
+            family, sum(p.default is p.empty for p in params), len(params),
+            ", ".join(p.name for p in params), len(args) + len(kw))
+    return None
+
+
+def test_minimal_graph_arity_matches_signature_bind(capsys):
+    cases = list(_arity_cases())
+    refused = 0
+    for family, args, kw in cases:
+        expected = _bind_message(family, args, kw)
+        if expected is None:
+            assert validate_graph(minimal_graph(family, *args, **kw)) == []
+            continue
+        refused += 1
+        with pytest.raises(GraphError) as info:
+            minimal_graph(family, *args, **kw)
+        assert str(info.value) == expected, (family, args, kw)
+    assert len(cases) == 156 and refused > 50
+    assert run(["enumerate", "--seed", "cp2:1", "--max-blowups", "0"]) == 2
+    assert "cp2 takes 2 to 4 parameters (m, n, alpha, beta), not 1" \
+        in capsys.readouterr().err
