@@ -3,13 +3,13 @@
 Blowing up at a fixed point rewrites the graph locally: the one or two new
 points lie at the level of the point they replace plus an integer slope
 times the blow-up size lambda.  A symbolic blow-up keeps g and those
-slopes, and reads the supremum of the admissible sizes off the spheres at
-the blown-up point and g's level order, on g's integer level index, so
-the admissible sizes cost one Fraction per site.
+slopes, and reads the supremum of the admissible sizes off the areas of
+the spheres at the blown-up point (graph_core._sphere_links) and g's level
+order.
 
 Blowing down collapses an exceptional sphere, of genus 0 and
 self-intersection -1.  One on a strand, with S.S = -1 by localization
-(graph_core._sphere_square), merges its two ends into one vertex (patterns
+(graph_core._sphere_rows), merges its two ends into one vertex (patterns
 A, B and C, named by where its ends lie); an extremal fixed sphere with
 e = -1 becomes an isolated extremum (D).  The size of a blow-down is the
 area of the sphere it collapses.
@@ -20,9 +20,9 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .dh_measure import extremal_self_intersections
-from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _exact,
-                         _known_vertex, _strand_frees, _weight_table,
-                         isotropy_weights, require_valid)
+from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _area,
+                         _exact, _known_vertex, _sphere_links, _sphere_table,
+                         _weight_table, isotropy_weights, require_valid)
 
 
 BlowupSite = namedtuple("BlowupSite", "vertex tag")
@@ -83,14 +83,6 @@ def _fresh(base_ids, stem):
     return vid
 
 
-def _least(g, a, b):
-    """The lesser of two level ratios (dY, k), each dY/(k _scale) with
-    k > 0, compared by cross-multiplying integers; one Fraction."""
-    (ya, ka), (yb, kb) = a, b
-    dy, k = a if ya * kb <= yb * ka else b
-    return Fraction(dy, k * g._scale)
-
-
 def blowup_symbolic(g, site):
     """The blow-up of g at site.vertex, of any size.  Only site.vertex is
     read: the local model is decided from g.
@@ -102,17 +94,18 @@ def blowup_symbolic(g, site):
     points move, each at rate c1 from Y_p, and at small lambda the edges
     keep their sides.  So a new point leaves the carried order exactly
     when it reaches the next vertex on its own sphere, and a new extremum
-    when it reaches the next level of g.  The admissible sizes are the
-    interval (0, sup), and sup is one expression per model, on g's
-    integer level index:
+    when it reaches the next level of g.  A point that moves at rate k
+    along a sphere of weight k reaches its far end at the sphere's area
+    (graph_core._area).  The admissible sizes are the interval (0, sup),
+    and sup is one expression per model in the areas of p's spheres in the
+    sphere table (graph_core._sphere_links):
 
-    Interior, weights (-n, m): v_hi rises at rate m along p's up sphere to
-    u, the other end of p's up edge or the maximum when p has none (then
-    m = 1), and v_lo sinks at rate n to d, the other end of p's down edge
-    or the minimum.  The rest of p's strand lies beyond u and d, the
-    extrema bound nothing tighter than u and d, and v_lo and v_hi never
-    cross (slopes -n and m).  So sup = min((Y_u - Y_p)/m, (Y_p - Y_d)/n)
-    / _scale, the lesser area of p's two strand spheres.
+    Interior, weights (-n, m): v_hi rises at rate m along p's up sphere,
+    of weight m (a free one to the maximum when p has no up edge), and
+    v_lo sinks at rate n along its down sphere.  The rest of p's strand
+    lies beyond the far ends of the two, the extrema bound nothing
+    tighter, and v_lo and v_hi never cross (slopes -n and m).  So sup is
+    the lesser area of p's two spheres.
 
     SurfaceMin/Max: the new point carries no edge, so it is ordered with
     the extrema only and reaches the far one at the fibre's area
@@ -124,8 +117,9 @@ def blowup_symbolic(g, site):
     reaches the next level of g, gap = |Y - Y_p| at _order[1] (_order[-2]
     at the maximum); v_int moves faster (rate m), so it stays beyond
     v_ext.  v_int moves along p's weight-m sphere to its far end w, and
-    w's strand and the far extremum lie beyond w.  So
-    sup = min(gap/n, |Y_w - Y_p|/m)/_scale.
+    w's strand and the far extremum lie beyond w.  So sup = min(gap/n,
+    |Y_w - Y_p|/m)/_scale, the lesser of the area of p's weight-m sphere
+    and that of a weight-n sphere across the gap.
 
     11: the new sphere is extremal, moves at rate 1 and has area
     lambda > 0.  So sup = gap/_scale.
@@ -133,21 +127,21 @@ def blowup_symbolic(g, site):
     Every term is a positive level difference over a positive weight or a
     positive area (the extrema are unique and every sphere joins two
     levels), so sup is a positive Fraction and never None.  Each form reads
-    p's own spheres and two ends of g's level order, in O(1), and makes
-    its one Fraction last."""
+    p's own spheres and two ends of g's level order, in O(1)."""
     require_valid(g)
     p = _known_vertex(g, site.vertex)
     y, yp, order = g._y, g._y[p.id], g._order
     edges = [e for e in g.edges if p.id not in (e.a, e.b)]
     touched = g.edges_at(p.id)
+    spheres = _sphere_links(g).at[p.id]
     tag = _tag(g, p.id)
     sgn = -1 if "Max" in tag else 1
-    # the gap from an extremal p to the next level of g
-    gap = abs(y[order[1 if sgn > 0 else -2].id] - yp)
+    # the gap from an extremal p up or down to the next level of g
+    gap = (p.id, order[1].id) if sgn > 0 else (order[-2].id, p.id)
     area = None
     if tag == "Interior":
-        wdn, wup = isotropy_weights(g, p.id)
-        n, m = -wdn, wup
+        # p's down and up spheres have p's weights -n and m
+        (_, _, n, _, _), (_, _, m, _, _) = spheres
         v_hi = _fresh(g.vertices, p.id + ".hi")
         v_lo = _fresh(g.vertices, p.id + ".lo")
         new = ((v_hi, "point", m, None), (v_lo, "point", -n, None))
@@ -156,15 +150,12 @@ def blowup_symbolic(g, site):
             target = v_hi if y[other] > yp else v_lo
             edges.append(Edge(target, other, e.k))
         edges.append(Edge(v_lo, v_hi, m + n))
-        up, down = g.up_edges(p.id), g.down_edges(p.id)
-        u = up[0].other(p.id) if up else order[-1].id
-        d = down[0].other(p.id) if down else order[0].id
-        sup = _least(g, (y[u] - yp, m), (yp - y[d], n))
+        sup = min(_area(g, low, high, k) for low, high, k, _, _ in spheres)
     elif tag.startswith("Surface"):
         area = p.area
         v_new = _fresh(g.vertices, p.id + ".new")
         new = ((v_new, "point", sgn, None),)
-        sup = min(area, Fraction(y[order[-1].id] - y[order[0].id], g._scale))
+        sup = min(area, _area(g, order[0].id, order[-1].id, 1))
     elif tag.endswith("Distinct"):
         n, m = sorted(abs(x) for x in isotropy_weights(g, p.id))
         v_ext = _fresh(g.vertices, p.id + ".lo" if sgn > 0 else p.id + ".hi")
@@ -176,14 +167,14 @@ def blowup_symbolic(g, site):
             edges.append(Edge(target, e.other(p.id), e.k))
         if m - n >= 2:
             edges.append(Edge(v_ext, v_int, m - n))
-        # n < m, so m >= 2 and exactly one edge at p has weight m
-        w = next(e.other(p.id) for e in touched if e.k == m)
-        sup = _least(g, (gap, n), (abs(y[w] - yp), m))
+        # n < m, so m >= 2 and exactly one sphere at p has weight m
+        low, high = next(r[:2] for r in spheres if r[2] == m)
+        sup = min(_area(g, *gap, n), _area(g, low, high, m))
     else:  # IsolatedMin11, IsolatedMax11: the point becomes a sphere
         genus = next((s.genus for s in g.surfaces()), 0)
         v_s = _fresh(g.vertices, p.id + ".s")
         new = ((v_s, "surface", sgn, genus),)
-        sup = Fraction(gap, g._scale)
+        sup = _area(g, *gap, 1)
     return SymbolicBlowup(g, p.id, new, edges, sup, area)
 
 
@@ -202,7 +193,7 @@ def instantiate(sb, lam):
     keeps it (Interior: s0, s1 stay), loses exactly 1 (Surface), gets
     -1/(n (m - n)) (Distinct, weights {n, m - n}) or becomes a sphere with
     e = -1 (11).  Every recorded sphere keeps an integer self-intersection
-    (m_low - m_high)/k (graph_core._sphere_square): one away from p keeps
+    (m_low - m_high)/k (graph_core._sphere_rows): one away from p keeps
     the weights at its ends; one of p's spheres moves to a new point whose
     other weight is p's lowered by k at a lower end (Interior -n to
     -(m + n); Distinct at a minimum m to m - n and n to n - m) or raised
@@ -269,36 +260,32 @@ def _ordered_sites(g):
     Undoing a blow-up collapses an exceptional sphere: genus 0 and
     self-intersection -1 (McDuff, "The structure of rational and ruled
     symplectic 4-manifolds", JAMS 3, 1990).  A, B and C collapse a sphere
-    of a strand: a recorded edge, or a free sphere that _strands adds
-    (_strand_frees).  Such a sphere of weight k from low up to high is a
-    site exactly when S.S = (m_low - m_high)/k = -1
-    (graph_core._sphere_square), it does not join the two extrema, and,
-    when it is free, an isolated extremum at its end has a free weight
-    (1 at the minimum, -1 at the maximum; a surface's (0, 1) or (-1, 0)
-    and an interior end always have it).  Its pattern is A when both ends
-    are interior, C when one is an isolated extremum and B when one is a
-    fixed surface, and its size lambda is its area
-    (Y_high - Y_low)/(k _scale), one Fraction on g's integer level index.
-    B sites are ordered by the gap Y_high - Y_low itself.  D collapses an
-    extremal fixed surface of genus 0 and e = -1 (_rewrite)."""
-    y, scale, weights = g._y, g._scale, _weight_table(g)
+    of a strand, a row of the sphere table (graph_core._sphere_table): a
+    recorded edge, or a free sphere from an extremum.  Such a sphere of
+    weight k from low up to high is a site exactly when S.S = -1, it does
+    not join the two extrema, and, when it is free, an isolated extremum
+    at its end has a free weight (1 at the minimum, -1 at the maximum; a
+    surface's (0, 1) or (-1, 0) and an interior end always have it).  The
+    last clause is needed: at an isolated minimum with weights {2, 3}, a
+    bottom with up weight 5 has a free strand sphere with S.S =
+    (2 + 3 - 1) - 5 = -1, and a valid graph has one
+    (tests/test_sphere_table_reference.py); collapsing it would leave the
+    merged minimum three edges, of weights 2, 3 and 5.  Its pattern is A
+    when both ends are interior, C when one is an isolated extremum and B
+    when one is a fixed surface, and its size lambda is its area
+    (graph_core._area).  B sites are ordered by the rise Y_high - Y_low
+    itself.  D collapses an extremal fixed surface of genus 0 and e = -1
+    (_rewrite)."""
+    weights = _weight_table(g)
     lo, hi = g.min_vertex(), g.max_vertex()
     lo_id, hi_id = lo.id, hi.id
-    spheres = [(low, e.other(low), e.k) for low, ups in g._up.items()
-               for e in ups]
-    # a free sphere has weight 1 at its low end and -1 at its high end,
-    # which an interior end has by construction
-    spheres += [(low, high, 1) for low, high in _strand_frees(g)
-                if 1 in weights[low] and -1 in weights[high]]
     options = []
-    for low, high, k in spheres:
-        # S.S = (m_low - m_high)/k (_sphere_square), where m_low =
-        # sum(weights[low]) - k and m_high = sum(weights[high]) + k, is -1
-        # exactly when the two weight sums differ by k
-        if (sum(weights[low]) - sum(weights[high]) != k
-                or (low == lo_id and high == hi_id)):
+    for low, high, k, square, rise in _sphere_table(g).rows:
+        if (square != -1 or (low == lo_id and high == hi_id)
+                or k == 1 and (1 not in weights[low]
+                               or -1 not in weights[high])):
             continue
-        lam = Fraction(y[high] - y[low], k * scale)
+        lam = _area(g, low, high, k)
         if low != lo_id and high != hi_id:
             options.append(((0, -k, (low, high)),
                             BlowdownSite("A", (low, high), lam)))
@@ -308,7 +295,7 @@ def _ordered_sites(g):
             options.append(((1, lam, side != "min", (ext.id, q)),
                             BlowdownSite("C", (ext.id, q), lam, side)))
         else:
-            options.append(((3, y[high] - y[low], side != "max", (q,)),
+            options.append(((3, rise, side != "max", (q,)),
                             BlowdownSite("B", (q,), lam, side)))
     for side, ext in (("min", lo), ("max", hi)):
         if (ext.kind == "surface" and ext.genus == 0

@@ -63,12 +63,12 @@ class DecoratedGraph:
     (moment, id) level order with its extrema (``_order``) and the split
     of the edges at each vertex into up and down edges are sorted and
     compared on ``_y``; ``_order`` is empty when there is no index or the
-    ids do not compare.  ``_problems``, ``_extremal_pair``, ``_chains``,
-    ``extend_graph``, the ``shift`` mode of ``canonical_form``,
+    ids do not compare.  ``_problems``, ``_extremal_pair``,
+    ``_sphere_table``, the ``shift`` mode of ``canonical_form``,
     ``dh_measure.density``, ``toric_geometry.graph_to_polygon``,
     ``homology.class_values``, the symbolic blow-up and the blow-down
-    site search read the index and make one ``Fraction`` per number
-    they return, and ``reduce_to_minimal`` keys its memo on it;
+    site search read the index and make their ``Fraction``s from its
+    integers, and ``reduce_to_minimal`` keys its memo on it;
     ``Vertex.moment`` stays the public level.  Each of the index, the edge
     split and the level order is built in one pass: the vertices are keyed
     by id in one dict comprehension, and only when an id is unhashable or
@@ -78,12 +78,13 @@ class DecoratedGraph:
     ``validate_graph`` computes its result at most once per graph,
     ``isotropy_weights`` fills the weights of every vertex in one pass on
     its first call (``_weights``), ``_extremal_pair`` the extremal
-    self-intersections,
-    ``graph_to_polygon`` the Delzant polygon (``_polygon``) and
-    ``_strands`` the strands of a valid graph, its chains of spheres from
-    the minimum to the maximum (``_spheres``), which ``compare`` and
-    ``homology`` read, and whose spheres (its edges and ``_strand_frees``)
-    the blow-down site search tests for S.S = -1; a graph built by a
+    self-intersections, ``graph_to_polygon`` the Delzant polygon
+    (``_polygon``) and ``_sphere_table`` the sphere table (``_spheres``):
+    every sphere of the strands with its S.S and rise, and the tops and
+    bottoms, to which ``_sphere_links`` adds the spheres at each vertex
+    and the strands on first use.  Validation's last stage, ``compare``,
+    ``extend_graph``, ``homology``, the symbolic blow-up and the blow-down
+    site search read the table; a graph built by a
     rewrite proved to keep validity is marked valid at once
     (``_problems = ()``).
     """
@@ -103,10 +104,10 @@ class DecoratedGraph:
         self._weights = {}      # every vid's isotropy weights, once filled
         self._extremal = None   # (e_min, e_max), once solved
         self._polygon = None    # graph_to_polygon's result, once built
-        self._spheres = None    # _strands' chains of spheres, once walked
+        self._spheres = None    # _sphere_table's table, once built
         self._scale = y = None
-        ratios = [v.moment.as_integer_ratio() for v in vertices
-                  if isinstance(v.moment, Fraction)]
+        ratios = [m.as_integer_ratio() for _, _, m, _, _ in vertices
+                  if isinstance(m, Fraction)]
         if len(ratios) == len(vertices):
             self._scale = scale = lcm(*[d for _, d in ratios])
             y = {vid: n * (scale // d) for vid, (n, d) in zip(by_id, ratios)}
@@ -116,7 +117,7 @@ class DecoratedGraph:
         # vertex once
         at, up, down = {}, {}, {}
         for e in edges:
-            a, b = e.a, e.b
+            a, b, _ = e
             try:
                 has_a, has_b = a in by_id, b in by_id
             except TypeError:   # an unhashable endpoint is no vertex id
@@ -206,7 +207,7 @@ def validate_graph(g):
     The extremal stage solves the extremal self-intersections from the
     labels and requires -1/(n n') at an isolated extremum with weights
     {n, n'} and an integer at a fixed surface.  The last stage requires an
-    integer self-intersection on every recorded sphere (_sphere_square).
+    integer self-intersection on every recorded sphere (_sphere_rows).
 
     The problems are found once per graph and kept on it; each call returns
     a fresh copy.
@@ -220,42 +221,42 @@ def _problems(g):
     problems = []
     if not g.vertices:
         return ["graph has no vertices"]
-    for v in g.vertices.values():
-        if not isinstance(v.id, str):
+    for vid, kind, moment, area, genus in g.vertices.values():
+        if not isinstance(vid, str):
             # such an id need not sort with the others, nor print with %s
-            problems.append("vertex %r: id is not a string" % (v.id,))
+            problems.append("vertex %r: id is not a string" % (vid,))
             continue
-        if v.kind not in ("point", "surface"):
-            problems.append("vertex %s: unknown kind %r" % (v.id, v.kind))
-        if not isinstance(v.moment, Fraction):
-            problems.append("vertex %s: moment is not rational" % v.id)
-        if v.kind == "surface":
-            if v.area is not None and not isinstance(v.area, Fraction):
-                problems.append("vertex %s: area is not rational" % v.id)
-            elif v.area is None or v.area <= 0:
-                problems.append("vertex %s: surface needs positive area" % v.id)
-            if v.genus is not None and (isinstance(v.genus, bool)
-                                        or not isinstance(v.genus, int)):
-                problems.append("vertex %s: genus is not an integer" % v.id)
-            elif v.genus is None or v.genus < 0:
-                problems.append("vertex %s: surface needs genus >= 0" % v.id)
+        if kind not in ("point", "surface"):
+            problems.append("vertex %s: unknown kind %r" % (vid, kind))
+        if not isinstance(moment, Fraction):
+            problems.append("vertex %s: moment is not rational" % vid)
+        if kind == "surface":
+            if area is not None and not isinstance(area, Fraction):
+                problems.append("vertex %s: area is not rational" % vid)
+            elif area is None or area <= 0:
+                problems.append("vertex %s: surface needs positive area" % vid)
+            if genus is not None and (isinstance(genus, bool)
+                                      or not isinstance(genus, int)):
+                problems.append("vertex %s: genus is not an integer" % vid)
+            elif genus is None or genus < 0:
+                problems.append("vertex %s: surface needs genus >= 0" % vid)
         else:
-            if v.area is not None or v.genus is not None:
-                problems.append("vertex %s: point carries area or genus" % v.id)
+            if area is not None or genus is not None:
+                problems.append("vertex %s: point carries area or genus" % vid)
     # without the index the moments are compared as given
     level = g.moment if g._y is None else g._y.__getitem__
-    for e in g.edges:
-        if e.a not in g.vertices or e.b not in g.vertices:
-            problems.append("edge %s--%s: unknown endpoint" % (e.a, e.b))
+    for a, b, k in g.edges:
+        if a not in g.vertices or b not in g.vertices:
+            problems.append("edge %s--%s: unknown endpoint" % (a, b))
             continue
-        if e.a == e.b:
-            problems.append("edge %s--%s: endpoints coincide" % (e.a, e.b))
-        if not isinstance(e.k, int) or e.k < 2:
+        if a == b:
+            problems.append("edge %s--%s: endpoints coincide" % (a, b))
+        if not isinstance(k, int) or k < 2:
             problems.append("edge %s--%s: weight %r is not an integer >= 2"
-                            % (e.a, e.b, e.k))
-        elif level(e.a) == level(e.b):
+                            % (a, b, k))
+        elif level(a) == level(b):
             problems.append("edge %s--%s: endpoints at the same level"
-                            % (e.a, e.b))
+                            % (a, b))
     if problems:
         return problems
 
@@ -274,12 +275,11 @@ def _problems(g):
 
     lo, hi = g.min_vertex(), g.max_vertex()
     for vid in g.interior_ids():
-        v = g.vertex(vid)
-        if v.kind != "point":
+        if g.vertices[vid].kind != "point":
             problems.append("vertex %s: interior fixed surface" % vid)
-        if len(g.up_edges(vid)) > 1:
+        if len(g._up[vid]) > 1:
             problems.append("vertex %s: more than one up edge" % vid)
-        if len(g.down_edges(vid)) > 1:
+        if len(g._down[vid]) > 1:
             problems.append("vertex %s: more than one down edge" % vid)
     for ext in (lo, hi):
         deg = len(g.edges_at(ext.id))
@@ -319,14 +319,13 @@ def _problems(g):
     if problems:
         return problems
 
-    y = g._y
-    for e in g.edges:
-        low, high = (e.a, e.b) if y[e.a] < y[e.b] else (e.b, e.a)
-        square = _sphere_square(g, low, high, e.k)
-        if square.denominator != 1:
+    # the recorded spheres are the first rows of the table, in edge order,
+    # and row[3] is S.S
+    for (a, b, k), row in zip(g.edges, _sphere_table(g).rows):
+        if type(row[3]) is not int:
             problems.append("edge %s--%s: sphere of weight %d has non-integer "
                             "self-intersection %s"
-                            % (e.a, e.b, e.k, fmt_rat(square)))
+                            % (a, b, k, fmt_rat(row[3])))
     return problems
 
 
@@ -445,21 +444,109 @@ def _weight_table(g):
     return w
 
 
-def _sphere_square(g, low, high, k):
-    """S.S = (m_low - m_high)/k, the self-intersection of the sphere of
-    weight k from the fixed point low up to high, where m_low is the
-    isotropy weight at low other than +k and m_high the one at high other
-    than -k; a surface end has other weight 0.  The Atiyah-Bott-Berline-
-    Vergne formula restricted to the sphere gives it, and
-    <c_1, S> = 2 + S.S, so both are integers on the graph of a space
-    (Atiyah and Bott, Topology 23, 1984; Audin, Torus Actions on
-    Symplectic Manifolds, 2004).  An int when it is an integer, so the
-    check on a valid graph makes no Fraction; else a Fraction."""
-    weights = _weight_table(g)
-    m_low = sum(weights[low]) - k
-    m_high = sum(weights[high]) + k
-    square, rest = divmod(m_low - m_high, k)
-    return Fraction(m_low - m_high, k) if rest else square
+# The sphere table of a graph (_sphere_table).  rows: every sphere of the
+# strands as (low id, high id, k, S.S, Y_high - Y_low); tops and bottoms:
+# the interior points with no up and with no down edge, in level order.
+# The links, None until _sphere_links fills them: at, the rows at each
+# vertex, (down, up) at an interior point; strands, the lists of rows from
+# the minimum to the maximum, each keyed by its lowest interior point (a
+# direct minimum-maximum sphere by its row); strand, each interior point's
+# strand key
+_SphereTable = namedtuple("_SphereTable",
+                          "rows tops bottoms at strands strand",
+                          defaults=(None, None, None))
+
+
+def _sphere_rows(g, spheres):
+    """The table row (low, high, k, S.S, Y_high - Y_low) of each sphere
+    (low, high, k) of g, from the fixed point low up to high with
+    stabilizer Z_k (k = 1 for a free sphere).
+
+    S.S = (m_low - m_high)/k, where m_low is the isotropy weight at low
+    other than +k and m_high the one at high other than -k; a surface end
+    has other weight 0.  The Atiyah-Bott-Berline-Vergne formula
+    restricted to the sphere gives it, and <c_1, S> = 2 + S.S, so both are
+    integers on the graph of a space (Atiyah and Bott, Topology 23, 1984;
+    Audin, Torus Actions on Symplectic Manifolds, 2004).  With m_low =
+    w_low - k and m_high = w_high + k for the weight sums w, it is
+    (w_low - w_high - 2k)/k: an int when it is an integer, so a valid
+    graph makes no Fraction here; else a Fraction.  The weight pairs are
+    unpacked in line, as this loop runs once per graph of a minimal-model
+    search."""
+    w, y = _weight_table(g), g._y
+    rows = []
+    for low, high, k in spheres:
+        (a, b), (c, e) = w[low], w[high]
+        d = a + b - c - e - 2 * k
+        square, rest = divmod(d, k)
+        rows.append((low, high, k, Fraction(d, k) if rest else square,
+                     y[high] - y[low]))
+    return rows
+
+
+def _sphere_table(g):
+    """The sphere table of g, a graph that passes validate_graph up to its
+    last stage, such as a valid graph: built on the first call and kept on
+    g (``_spheres``).
+
+    Its rows (_sphere_rows) are every recorded sphere, in the order of
+    g.edges, then, in level order, a free sphere from the minimum to each
+    bottom (an interior point with no down edge) and one from each top
+    (no up edge) to the maximum.  Validation and the blow-down site
+    search read the rows alone, once per graph of a minimal-model search,
+    so the links between them wait for _sphere_links."""
+    t = g._spheres
+    if t is None:
+        y, ups, downs = g._y, g._up, g._down
+        lo, hi = g._order[0].id, g._order[-1].id
+        spheres = [(a, b, k) if y[a] < y[b] else (b, a, k)
+                   for a, b, k in g.edges]
+        tops, bottoms = [], []
+        for v in g._interior:
+            if not downs[v]:
+                bottoms.append(v)
+                spheres.append((lo, v, 1))
+            if not ups[v]:
+                tops.append(v)
+                spheres.append((v, hi, 1))
+        g._spheres = t = _SphereTable(_sphere_rows(g, spheres), tops, bottoms)
+    return t
+
+
+def _sphere_links(g):
+    """g's sphere table (_sphere_table) with its links, filled from its
+    rows on the first call and kept in the table.
+
+    An interior point has at most one up and one down edge, so it has
+    exactly one down and one up sphere, at[v] = (down, up); at[v] of an
+    extremum holds every row at it.  Following the up spheres from the
+    minimum gives the strands, each a list of rows from the minimum to the
+    maximum, and each interior point lies on exactly one,
+    strands[strand[v]].  The strands are in the order the level order
+    meets them: the direct minimum-maximum spheres first, by k, then each
+    strand at its lowest interior point, since a sphere rises strictly."""
+    t = _sphere_table(g)
+    if t.at is None:
+        rows = t.rows
+        lo, hi = g._order[0].id, g._order[-1].id
+        down = {r[1]: r for r in rows}
+        up = {r[0]: r for r in rows}
+        at = {lo: [r for r in rows if r[0] == lo],
+              hi: [r for r in rows if r[1] == hi]}
+        strands = {r: [r] for r in sorted(at[lo]) if r[1] == hi}
+        strand = {}
+        for v in g._interior:
+            d, u = at[v] = down[v], up[v]
+            s = strand[v] = v if d[0] == lo else strand[d[0]]
+            strands.setdefault(s, [d]).append(u)
+        g._spheres = t = t._replace(at=at, strands=strands, strand=strand)
+    return t
+
+
+def _area(g, low, high, k):
+    """The symplectic area (Y_high - Y_low)/(k _scale) of the sphere of
+    weight k from low up to high, one Fraction on g's integer levels."""
+    return Fraction(g._y[high] - g._y[low], k * g._scale)
 
 
 def compare(g, vid, wid):
@@ -468,8 +555,8 @@ def compare(g, vid, wid):
     refused.
 
     Two fixed points are comparable when their levels differ and either one
-    of them is extremal or both lie on one strand (_strand_of); between two
-    interior points a strand is made of recorded spheres, so that is a
+    of them is extremal or both lie on one strand (_sphere_links); between
+    two interior points a strand is made of recorded spheres, so that is a
     monotone chain of them.
     """
     require_valid(g)
@@ -478,9 +565,9 @@ def compare(g, vid, wid):
     if vid == wid:
         return "equal"
     yv, yw = g._y[vid], g._y[wid]
-    strand = _strand_of(g, vid)
-    if yv == yw or (strand is not None and not g.is_extremal(wid)
-                    and wid not in strand):
+    strand = _sphere_links(g).strand
+    if yv == yw or (vid in strand and wid in strand
+                    and strand[vid] != strand[wid]):
         return "incomparable"
     return "less" if yv < yw else "greater"
 
@@ -524,8 +611,8 @@ def canonical_form(g, mode="exact"):
     One branch is enough on a valid graph.  Take away its two extrema,
     whose levels, and so whose labels, are unique.  Every other vertex has
     at most one up and one down edge, so what is left is vertex-disjoint
-    strands (the interiors of ``_strands``): monotone paths, on which
-    levels rise strictly.  A stable colour fixes the label, and so the
+    strands (those of ``_sphere_links`` less their ends): monotone paths,
+    on which levels rise strictly.  A stable colour fixes the label, and so the
     level, and the multiset of (k, neighbour colour) pairs; the neighbour
     above and the one below are told apart by their levels.  Walking up and
     down from two vertices u and v of one colour thus meets the same (k,
@@ -616,7 +703,9 @@ def is_isomorphic(g1, g2, mode="exact"):
 # -- extensions by free spheres ---------------------------------------------
 
 # free_edges: (low id, high id) pairs; branches: vertex id paths, min..max;
-# chains: the chains of _chains(g, free_edges)
+# chains: the chains of Spheres from the minimum to the maximum, made of the
+# recorded spheres and free_edges, in the order of the strands
+# (_sphere_links) at their lowest points
 ExtendedGraph = namedtuple("ExtendedGraph", "free_edges branches chains")
 
 
@@ -655,92 +744,46 @@ def extend_graph(g):
     match of a later top (swap the two bottoms).  The search tries hi
     first, so it sends the first h tops there; then hi is full, and the
     lowest free bottom succeeds for each later top.  So the search ends
-    exactly where the construction below does, and no arrangement exists
+    exactly where _extension's construction does, and no arrangement exists
     exactly when some top finds no free bottom above it.
     """
+    frees, chains = _extension(g)
+    lo = g.min_vertex().id
+    chains = [tuple(Sphere(low, high, k) for low, high, k, _, _ in c)
+              for c in chains]
+    return ExtendedGraph(frees, [[lo] + [s.north for s in c] for c in chains],
+                         chains)
+
+
+def _extension(g):
+    """(free_edges, chains) of extend_graph(g), each chain a list of sphere
+    table rows (_sphere_links).  A top sent to a bottom joins its strand,
+    below its free sphere to the maximum, to the bottom's strand above its
+    free sphere from the minimum."""
     require_valid(g)
-    lo, hi = g.min_vertex().id, g.max_vertex().id
-    interiors = g.interior_ids()  # in level order
-    y = g._y
-    tops = sorted((v for v in interiors if not g.up_edges(v)),
-                  key=lambda v: (-y[v], v))
-    bottoms = [v for v in interiors if not g.down_edges(v)]
+    table = _sphere_links(g)
+    hi, y = g.max_vertex().id, g._y
+    tops = sorted(table.tops, key=lambda v: (-y[v], v))
+    bottoms = list(table.bottoms)   # in level order
     h = min(len(tops), _free_capacity(g, hi))
-    frees = [(v, hi) for v in tops[:h]]
+    joins = {}
     for v in tops[h:]:
         w = next((w for w in bottoms if y[w] > y[v]), None)
         if w is None:
             raise NoExtensionError(_NO_ARRANGEMENT)
         bottoms.remove(w)
-        frees.append((v, w))
-    frees += [(lo, w) for w in bottoms]
-    frees.sort()
-    chains = _chains(g, frees)
-    return ExtendedGraph(frees, [[lo] + [s[1] for s in c] for c in chains],
-                         chains)
-
-
-def _chains(g, frees):
-    """The chains of spheres from the minimum to the maximum, made of the
-    recorded edges and the given free (k = 1) spheres, (low id, high id)
-    pairs.  Each chain is a tuple of Spheres, bottom to top.  Chains are
-    sorted by their interior levels; direct minimum-maximum spheres, the
-    only ties, by k.
-    """
-    lo, hi = g.min_vertex().id, g.max_vertex().id
-    spheres = [Sphere(low, e.other(low), e.k)
-               for low, ups in g._up.items() for e in ups]
-    spheres += [Sphere(low, high, 1) for low, high in frees]
-    up_of = {}
-    starts = []
-    for s in spheres:
-        if s[0] == lo:
-            starts.append(s)
-        else:
-            up_of[s[0]] = s
+        joins[v] = w
+    joined = {r[0]: r for r in _sphere_rows(g, [(v, w, 1) for v, w
+                                                in joins.items()])}
     chains = []
-    for s in starts:
-        chain = [s]
-        while chain[-1].north != hi:
-            chain.append(up_of[chain[-1].north])
-        chains.append(tuple(chain))
-    chains.sort(key=lambda c: ([(g._y[s.north], s.north) for s in c[:-1]],
-                               [s.k for s in c]))
-    return chains
-
-
-def _strands(g):
-    """The strands of the valid graph g: its chains of spheres (_chains),
-    with a free sphere from the minimum to each interior point that has no
-    down edge and one to the maximum from each interior point that has no
-    up edge.  An interior point has at most one up and one down edge, so it
-    lies on exactly one strand, and a free sphere meets an extremum.
-    Walked once per graph and kept on it (``_spheres``)."""
-    if g._spheres is None:
-        g._spheres = tuple(_chains(g, _strand_frees(g)))
-    return g._spheres
-
-
-def _strand_frees(g):
-    """The free spheres of the strands of the valid graph g, as (low id,
-    high id) pairs: one from the minimum to each interior point that has
-    no down edge, then one from each interior point that has no up edge
-    to the maximum."""
-    lo, hi = g.min_vertex().id, g.max_vertex().id
-    ids = g.interior_ids()
-    frees = [(lo, vid) for vid in ids if not g._down[vid]]
-    frees += [(vid, hi) for vid in ids if not g._up[vid]]
-    return frees
-
-
-def _strand_of(g, vid):
-    """The interior ids on vid's strand in the valid graph g, bottom to
-    top, or None when vid is an extremum."""
-    for strand in _strands(g):
-        ids = [s.north for s in strand[:-1]]
-        if vid in ids:
-            return ids
-    return None
+    for c in table.strands.values():
+        if c[0][1] not in joins.values():
+            while c[-1][0] in joined:
+                row = joined[c[-1][0]]
+                c = c[:-1] + [row] + table.strands[row[1]][1:]
+            chains.append(c)
+    # every free sphere of the arrangement lies on one chain
+    return sorted(r[:2] for c in chains for r in c if r[2] == 1), chains
 
 
 # -- JSON --------------------------------------------------------------------

@@ -38,10 +38,11 @@ class IntersectionData(namedtuple("IntersectionData",
 
 def _chain_structure(g):
     """Chains of invariant spheres of the valid two-surface graph g, bottom
-    to top, in deterministic order: its strands (graph_core._strands)."""
+    to top, in deterministic order: its strands, each a list of sphere
+    table rows (low, high, k, S.S, rise) (graph_core._sphere_links)."""
     if g.min_vertex().kind != "surface" or g.max_vertex().kind != "surface":
         raise GraphError("homology needs a graph with two fixed surfaces")
-    return graph_core._strands(g)
+    return list(graph_core._sphere_links(g).strands.values())
 
 
 def _labels(chains):
@@ -53,8 +54,8 @@ def _labels(chains):
 
 def intersection_matrix(g):
     """Integer pairing of the spanning curves of a two-surface graph.  The
-    diagonal entry of a chain sphere is its self-intersection
-    (graph_core._sphere_square), an int on a valid graph."""
+    diagonal entry of a chain sphere is its self-intersection, read off
+    the sphere table (graph_core._sphere_rows), an int on a valid graph."""
     ext = extremal_self_intersections(g)
     chains = _chain_structure(g)
     labels = _labels(chains)
@@ -72,37 +73,37 @@ def intersection_matrix(g):
     put(FIBER, BMAX, 1)
     basis = [BMAX, FIBER]
     for ci, chain in enumerate(chains, start=1):
-        for i, s in enumerate(chain, start=1):
-            put(_elabel(ci, i), _elabel(ci, i),
-                graph_core._sphere_square(g, s.south, s.north, s.k))
+        for i, (_, _, _, square, _) in enumerate(chain, start=1):
+            put(_elabel(ci, i), _elabel(ci, i), square)
         for i in range(1, len(chain)):
             put(_elabel(ci, i), _elabel(ci, i + 1), 1)
         put(BMIN, _elabel(ci, 1), 1)
         put(BMAX, _elabel(ci, len(chain)), 1)
         basis += [_elabel(ci, i) for i in range(2, len(chain) + 1)]
+    spheres = tuple(tuple(graph_core.Sphere(*r[:3]) for r in c)
+                    for c in chains)
     return IntersectionData(labels, tuple(tuple(r) for r in M),
-                            tuple(basis), chains)
+                            tuple(basis), spheres)
 
 
 def _values_along(g, chains):
-    """Class values read off the labels, following a fixed chain layout.
+    """Class values read off the labels, following a fixed chain layout:
+    chains of (low, high, k, ...) spheres, each valued at its area on g
+    (graph_core._area).
 
     The two surfaces are found by kind, not by extremal position, so this
     also evaluates oversized blow-ups whose exceptional point overshoots
     the top surface (their values simply come out nonpositive).
     """
-    y = g._y
-    surfaces = sorted((v for v in g.vertices.values()
-                       if v.kind == "surface"), key=lambda v: y[v.id])
+    surfaces = sorted(g.surfaces(), key=lambda v: g._y[v.id])
     if len(surfaces) != 2:
         raise GraphError("homology needs a graph with two fixed surfaces")
     lo, hi = surfaces
     vals = {BMIN: lo.area, BMAX: hi.area,
-            FIBER: Fraction(y[hi.id] - y[lo.id], g._scale)}
+            FIBER: graph_core._area(g, lo.id, hi.id, 1)}
     for ci, chain in enumerate(chains, start=1):
         for i, s in enumerate(chain, start=1):
-            vals[_elabel(ci, i)] = Fraction(y[s.north] - y[s.south],
-                                            s.k * g._scale)
+            vals[_elabel(ci, i)] = graph_core._area(g, *s[:3])
     return vals
 
 
@@ -145,7 +146,7 @@ def blowup_class_transform(g, values, site, lam):
     gb = blowup_calculus.blowup(g, site.vertex, lam)
     lam = Fraction(lam)
     new_chains = _chain_structure(gb)
-    old_ids = [frozenset(s.north for s in c[:-1]) for c in chains]
+    old_ids = [frozenset(s[1] for s in c[:-1]) for c in chains]
     out = {BMIN: values[BMIN], BMAX: values[BMAX], FIBER: values[FIBER]}
     if site.tag == "SurfaceMin":
         out[BMIN] = values[BMIN] - lam
@@ -155,7 +156,7 @@ def blowup_class_transform(g, values, site, lam):
         raise GraphError("no incidence data for site %s on a two-surface "
                          "graph" % (site.tag,))
     for nci, chain in enumerate(new_chains, start=1):
-        ids = frozenset(s.north for s in chain[:-1])
+        ids = frozenset(s[1] for s in chain[:-1])
         if ids in old_ids:
             oci = old_ids.index(ids) + 1
             for i in range(1, len(chain) + 1):
@@ -174,7 +175,7 @@ def blowup_class_transform(g, values, site, lam):
             oci = next(i + 1 for i, ids0 in enumerate(old_ids)
                        if site.vertex in ids0)
             j = next(i for i, s in enumerate(chains[oci - 1], start=1)
-                     if s.north == site.vertex)
+                     if s[1] == site.vertex)
             old = [values[_elabel(oci, i)]
                    for i in range(1, len(chain))]
             new = old[:j - 1] + [old[j - 1] - lam, lam, old[j] - lam] \

@@ -21,10 +21,10 @@ from hamgraphs import (DecoratedGraph, Edge, GraphError, Vertex,
                        blowup_sites, blowup_symbolic, flip, instantiate,
                        isotropy_weights, require_valid)
 from hamgraphs.blowup_calculus import _fresh, _tag
-from hamgraphs.graph_core import _strand_of
 # the prime chain and the shifted corpus, with their flips, as the
 # level-index reference builds them
 from test_level_index_reference import indexed_graphs
+from test_sphere_table_reference import reference_strand_of
 
 
 def _aff(c0, c1=0):
@@ -82,7 +82,7 @@ def reference_blowup_symbolic(g, site):
             target = v_hi if g.moment(other) > alpha else v_lo
             edges.append(Edge(target, other, e.k))
         edges.append(Edge(v_lo, v_hi, m + n))
-        strand = ends.union((v_hi, v_lo), _strand_of(g, p.id))
+        strand = ends.union((v_hi, v_lo), reference_strand_of(g, p.id))
         near = {v_hi: strand, v_lo: strand}
     elif tag.startswith("Surface"):
         kind, mom, area, genus = sym_vertices[p.id]
@@ -104,7 +104,8 @@ def reference_blowup_symbolic(g, site):
             edges.append(Edge(v_ext, v_int, m - n))
         w = next(e.other(p.id) for e in touched if e.k == m)
         near = {v_ext: None,
-                v_int: (ends - {p.id}).union((v_ext,), _strand_of(g, w) or ())}
+                v_int: (ends - {p.id}).union(
+                    (v_ext,), reference_strand_of(g, w) or ())}
     else:
         genus = next((s.genus for s in g.surfaces()), 0)
         del sym_vertices[p.id]

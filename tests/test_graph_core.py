@@ -10,10 +10,11 @@ from hamgraphs import (DecoratedGraph, Edge, GraphError, NoExtensionError,
                        max_size, minimal_graph, polygon_to_graph,
                        require_valid, shift, validate_graph)
 from hamgraphs.blowup_calculus import BlowupSite, site_for_vertex
-from hamgraphs.graph_core import _chains, _extremal_pair
+from hamgraphs.graph_core import _extremal_pair
 from conftest import TENT_POLYGONS, _interior_products, s2s2_graph, tent_graph
 from test_canonical_reference import relabel, twin_chain
 from test_reduce_reference import surface_chain
+from test_sphere_table_reference import reference_chains
 
 F = Fraction
 
@@ -326,7 +327,7 @@ def test_extend_tent_two_branches():
     ext = extend_graph(tent_graph())
     assert len(ext.branches) == 2
     assert sorted(ext.branches) == [["lo", "a", "hi"], ["lo", "b", "hi"]]
-    assert ext.chains == _chains(tent_graph(), ext.free_edges)
+    assert ext.chains == reference_chains(tent_graph(), ext.free_edges)
 
 
 def test_extend_impossible_three_on_a_level():

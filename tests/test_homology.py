@@ -76,16 +76,17 @@ def test_chain_structure_is_built_once_per_graph(monkeypatch):
         class_values(twice_blown_ruled())
     g = twice_blown_ruled()
     calls = []
-    chains = graph_core._chains
+    rows = graph_core._sphere_rows
 
-    def counting(graph, frees):
+    def counting(graph, spheres):
         calls.append(graph)
-        return chains(graph, frees)
+        return rows(graph, spheres)
 
-    monkeypatch.setattr(graph_core, "_chains", counting)
+    # one _sphere_rows call builds g's sphere table, once per graph
+    monkeypatch.setattr(graph_core, "_sphere_rows", counting)
     assert intersection_matrix(g) == data
     assert class_values(g) == values
-    # compare and the symbolic blow-up read the same strands
+    # compare and the symbolic blow-up read the same table
     for v in g.vertices:
         for w in g.vertices:
             graph_core.compare(g, v, w)
