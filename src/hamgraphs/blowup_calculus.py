@@ -4,12 +4,12 @@ Blowing up at a fixed point rewrites the graph locally: the one or two new
 points lie at the level of the point they replace plus an integer slope
 times the blow-up size lambda.  A symbolic blow-up keeps g and those
 slopes, and reads the supremum of the admissible sizes off the areas of
-the spheres at the blown-up point (graph_core._sphere_links) and g's level
-order.
+the spheres at the blown-up point (graph_core._sphere_links) and g's
+level order.
 
 Blowing down collapses an exceptional sphere, of genus 0 and
 self-intersection -1.  One on a strand, with S.S = -1 by localization
-(graph_core._sphere_rows), merges its two ends into one vertex (patterns
+(graph_core._sphere_table), merges its two ends into one vertex (patterns
 A, B and C, named by where its ends lie); an extremal fixed sphere with
 e = -1 becomes an isolated extremum (D).  The size of a blow-down is the
 area of the sphere it collapses.
@@ -127,7 +127,9 @@ def blowup_symbolic(g, site):
     Every term is a positive level difference over a positive weight or a
     positive area (the extrema are unique and every sphere joins two
     levels), so sup is a positive Fraction and never None.  Each form reads
-    p's own spheres and two ends of g's level order, in O(1)."""
+    p's own spheres and two ends of g's level order, in O(1); a lesser of
+    two areas is picked by cross-multiplying their integer rises and
+    weights, so each form makes one Fraction, the area it returns."""
     require_valid(g)
     p = _known_vertex(g, site.vertex)
     y, yp, order = g._y, g._y[p.id], g._order
@@ -140,8 +142,8 @@ def blowup_symbolic(g, site):
     gap = (p.id, order[1].id) if sgn > 0 else (order[-2].id, p.id)
     area = None
     if tag == "Interior":
-        # p's down and up spheres have p's weights -n and m
-        (_, _, n, _, _), (_, _, m, _, _) = spheres
+        # p's down sphere from d and up sphere to u have p's weights -n, m
+        (d, _, n, _, rise_d), (_, u, m, _, rise_u) = spheres
         v_hi = _fresh(g.vertices, p.id + ".hi")
         v_lo = _fresh(g.vertices, p.id + ".lo")
         new = ((v_hi, "point", m, None), (v_lo, "point", -n, None))
@@ -150,7 +152,8 @@ def blowup_symbolic(g, site):
             target = v_hi if y[other] > yp else v_lo
             edges.append(Edge(target, other, e.k))
         edges.append(Edge(v_lo, v_hi, m + n))
-        sup = min(_area(g, low, high, k) for low, high, k, _, _ in spheres)
+        sup = (_area(g, p.id, u, m) if rise_u * n <= rise_d * m
+               else _area(g, d, p.id, n))
     elif tag.startswith("Surface"):
         area = p.area
         v_new = _fresh(g.vertices, p.id + ".new")
@@ -168,8 +171,10 @@ def blowup_symbolic(g, site):
         if m - n >= 2:
             edges.append(Edge(v_ext, v_int, m - n))
         # n < m, so m >= 2 and exactly one sphere at p has weight m
-        low, high = next(r[:2] for r in spheres if r[2] == m)
-        sup = min(_area(g, *gap, n), _area(g, low, high, m))
+        low, high, _, _, rise = next(r for r in spheres if r[2] == m)
+        a, b = gap
+        sup = (_area(g, low, high, m) if rise * n <= (y[b] - y[a]) * m
+               else _area(g, a, b, n))
     else:  # IsolatedMin11, IsolatedMax11: the point becomes a sphere
         genus = next((s.genus for s in g.surfaces()), 0)
         v_s = _fresh(g.vertices, p.id + ".s")
@@ -193,7 +198,7 @@ def instantiate(sb, lam):
     keeps it (Interior: s0, s1 stay), loses exactly 1 (Surface), gets
     -1/(n (m - n)) (Distinct, weights {n, m - n}) or becomes a sphere with
     e = -1 (11).  Every recorded sphere keeps an integer self-intersection
-    (m_low - m_high)/k (graph_core._sphere_rows): one away from p keeps
+    (m_low - m_high)/k (graph_core._sphere_table): one away from p keeps
     the weights at its ends; one of p's spheres moves to a new point whose
     other weight is p's lowered by k at a lower end (Interior -n to
     -(m + n); Distinct at a minimum m to m - n and n to n - m) or raised

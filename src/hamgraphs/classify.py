@@ -14,7 +14,7 @@ from numbers import Rational
 from . import blowup_calculus
 from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex,
-                         _free_capacity, _json_int, _json_str, _sphere_table,
+                         _free_capacity, _json_int, _json_str, _sphere_links,
                          canonical_form, extend_graph, flip, require_valid)
 from .rational import parse_rat
 from .toric_geometry import affine_normal_form, graph_to_polygon
@@ -201,7 +201,8 @@ def classify_isolated(g):
         raise GraphError("classify_isolated needs a graph with only "
                          "isolated fixed points")
     P = graph_to_polygon(g)
-    if len(_sphere_table(g).tops) > _free_capacity(g, g.max_vertex().id):
+    tops = len(_sphere_links(g).tops)
+    if tops > _free_capacity(g, g.max_vertex().id):
         raise GraphError("internal failure: free edge away from the "
                          "extrema")
     return affine_normal_form(P)

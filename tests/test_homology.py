@@ -76,15 +76,18 @@ def test_chain_structure_is_built_once_per_graph(monkeypatch):
         class_values(twice_blown_ruled())
     g = twice_blown_ruled()
     calls = []
-    rows = graph_core._sphere_rows
+    table = graph_core._SphereTable
 
-    def counting(graph, spheres):
-        calls.append(graph)
-        return rows(graph, spheres)
+    def counting(*fields):
+        calls.append(fields)
+        return table(*fields)
 
-    # one _sphere_rows call builds g's sphere table, once per graph
-    monkeypatch.setattr(graph_core, "_sphere_rows", counting)
+    # g's rows are built in one _SphereTable call and its strands once on
+    # top of them; after that the table kept on g is never replaced
+    monkeypatch.setattr(graph_core, "_SphereTable", counting)
     assert intersection_matrix(g) == data
+    built = g._spheres
+    assert built.strands is not None
     assert class_values(g) == values
     # compare and the symbolic blow-up read the same table
     for v in g.vertices:
@@ -92,7 +95,8 @@ def test_chain_structure_is_built_once_per_graph(monkeypatch):
             graph_core.compare(g, v, w)
     for site in blowup_sites(g):
         blowup_symbolic(g, site)
-    assert calls == [g]
+    assert g._spheres is built
+    assert calls == [built[:1]]
 
 
 def test_class_values_blown_ruled():

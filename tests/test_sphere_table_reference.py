@@ -1,8 +1,9 @@
 """The sphere table against the scans it replaced.
 
 ``graph_core._sphere_table`` keeps, once per graph, every sphere of the
-strands with its self-intersection and rise, the spheres at each vertex,
-the tops and the bottoms, and the strands.  The references below
+strands with its self-intersection and rise; ``_sphere_links`` adds the
+spheres at each vertex, the strands, and the tops and the bottoms, once
+per graph too.  The references below
 recompute each of them from the public interface or keep the form the
 table replaced: S.S from ``isotropy_weights``, the area from
 ``Vertex.moment``, the tops and bottoms by a scan of the edges, the
@@ -116,7 +117,7 @@ def brute_tops_bottoms(g):
             tops.append(v)
         if not any(m < g.moment(v) for m in others):
             bottoms.append(v)
-    return tops, bottoms
+    return tuple(tops), tuple(bottoms)
 
 
 @pytest.fixture(scope="module")
@@ -149,13 +150,23 @@ def test_every_interior_point_has_one_down_and_one_up_sphere(graphs):
             down, up = at[v]
             assert [r for r in rows if r[1] == v] == [down]
             assert [r for r in rows if r[0] == v] == [up]
-        assert at[lo] == [r for r in rows if r[0] == lo]
-        assert at[hi] == [r for r in rows if r[1] == hi]
+        assert sorted(at[lo]) == sorted(r for r in rows if r[0] == lo)
+        assert sorted(at[hi]) == sorted(r for r in rows if r[1] == hi)
+
+
+def test_table_is_shared_read_only(graphs):
+    # readers get the cached rows, strands and spheres at a vertex as they
+    # are, so none of them is a list that a reader could change in place
+    for g in graphs:
+        t = _sphere_links(g)
+        parts = [t.rows, t.tops, t.bottoms, *t.rows, *t.at.values(),
+                 *t.strands.values()]
+        assert all(type(x) is tuple for x in parts)
 
 
 def test_tops_and_bottoms_match_a_scan_of_the_edges(graphs):
     for g in graphs:
-        table = _sphere_table(g)
+        table = _sphere_links(g)
         assert (table.tops, table.bottoms) == brute_tops_bottoms(g)
 
 
