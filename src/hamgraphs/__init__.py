@@ -26,9 +26,8 @@ from .graph_core import (DecoratedGraph, Edge, GraphError, NoExtensionError,
                          extend_graph, flip, graph_from_json, graph_to_json,
                          is_isomorphic, isotropy_weights, require_valid,
                          shift, validate_graph)
-from .homology import (blowup_class_transform, class_values,
-                       decompose_positive, intersection_matrix, pair_with,
-                       positivity_equiv)
+from .homology import (class_values, decompose_positive,
+                       intersection_matrix, pair_with)
 from .toric_geometry import (DelzantPolygon, PolygonError,
                              affine_normal_form, graph_to_polygon,
                              polygon_affine_equivalent, polygon_chop,

@@ -237,10 +237,10 @@ def monotone_check(sb, lam):
 
 
 def max_size(g, site):
-    """(supremum of admissible blow-up sizes; whether a blow-up of exactly
-    that size passes monotone_check).  The second is always False:
-    monotone_check needs lambda < sup."""
-    return blowup_symbolic(g, site).sup, False
+    """The supremum of the admissible blow-up sizes at the site, a positive
+    Fraction (blowup_symbolic).  No blow-up of exactly that size is
+    admissible: monotone_check needs lambda < sup."""
+    return blowup_symbolic(g, site).sup
 
 
 def blowup(g, vid, lam):

@@ -89,12 +89,6 @@ def self_intersections(c):
     return es
 
 
-def mg_check(m, n, e, k):
-    """Weights m (north) and n (south) of a sphere with self-intersection e
-    and stabilizer order k must satisfy m - n = -e k."""
-    return m - n == -e * k
-
-
 def _seed(k1, k2):
     """The first normal b_1 = -k_2^{-1} mod k_1 of a chain whose first two
     weights are k_1, k_2 (0 when k_1 = 1)."""

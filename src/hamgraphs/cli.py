@@ -203,10 +203,10 @@ def _cmd_blowup(ns):
         sites = blowup_calculus.blowup_sites(g)
         rows = []
         for s in sites:
-            sup, attain = blowup_calculus.max_size(g, s)
+            # no blow-up of exactly the supremum is admissible
             rows.append({"vertex": s.vertex, "tag": s.tag,
-                         "max_size": fmt_rat(sup),
-                         "attainable": attain})
+                         "max_size": fmt_rat(blowup_calculus.max_size(g, s)),
+                         "attainable": False})
         _emit_json({"sites": rows}, ns.out)
         return 0
     if getattr(ns, "lambda") is None:
@@ -305,12 +305,9 @@ def _cmd_homology(ns):
     for lab, row in zip(data.labels, data.matrix):
         lines.append("%-*s %s" % (width, lab,
                                   " ".join("%3d" % x for x in row)))
-    _emit_json({"labels": list(data.labels),
-                "matrix": [list(r) for r in data.matrix],
-                "basis": list(data.basis),
-                "values": {lab: fmt_rat(values[lab])
-                           for lab in data.labels},
-                "pretty": lines}, ns.out)
+    _emit_json(dict(data.to_json(),
+                    values={lab: fmt_rat(values[lab]) for lab in data.labels},
+                    pretty=lines), ns.out)
     return 0
 
 

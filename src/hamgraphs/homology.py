@@ -7,14 +7,20 @@ end, and an edgeless interior point contributes a chain of two free
 spheres.  Together with the fixed surfaces B_min, B_max and a generic
 fiber F these curves span the homology, and their pairing matrix, class
 values, and positive decompositions are all computable from the labels.
+
+Nothing here restates a blow-up: the class values after one are
+class_values of the blown-up graph (blowup_calculus.blowup), and they are
+all positive exactly at the admissible sizes (0, sup) that
+blowup_calculus.blowup_symbolic proves.  The module reads graph_core and
+dh_measure only.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 
-from . import blowup_calculus, graph_core
+from . import graph_core
 from .dh_measure import extremal_self_intersections
-from .graph_core import GraphError, require_valid
+from .graph_core import GraphError, _exact, require_valid
 
 BMIN, BMAX, FIBER = "Bmin", "Bmax", "F"
 
@@ -45,20 +51,15 @@ def _chain_structure(g):
     return tuple(graph_core._sphere_links(g).strands.values())
 
 
-def _labels(chains):
-    out = [BMIN, BMAX, FIBER]
-    for ci, chain in enumerate(chains, start=1):
-        out += [_elabel(ci, i) for i in range(1, len(chain) + 1)]
-    return tuple(out)
-
-
 def intersection_matrix(g):
     """Integer pairing of the spanning curves of a two-surface graph.  The
     diagonal entry of a chain sphere is its self-intersection, read off
     the sphere table (graph_core._sphere_table), an int on a valid graph."""
     ext = extremal_self_intersections(g)
     chains = _chain_structure(g)
-    labels = _labels(chains)
+    labels = [BMIN, BMAX, FIBER]
+    for ci, chain in enumerate(chains, start=1):
+        labels += [_elabel(ci, i) for i in range(1, len(chain) + 1)]
     pos = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     M = [[0] * n for _ in range(n)]
@@ -82,23 +83,17 @@ def intersection_matrix(g):
         basis += [_elabel(ci, i) for i in range(2, len(chain) + 1)]
     spheres = tuple(tuple(graph_core.Sphere(*r[:3]) for r in c)
                     for c in chains)
-    return IntersectionData(labels, tuple(tuple(r) for r in M),
+    return IntersectionData(tuple(labels), tuple(tuple(r) for r in M),
                             tuple(basis), spheres)
 
 
-def _values_along(g, chains):
-    """Class values read off the labels, following a fixed chain layout:
-    chains of (low, high, k, ...) spheres, each valued at its area on g
-    (graph_core._area).
-
-    The two surfaces are found by kind, not by extremal position, so this
-    also evaluates oversized blow-ups whose exceptional point overshoots
-    the top surface (their values simply come out nonpositive).
-    """
-    surfaces = sorted(g.surfaces(), key=lambda v: g._y[v.id])
-    if len(surfaces) != 2:
-        raise GraphError("homology needs a graph with two fixed surfaces")
-    lo, hi = surfaces
+def class_values(g):
+    """Symplectic area of each spanning curve: a fixed surface contributes
+    its area label, a k-sphere (Phi(north) - Phi(south))/k, and the fiber
+    y_max - y_min.  Each sphere's area is graph_core._area."""
+    require_valid(g)
+    chains = _chain_structure(g)
+    lo, hi = g.min_vertex(), g.max_vertex()
     vals = {BMIN: lo.area, BMAX: hi.area,
             FIBER: graph_core._area(g, lo.id, hi.id, 1)}
     for ci, chain in enumerate(chains, start=1):
@@ -107,82 +102,22 @@ def _values_along(g, chains):
     return vals
 
 
-def class_values(g):
-    """Symplectic area of each spanning curve: a fixed surface contributes
-    its area label, a k-sphere (Phi(north) - Phi(south))/k, and the fiber
-    y_max - y_min."""
-    require_valid(g)
-    return _values_along(g, _chain_structure(g))
-
-
-def positivity_equiv(sb, lams):
-    """Whether, for each lambda in lams, an int or a Fraction, positivity
-    of all class values of the instantiated blow-up agrees with the
-    monotonicity check.  The supremum is a positive Fraction (see
-    blowup_calculus.blowup_symbolic), so sup/2 is admissible."""
-    ref = blowup_calculus.instantiate(sb, sb.sup / 2)
-    chains = _chain_structure(ref)
-    for lam in lams:
-        admissible = blowup_calculus.monotone_check(sb, lam)
-        if lam <= 0:
-            continue
-        inst = blowup_calculus.instantiate(sb, lam)
-        positive = all(v > 0 for v in _values_along(inst, chains).values())
-        if positive != admissible:
-            return False
-    return True
-
-
-def blowup_class_transform(g, values, site, lam):
-    """Transform class values under a blow-up of size lam, an int or a
-    Fraction, at the site.
-
-    Each curve's value drops by lam times its intersection with the
-    exceptional sphere, and the exceptional sphere itself gets value lam.
-    Returns values keyed by the spanning labels of the blown-up graph.
-    """
-    require_valid(g)
-    chains = _chain_structure(g)
-    gb = blowup_calculus.blowup(g, site.vertex, lam)
-    lam = Fraction(lam)
-    new_chains = _chain_structure(gb)
-    old_ids = [frozenset(s[1] for s in c[:-1]) for c in chains]
-    out = {BMIN: values[BMIN], BMAX: values[BMAX], FIBER: values[FIBER]}
-    if site.tag == "SurfaceMin":
-        out[BMIN] = values[BMIN] - lam
-    elif site.tag == "SurfaceMax":
-        out[BMAX] = values[BMAX] - lam
-    elif site.tag != "Interior":
-        raise GraphError("no incidence data for site %s on a two-surface "
-                         "graph" % (site.tag,))
-    for nci, chain in enumerate(new_chains, start=1):
-        ids = frozenset(s[1] for s in chain[:-1])
-        if ids in old_ids:
-            oci = old_ids.index(ids) + 1
-            for i in range(1, len(chain) + 1):
-                out[_elabel(nci, i)] = values[_elabel(oci, i)]
-            continue
-        if site.tag in ("SurfaceMin", "SurfaceMax"):
-            # fresh two-sphere chain: the exceptional sphere sits next to
-            # the blown-up surface, the other sphere is the proper
-            # transform of the fiber through the blown-up point
-            exc = 1 if site.tag == "SurfaceMin" else 2
-            out[_elabel(nci, exc)] = lam
-            out[_elabel(nci, 3 - exc)] = values[FIBER] - lam
-        else:
-            # interior blow-up: the split vertex's two neighbor spheres
-            # each meet the exceptional sphere once
-            oci = next(i + 1 for i, ids0 in enumerate(old_ids)
-                       if site.vertex in ids0)
-            j = next(i for i, s in enumerate(chains[oci - 1], start=1)
-                     if s[1] == site.vertex)
-            old = [values[_elabel(oci, i)]
-                   for i in range(1, len(chain))]
-            new = old[:j - 1] + [old[j - 1] - lam, lam, old[j] - lam] \
-                + old[j + 1:]
-            for i, v in enumerate(new, start=1):
-                out[_elabel(nci, i)] = v
-    return out
+def _integers(labels, values, what):
+    """values[lab] as a Fraction for each of the labels.  An unknown or a
+    missing label, and a value that is not an int or an integer Fraction,
+    raise a GraphError that names the label: a float, a string or a bool
+    would stand for some other number (graph_core._exact)."""
+    for lab in values:
+        if lab not in labels:
+            raise GraphError("unknown label %s" % (lab,))
+    for lab in labels:
+        if lab not in values:
+            raise GraphError("%s %s is missing" % (what, lab))
+        x = _exact(values[lab], "%s %s" % (what, lab))
+        if x.denominator != 1:
+            raise GraphError("%s %s must be an integer, not %s"
+                             % (what, lab, x))
+    return {lab: Fraction(values[lab]) for lab in labels}
 
 
 # coefficients is a dict, or None with failure the reason
@@ -193,15 +128,16 @@ def decompose_positive(g, inters):
     """Express a class with the given nonnegative intersection numbers as a
     combination of spanning curves with alpha_min = alpha_1 = 0.
 
-    inters: label -> integer intersection with each spanning curve.  The
-    linear system is solved chain by chain; the surplus equations are
-    consistency checks, and the result must satisfy alpha_max >= 0,
-    alpha_F >= 0 and alpha_{i+1}/k_{i+1} >= alpha_i/k_i >= 0 along every
-    chain.  Returns a Decomposition; inconsistent data raises.
+    inters: label -> integer intersection with each spanning curve, for
+    every label and no other (_integers).  The linear system is solved
+    chain by chain; the surplus equations are consistency checks, and the
+    result must satisfy alpha_max >= 0, alpha_F >= 0 and
+    alpha_{i+1}/k_{i+1} >= alpha_i/k_i >= 0 along every chain.  Returns a
+    Decomposition; inconsistent data raises.
     """
     data = intersection_matrix(g)
     pos = {lab: i for i, lab in enumerate(data.labels)}
-    C = {lab: Fraction(inters[lab]) for lab in data.labels}
+    C = _integers(data.labels, inters, "intersection number")
     if any(v < 0 for v in C.values()):
         raise GraphError("intersection numbers must be nonnegative")
     coeffs = {BMIN: Fraction(0)}
@@ -241,11 +177,10 @@ def decompose_positive(g, inters):
 
 def pair_with(data, coeffs):
     """Intersection numbers of the combination sum coeffs[D] D against each
-    spanning curve."""
-    pos = {lab: i for i, lab in enumerate(data.labels)}
+    spanning curve.  coeffs: label -> integer coefficient, for every label
+    of data and no other (_integers)."""
+    coeffs = _integers(data.labels, coeffs, "coefficient")
     out = {}
-    for lab in data.labels:
-        row = data.matrix[pos[lab]]
-        out[lab] = sum(Fraction(coeffs.get(l2, 0)) * row[pos[l2]]
-                       for l2 in data.labels)
+    for lab, row in zip(data.labels, data.matrix):
+        out[lab] = sum(coeffs[l2] * x for l2, x in zip(data.labels, row))
     return out

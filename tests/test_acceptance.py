@@ -17,15 +17,16 @@ from hamgraphs import (SURFACE_END, WeightChain, b_sequence, blowup,
                        decompose_positive, density, extend_graph,
                        extremal_self_intersections, flip, intersection_matrix,
                        is_isomorphic, isotropy_weights, kho_d,
-                       match_minimal_family, minimal_graph, pair_with,
-                       polygon_affine_equivalent, polygon_pushforward,
-                       polygon_to_graph, positivity_equiv, reduce_to_minimal,
-                       validate_chain, validate_delzant)
+                       match_minimal_family, minimal_graph, monotone_check,
+                       pair_with, polygon_affine_equivalent,
+                       polygon_pushforward, polygon_to_graph,
+                       reduce_to_minimal, validate_chain, validate_delzant)
 from hamgraphs.blowup_calculus import (_ordered_sites, _rewrite,
                                        blowdown_sites, blowup_sites,
                                        max_size)
 from conftest import (S2S2_POLYGONS, TENT_POLYGONS, chopped_square_graph,
                       corpus_seeds, tent_graph)
+from test_homology import positive_class_areas
 
 F = Fraction
 
@@ -120,7 +121,7 @@ def test_blowup_blowdown_round_trip(enumerated):
     for rec in enumerated:
         g = rec.graph
         for site in blowup_sites(g):
-            sup, _ = max_size(g, site)
+            sup = max_size(g, site)
             assert sup > 0
             for lam in (sup / 2, sup / 4):
                 h = blowup(g, site.vertex, lam)
@@ -139,7 +140,7 @@ def test_blowup_blowdown_round_trip(enumerated):
             for s2 in sites:
                 if s1.vertex >= s2.vertex:
                     continue
-                sup1, _ = max_size(g, s1)
+                sup1 = max_size(g, s1)
                 try:
                     a = blowup(blowup(g, s1.vertex, sup1 / 4),
                                s2.vertex, sup1 / 4)
@@ -157,7 +158,7 @@ def test_hirzebruch_blowup_bounds():
     sites = blowup_sites(g)
     assert len(sites) == 3
     for site in sites:
-        assert max_size(g, site) == (1, False)
+        assert max_size(g, site) == 1
 
 
 def test_every_blowdown_step_blows_back_up(enumerated):
@@ -224,15 +225,16 @@ def test_class_positivity_matches_monotonicity():
         for _ in range(rng.randint(0, 2)):
             sites = blowup_sites(g)
             site = sites[rng.randrange(len(sites))]
-            sup, _ = max_size(g, site)
+            sup = max_size(g, site)
             assert sup > 0
             g = blowup(g, site.vertex, sup * F(1, rng.randint(2, 5)))
         sites = blowup_sites(g)
         site = sites[rng.randrange(len(sites))]
-        sup, _ = max_size(g, site)
+        sup = max_size(g, site)
         assert sup > 0
         lam = sup * F(rng.randint(1, 8), 4)   # from sup/4 up to 2 sup
-        assert positivity_equiv(blowup_symbolic(g, site), [lam])
+        sb = blowup_symbolic(g, site)
+        assert positive_class_areas(sb, lam) == monotone_check(sb, lam)
         triples += 1
 
 

@@ -8,8 +8,8 @@ outside the admissible range it must refuse, and ``instantiate`` must
 leave the graph to ``validate_graph``.  ``enumerate_graphs`` blows up at
 half the supremum without even the size check; every such child must
 pass ``monotone_check`` and the uncached validation stages too.  No
-site's supremum passes ``monotone_check``, as ``max_size`` states without
-checking.
+site's supremum passes ``monotone_check``, as ``max_size``'s docstring
+states without checking.
 """
 
 import pytest
@@ -38,10 +38,10 @@ def assert_valid_by_construction(g):
             assert child.edges == h.edges, (site, lam)
         with pytest.raises(GraphError, match="monotonicity violated"):
             blowup(g, site.vertex, 2 * sup)
-        # max_size reports False without checking: the supremum's own
-        # constraint is 0 there
+        # the supremum itself is not admissible: its own constraint is 0
+        # there
         assert not monotone_check(sb, sup), site
-        assert max_size(g, site) == (sup, False), site
+        assert max_size(g, site) == sup, site
         with pytest.raises(GraphError, match="monotonicity violated"):
             blowup(g, site.vertex, sup)
         # a size outside (0, sup) is left unmarked, validated when asked

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamgraphs import (SURFACE_END, ChainError, WeightChain, b_sequence,
-                       chain_fan, kho_d, self_intersections, validate_chain)
-from hamgraphs.chain_arith import mg_check
+                       chain_fan, enumerate_graphs, kho_d, minimal_graph,
+                       self_intersections, validate_chain)
+from hamgraphs.graph_core import _sphere_links
 
 
 def surf_chain(ks):
@@ -65,13 +66,22 @@ def test_self_intersections_all_ones():
     assert es[1:-1] == [-2, -2, -2]
 
 
-def test_mg_check():
-    assert mg_check(1, -1, -1, 2)
-    assert mg_check(0, 0, 0, 7)
-    for m in range(1, 6):
-        for n in range(1, 6):
-            assert mg_check(m, -n, -1, m + n)
-    assert not mg_check(1, 1, -1, 2)
+def test_self_intersections_match_the_sphere_table():
+    # the sphere table's rows (low, high, k, S.S, rise) hold S.S by
+    # localization on the graph; the chain arithmetic must give the same
+    # numbers from the weights alone, on every strand of a two-surface
+    # graph (each a chain with a surface at either end)
+    seeds = [("ruled(%d,%d)" % gn, minimal_graph("ruled", *gn, 3, 2))
+             for gn in ((0, 0), (0, 1), (1, 0))]
+    strands = 0
+    for rec in enumerate_graphs(seeds, 3):
+        g = rec.graph
+        assert g.min_vertex().kind == g.max_vertex().kind == "surface"
+        for strand in _sphere_links(g).strands.values():
+            chain = WeightChain([r[2] for r in strand])
+            assert self_intersections(chain) == [r[3] for r in strand]
+            strands += 1
+    assert strands == 96
 
 
 def test_b_sequence_examples():
@@ -111,9 +121,10 @@ def test_random_chain_properties(c):
     for j in range(1, len(padded) - 1):
         if padded[j] > max(padded[j - 1], padded[j + 1]):
             assert es[j - 1] == -1
-    # weight relation at every sphere: north minus south = -e k
+    # weight relation at every sphere: north minus south = -e k, with
+    # north weight k_{i+1} and south weight -k_{i-1}
     for j in range(1, len(padded) - 1):
-        assert mg_check(padded[j + 1], -padded[j - 1], es[j - 1], padded[j])
+        assert padded[j + 1] + padded[j - 1] == -es[j - 1] * padded[j]
     bs = b_sequence(c)
     for i in range(len(ks) - 1):
         assert ks[i] * bs[i + 1] - bs[i] * ks[i + 1] == 1

@@ -1,13 +1,15 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from hamgraphs import (GraphError, blowup, blowup_class_transform,
-                       blowup_symbolic, class_values, decompose_positive,
-                       intersection_matrix, minimal_graph, pair_with,
-                       positivity_equiv)
+from hamgraphs import (GraphError, blowup, blowup_symbolic, class_values,
+                       decompose_positive, graph_to_json, instantiate,
+                       intersection_matrix, minimal_graph, monotone_check,
+                       pair_with)
 from hamgraphs import graph_core
 from hamgraphs.blowup_calculus import blowup_sites, max_size, site_for_vertex
+from hamgraphs.cli import run
 from conftest import chopped_square_graph, s2s2_graph
 
 F = Fraction
@@ -108,29 +110,79 @@ def test_class_values_blown_ruled():
     assert vals["E:1:2"] == F(2, 3)
 
 
+def transformed_values(g, values, site, lam):
+    """The class values after a blow-up of size lam at the site, from the
+    values of g: the two curves through the blown-up point each lose lam,
+    and the exceptional sphere between them has area lam.  Along the line
+    Bmin, chain, Bmax the point lies after position j: on the bottom
+    surface j = 0 with the fiber as its chain, on the top one j = 1, and
+    inside, its down sphere's position on its chain.  A chain the blow-up
+    leaves keeps its values, found by its interior points."""
+    def inner(chain):
+        return {s.north for s in chain[:-1]}
+
+    def elabels(ci, chain):
+        return ["E:%d:%d" % (ci, i) for i in range(1, len(chain) + 1)]
+
+    old = intersection_matrix(g).chains
+    line, j = ["Bmin", "F", "Bmax"], int(site.tag == "SurfaceMax")
+    for ci, chain in enumerate(old, start=1):
+        if site.vertex in inner(chain):
+            line = ["Bmin"] + elabels(ci, chain) + ["Bmax"]
+            j = next(i for i, s in enumerate(chain, start=1)
+                     if s.north == site.vertex)
+    vals = [values[lab] for lab in line]
+    vals[j:j + 2] = [vals[j] - lam, lam, vals[j + 1] - lam]
+    out = {"Bmin": vals[0], "Bmax": vals[-1], "F": values["F"]}
+    new = intersection_matrix(blowup(g, site.vertex, lam)).chains
+    for ci, chain in enumerate(new, start=1):
+        kept = [elabels(oci, c) for oci, c in enumerate(old, start=1)
+                if inner(c) == inner(chain)]
+        moved = [values[lab] for lab in kept[0]] if kept else vals[1:-1]
+        out.update(zip(elabels(ci, chain), moved))
+    return out
+
+
+def positive_class_areas(sb, lam):
+    """Whether every spanning curve of instantiate(sb, lam) has positive
+    area, read from Vertex.moment: each surface's area label, the fiber
+    between the surfaces and each chain sphere's (moment(north) -
+    moment(south))/k.  The chains are those of the admissible size
+    sup/2, which has the same vertices and edges; at a size outside
+    (0, sup) the graph need not be valid, so class_values refuses it."""
+    chains = intersection_matrix(instantiate(sb, sb.sup / 2)).chains
+    h = instantiate(sb, lam)
+    lo, hi = sorted(h.surfaces(), key=lambda v: v.moment)
+    areas = [lo.area, hi.area, hi.moment - lo.moment]
+    areas += [(h.moment(s.north) - h.moment(s.south)) / s.k
+              for chain in chains for s in chain]
+    return all(a > 0 for a in areas)
+
+
 def test_transform_matches_recomputation():
     for g in (ruled(), ruled(2, 1), blown_ruled(), twice_blown_ruled(),
               chopped_square_graph()):
         vals = class_values(g)
         for site in blowup_sites(g):
-            sup, _ = max_size(g, site)
-            lam = sup / 3
-            moved = blowup_class_transform(g, vals, site, lam)
+            lam = max_size(g, site) / 3
+            moved = transformed_values(g, vals, site, lam)
             assert moved == class_values(blowup(g, site.vertex, lam))
 
 
-def test_positivity_equiv_mixed_lams():
+def test_class_positivity_matches_monotonicity_mixed_lams():
     g = ruled()
     for site in blowup_sites(g):
         sb = blowup_symbolic(g, site)
-        sup, _ = max_size(g, site)
-        assert positivity_equiv(sb, [sup / 2, sup / 4, sup * 2, sup * 4])
+        sup = max_size(g, site)
+        for lam in (sup / 2, sup / 4, sup * 2, sup * 4):
+            assert positive_class_areas(sb, lam) == monotone_check(sb, lam)
     g = twice_blown_ruled()
     for site in blowup_sites(g):
-        sup, _ = max_size(g, site)
+        sup = max_size(g, site)
         assert sup > 0
         sb = blowup_symbolic(g, site)
-        assert positivity_equiv(sb, [sup / 2, sup * 3])
+        for lam in (sup / 2, sup * 3):
+            assert positive_class_areas(sb, lam) == monotone_check(sb, lam)
 
 
 def test_decompose_fiber():
@@ -179,3 +231,59 @@ def test_decompose_nonnegative_data_always_succeeds():
             {lab: F(v) for lab, v in inters.items()}
         checked += 1
     assert checked >= 20
+
+
+def test_decompose_and_pair_refuse_what_is_not_an_integer():
+    # a float, a string, a bool or a non-integer Fraction would stand for
+    # some other intersection number or coefficient
+    g = ruled()
+    data = intersection_matrix(g)
+    for value, why in ((0.5, "an int or a Fraction, not float"),
+                       (1.0, "an int or a Fraction, not float"),
+                       ("1", "an int or a Fraction, not str"),
+                       (True, "an int or a Fraction, not bool"),
+                       (None, "an int or a Fraction, not NoneType"),
+                       (F(1, 2), "an integer, not 1/2")):
+        with pytest.raises(GraphError) as info:
+            decompose_positive(g, {"Bmin": 1, "Bmax": 1, "F": value})
+        assert str(info.value) == "intersection number F must be " + why
+        with pytest.raises(GraphError) as info:
+            pair_with(data, {"Bmin": 0, "Bmax": 0, "F": value})
+        assert str(info.value) == "coefficient F must be " + why
+    # an integer Fraction, as pair_with returns, is read as its integer
+    inters = {"Bmin": F(1), "Bmax": 1, "F": F(0)}
+    assert decompose_positive(g, inters).coefficients == \
+        {"Bmin": 0, "Bmax": 0, "F": 1}
+    assert pair_with(data, {"Bmin": F(0), "Bmax": 0, "F": F(1)}) == \
+        {"Bmin": 1, "Bmax": 1, "F": 0}
+
+
+def test_decompose_and_pair_refuse_a_missing_or_unknown_label():
+    g = ruled()
+    data = intersection_matrix(g)
+    for call, what in ((lambda d: decompose_positive(g, d),
+                        "intersection number"),
+                       (lambda d: pair_with(data, d), "coefficient")):
+        with pytest.raises(GraphError) as info:
+            call({"Bmin": 1, "Bmax": 1})
+        assert str(info.value) == what + " F is missing"
+        with pytest.raises(GraphError) as info:
+            call({"Bmin": 1, "Bmax": 1, "F": 0, "Bogus": 2})
+        assert str(info.value) == "unknown label Bogus"
+
+
+@pytest.mark.parametrize("family, args", [("cp2-surface", (0, 3)),
+                                          ("cp2", (1, 1))])
+def test_homology_refuses_a_graph_without_two_surfaces(family, args,
+                                                       tmp_path, capsys):
+    # a valid graph with one fixed surface, and one with none
+    g = minimal_graph(family, *args)
+    message = "homology needs a graph with two fixed surfaces"
+    for call in (intersection_matrix, class_values):
+        with pytest.raises(GraphError) as info:
+            call(g)
+        assert str(info.value) == message
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(graph_to_json(g)))
+    assert run(["homology", "--in", str(p)]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)

@@ -1,10 +1,12 @@
-"""Print the code lines of each module of src/hamgraphs and their total.
+"""Print the code lines of each module of a directory and their total.
 
 A code line is a source line that carries a token other than a comment,
 a blank line or a docstring (a string that stands alone as a statement);
-the count is read with ``tokenize``.  Run from the repository root:
+the count is read with ``tokenize``.  Run from the repository root; the
+directory is src/hamgraphs unless another is given:
 
     python tools/code_lines.py
+    python tools/code_lines.py tests
 """
 
 import os
