@@ -22,7 +22,7 @@ from operator import attrgetter
 from .dh_measure import extremal_self_intersections
 from .graph_core import (DecoratedGraph, Edge, GraphError, Vertex, _area,
                          _exact, _known_vertex, _sphere_links, _sphere_table,
-                         _weight_table, isotropy_weights, require_valid)
+                         _weight_table, require_valid)
 
 
 BlowupSite = namedtuple("BlowupSite", "vertex tag")
@@ -33,35 +33,30 @@ BlowdownSite = namedtuple("BlowdownSite", "pattern vertices lam side",
                           defaults=("",))
 
 
-class SymbolicBlowup:
-    """The blow-up of the valid graph g at its vertex p, of any size lambda.
-
-    Every vertex of g but p stays as it is.  new lists the one or two new
-    points as (id, kind, c1, genus): on g's integer level index each lies
-    at (Y_p + c1 lambda _scale)/_scale, and a new surface (the sphere of an
-    11 blow-up) has area lambda.  p is dropped, except by a Surface
-    blow-up, which keeps it at its level with its area a (area) becoming
-    a - lambda.  edges are the blown-up graph's edges, and sup, a positive
-    Fraction, is the supremum of the admissible sizes (blowup_symbolic)."""
-
-    def __init__(self, g, p, new, edges, sup, area=None):
-        self.g, self.p, self.new, self.edges = g, p, new, edges
-        self.sup, self.area = sup, area
+# The blow-up of the valid graph g at its vertex p, of any size lambda
+# (blowup_symbolic).  Every vertex of g but p stays as it is.  new lists
+# the one or two new points as (id, kind, c1, genus): on g's integer level
+# index each lies at (Y_p + c1 lambda _scale)/_scale, and a new surface has
+# area lambda.  p is dropped, except at a fixed surface, which keeps its
+# level while its area a (area) becomes a - lambda.  edges is the tuple of
+# the blown-up graph's edges, and sup, a positive Fraction, the supremum
+# of the admissible sizes.
+SymbolicBlowup = namedtuple("SymbolicBlowup", "g p new edges sup area",
+                            defaults=(None,))
 
 
 def _tag(g, vid):
-    """The local model of a blow-up at the vertex vid of g."""
-    v = g.vertex(vid)
-    lo = g.min_vertex().id
-    if v.kind == "surface":
-        return "SurfaceMin" if vid == lo else "SurfaceMax"
-    if vid == lo:
-        w11 = isotropy_weights(g, vid) == (1, 1)
-        return "IsolatedMin11" if w11 else "IsolatedMinDistinct"
-    if vid == g.max_vertex().id:
-        w11 = isotropy_weights(g, vid) == (-1, -1)
-        return "IsolatedMax11" if w11 else "IsolatedMaxDistinct"
-    return "Interior"
+    """The local model of a blow-up at the vertex vid of the valid graph g,
+    named from its weights (w1, w2) and its kind: the minimum when
+    w1 >= 0, the maximum when w2 <= 0, else Interior; at an extremum, a
+    surface, or a point of equal weights (11) or distinct ones."""
+    w1, w2 = _weight_table(g)[vid]
+    if w1 < 0 < w2:
+        return "Interior"
+    side = "Min" if w1 >= 0 else "Max"
+    if g.vertices[vid].kind == "surface":
+        return "Surface" + side
+    return "Isolated" + side + ("11" if w1 == w2 else "Distinct")
 
 
 def blowup_sites(g):
@@ -85,102 +80,94 @@ def _fresh(base_ids, stem):
 
 def blowup_symbolic(g, site):
     """The blow-up of g at site.vertex, of any size.  Only site.vertex is
-    read: the local model is decided from g.
+    read: the blow-up is decided by the isotropy weights w1 <= w2 of p =
+    site.vertex (graph_core._weight_table).
 
-    A size lambda > 0 is admissible when every vertex keeps its place in
-    the order the blown-up graph carries for small lambda (two vertices
-    are ordered when one is extremal or a chain of spheres with strictly
-    rising levels joins them) and every area stays positive.  Only the new
-    points move, each at rate c1 from Y_p, and at small lambda the edges
-    keep their sides.  So a new point leaves the carried order exactly
-    when it reaches the next vertex on its own sphere, and a new extremum
-    when it reaches the next level of g.  A point that moves at rate k
-    along a sphere of weight k reaches its far end at the sphere's area
-    (graph_core._area).  The admissible sizes are the interval (0, sup),
-    and sup is one expression per model in the areas of p's spheres in the
-    sphere table (graph_core._sphere_links):
+    The rule.  p is the minimum when w1 >= 0, the maximum when w2 <= 0
+    and interior otherwise.  A blow-up of size lambda replaces p by points
+    at Y_p + w_i lambda (on the integer index, Y_p + w_i lambda _scale):
+    - a fixed surface, weights (0, 1) or (-1, 0), stays at its level with
+      area a - lambda, and a free point p.new moves at slope w1 + w2;
+    - equal weights, (1, 1) or (-1, -1), turn p into a surface p.s at
+      slope w1, of area lambda;
+    - else p splits into p.lo at slope w1 and p.hi at slope w2.  An edge
+      of weight k at p moves to the point of slope +k when it goes up
+      from p and -k when it goes down, and a sphere of weight w2 - w1
+      joins the two points when w2 - w1 >= 2 (a free one otherwise).
 
-    Interior, weights (-n, m): v_hi rises at rate m along p's up sphere,
-    of weight m (a free one to the maximum when p has no up edge), and
-    v_lo sinks at rate n along its down sphere.  The rest of p's strand
-    lies beyond the far ends of the two, the extrema bound nothing
-    tighter, and v_lo and v_hi never cross (slopes -n and m).  So sup is
-    the lesser area of p's two spheres.
+    The bound.  A size lambda > 0 is admissible when every vertex keeps
+    its place in the order the blown-up graph carries for small lambda
+    (two vertices are ordered when one is extremal or a chain of spheres
+    with strictly rising levels joins them) and every area stays
+    positive.  Only the new points move, each at rate |slope| from Y_p,
+    and at small lambda the edges keep their sides, so a new point
+    leaves the order exactly when it reaches the first vertex it is
+    ordered with:
+    - at an extremal p the slower point is the new extremum, ordered with
+      every vertex, so it stops at g's next level;
+    - any other point of a split, of slope c, moves along p's sphere of
+      weight |c| on its side (graph_core._sphere_links; a free one where
+      an interior p has no edge), and the rest of p's strand lies beyond
+      that sphere's far end, so it stops there, at the sphere's area
+      (graph_core._area).  The two points move apart (w1 < w2), and at
+      an extremum the faster one stays beyond the slower;
+    - a surface's free point carries no edge, so it is ordered with the
+      extrema only and stops at the far one; the area a - lambda bounds
+      lambda by a too.
+    So the admissible sizes are the interval (0, sup), sup the least
+    rise over rate of those stops (and a at a surface).  Every rise is a
+    positive level difference (the extrema are unique and every sphere
+    joins two levels), so sup is a positive Fraction.  It reads p's own
+    spheres and two ends of g's level order, in O(1); the least
+    (rise, rate) pair is picked by cross-multiplying integers, so the
+    one Fraction made is sup.
 
-    SurfaceMin/Max: the new point carries no edge, so it is ordered with
-    the extrema only and reaches the far one at the fibre's area
-    (Y_max - Y_min)/_scale; p's area a - lambda stays positive up to a.
-    So sup = min(a, (Y_max - Y_min)/_scale).
-
-    Distinct, weights n < m: the new extremum v_ext moves inward at rate
-    n and is ordered with every vertex, so it leaves the order when it
-    reaches the next level of g, gap = |Y - Y_p| at _order[1] (_order[-2]
-    at the maximum); v_int moves faster (rate m), so it stays beyond
-    v_ext.  v_int moves along p's weight-m sphere to its far end w, and
-    w's strand and the far extremum lie beyond w.  So sup = min(gap/n,
-    |Y_w - Y_p|/m)/_scale, the lesser of the area of p's weight-m sphere
-    and that of a weight-n sphere across the gap.
-
-    11: the new sphere is extremal, moves at rate 1 and has area
-    lambda > 0.  So sup = gap/_scale.
-
-    Every term is a positive level difference over a positive weight or a
-    positive area (the extrema are unique and every sphere joins two
-    levels), so sup is a positive Fraction and never None.  Each form reads
-    p's own spheres and two ends of g's level order, in O(1); a lesser of
-    two areas is picked by cross-multiplying their integer rises and
-    weights, so each form makes one Fraction, the area it returns."""
+    The new points are listed new extremum first at an extremal p and
+    upper point first at an interior one, and the joining sphere goes
+    from p.hi to p.lo at the maximum and from p.lo to p.hi elsewhere:
+    the orders the blown-up graph's JSON shows."""
     require_valid(g)
     p = _known_vertex(g, site.vertex)
+    w1, w2 = _weight_table(g)[p.id]
     y, yp, order = g._y, g._y[p.id], g._order
     edges = [e for e in g.edges if p.id not in (e.a, e.b)]
-    touched = g.edges_at(p.id)
-    spheres = _sphere_links(g).at[p.id]
-    tag = _tag(g, p.id)
-    sgn = -1 if "Max" in tag else 1
-    # the gap from an extremal p up or down to the next level of g
-    gap = (p.id, order[1].id) if sgn > 0 else (order[-2].id, p.id)
     area = None
-    if tag == "Interior":
-        # p's down sphere from d and up sphere to u have p's weights -n, m
-        (d, _, n, _, rise_d), (_, u, m, _, rise_u) = spheres
-        v_hi = _fresh(g.vertices, p.id + ".hi")
-        v_lo = _fresh(g.vertices, p.id + ".lo")
-        new = ((v_hi, "point", m, None), (v_lo, "point", -n, None))
-        for e in touched:
-            other = e.other(p.id)
-            target = v_hi if y[other] > yp else v_lo
-            edges.append(Edge(target, other, e.k))
-        edges.append(Edge(v_lo, v_hi, m + n))
-        sup = (_area(g, p.id, u, m) if rise_u * n <= rise_d * m
-               else _area(g, d, p.id, n))
-    elif tag.startswith("Surface"):
+    # each new point's stop as (rise, rate): lambda < rise/(rate _scale)
+    if p.kind == "surface":
         area = p.area
-        v_new = _fresh(g.vertices, p.id + ".new")
-        new = ((v_new, "point", sgn, None),)
-        sup = min(area, _area(g, order[0].id, order[-1].id, 1))
-    elif tag.endswith("Distinct"):
-        n, m = sorted(abs(x) for x in isotropy_weights(g, p.id))
-        v_ext = _fresh(g.vertices, p.id + ".lo" if sgn > 0 else p.id + ".hi")
-        v_int = _fresh(g.vertices, p.id + ".hi" if sgn > 0 else p.id + ".lo")
-        new = ((v_ext, "point", sgn * n, None),
-               (v_int, "point", sgn * m, None))
-        for e in touched:
-            target = v_ext if e.k == n else v_int
-            edges.append(Edge(target, e.other(p.id), e.k))
-        if m - n >= 2:
-            edges.append(Edge(v_ext, v_int, m - n))
-        # n < m, so m >= 2 and exactly one sphere at p has weight m
-        low, high, _, _, rise = next(r for r in spheres if r[2] == m)
-        a, b = gap
-        sup = (_area(g, low, high, m) if rise * n <= (y[b] - y[a]) * m
-               else _area(g, a, b, n))
-    else:  # IsolatedMin11, IsolatedMax11: the point becomes a sphere
+        new = ((_fresh(g.vertices, p.id + ".new"), "point", w1 + w2, None),)
+        stops = [(y[order[-1].id] - y[order[0].id], 1)]
+    elif w1 == w2:
         genus = next((s.genus for s in g.surfaces()), 0)
-        v_s = _fresh(g.vertices, p.id + ".s")
-        new = ((v_s, "surface", sgn, genus),)
-        sup = _area(g, *gap, 1)
-    return SymbolicBlowup(g, p.id, new, edges, sup, area)
+        new = ((_fresh(g.vertices, p.id + ".s"), "surface", w1, genus),)
+        stops = []
+    else:
+        lo = _fresh(g.vertices, p.id + ".lo")
+        hi = _fresh(g.vertices, p.id + ".hi")
+        at = {w1: lo, w2: hi}
+        for e in g.edges_at(p.id):
+            other = e.other(p.id)
+            edges.append(Edge(at[e.k if y[other] > yp else -e.k], other, e.k))
+        if w2 - w1 >= 2:
+            edges.append(Edge(hi, lo, w2 - w1) if w2 <= 0
+                         else Edge(lo, hi, w2 - w1))
+        new = ((lo, "point", w1, None), (hi, "point", w2, None))
+        if w1 < 0:
+            new = new[::-1]
+        # p's sphere of weight w2 going up and of weight -w1 going down
+        stops = [(s[4], s[2]) for s in _sphere_links(g).at[p.id]
+                 if s[2] == (w2 if s[0] == p.id else -w1)]
+    if area is None and w1 >= 0:
+        stops.append((y[order[1].id] - yp, w1))
+    elif area is None and w2 <= 0:
+        stops.append((yp - y[order[-2].id], -w2))
+    rise, rate = stops[0]
+    for r, k in stops[1:]:
+        if r * rate < rise * k:
+            rise, rate = r, k
+    sup = Fraction(rise, rate * g._scale)
+    return SymbolicBlowup(g, p.id, new, tuple(edges),
+                          sup if area is None else min(sup, area), area)
 
 
 def instantiate(sb, lam):
@@ -189,25 +176,27 @@ def instantiate(sb, lam):
     lambda = n/d a new point's level is the one Fraction
     (Y_p d + c1 n _scale)/(d _scale).  At a size that passes
     monotone_check the graph is marked valid, not validated: a blow-up of
-    a valid graph is valid.  Each model inverts the blow-down that
-    collapses the exceptional sphere it creates, whose rewrite _rewrite
-    proves valid: Interior A, Surface B, Distinct C, 11 D.  At an
-    admissible lambda the carried order holds strictly: every sphere keeps
-    its side, the extrema stay unique, old vertices keep their weights and
-    new ones are coprime.  The far extremum keeps its e; the near one
-    keeps it (Interior: s0, s1 stay), loses exactly 1 (Surface), gets
-    -1/(n (m - n)) (Distinct, weights {n, m - n}) or becomes a sphere with
-    e = -1 (11).  Every recorded sphere keeps an integer self-intersection
-    (m_low - m_high)/k (graph_core._sphere_table): one away from p keeps
-    the weights at its ends; one of p's spheres moves to a new point whose
-    other weight is p's lowered by k at a lower end (Interior -n to
-    -(m + n); Distinct at a minimum m to m - n and n to n - m) or raised
-    by k at an upper end (Interior m to m + n; Distinct at a maximum, the
-    mirror image), so it loses exactly 1; and the sphere joining the two
-    new points has (-n - m)/(m + n) = -1 (Interior) or
-    (n - m)/(m - n) = -1 (Distinct).  Surface and 11 blow-ups add and move
-    no recorded sphere.  Any other size is left to be validated when
-    asked."""
+    a valid graph is valid, and any other size is left to be validated
+    when asked.
+
+    Why.  The blow-up at p, weights w1 <= w2, is the inverse of the
+    blow-down that collapses the sphere it creates (Interior A, Surface
+    B, Distinct C, equal weights D), whose rewrite _rewrite proves valid,
+    and at an admissible lambda the carried order holds strictly: every
+    sphere keeps its side and the extrema stay unique.  Old vertices keep
+    their weights.  A split leaves p.lo the weights {w1, w2 - w1} and
+    p.hi the weights {w2, w1 - w2}, those of the blow-up of C^2 with
+    weights (w1, w2) at its two fixed points, each pair coprime as
+    gcd(w1, w2) = 1; a surface stays at slope 0 as one point of the
+    split, so its free point has weights {-1, 1}.  Every recorded sphere
+    keeps an integer self-intersection (m_low - m_high)/k
+    (graph_core._sphere_table): one away from p keeps the weights at its
+    ends; one of p's spheres, of weight k, moves to the point of slope +k
+    at its lower end, whose other weight is p's lowered by k, or of slope
+    -k at its upper end, whose other weight is p's raised by k, so its
+    self-intersection falls by exactly 1; and the sphere joining p.lo up
+    to p.hi has (w1 - w2)/(w2 - w1) = -1.  The other blow-ups add and
+    move no recorded sphere.  The far extremum keeps its e."""
     if _exact(lam, "blow-up size") <= 0:
         raise GraphError("blow-up size must be positive")
     g, p = sb.g, sb.p

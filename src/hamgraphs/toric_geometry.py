@@ -25,15 +25,23 @@ def _rat(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _coord(x):
+    """The polygon coordinate x as a Fraction; anything but an int or a
+    Fraction is refused (graph_core._exact)."""
+    return x if type(x) is Fraction else _rat(_exact(x, "polygon coordinate"))
+
+
 class DelzantPolygon:
     """A polygon, immutable after construction: ``vertices`` is a tuple of
-    rational points.  ``require_valid_polygon`` computes validate_delzant's
+    rational points, each coordinate given as an int or a Fraction (a
+    float, a string or a bool is refused, as it would stand for some
+    other number).  ``require_valid_polygon`` computes validate_delzant's
     problems at most once per polygon and keeps them in ``_problems``; a
     polygon built by a construction proved to give a Delzant polygon is
     marked valid at once (``_problems = ()``)."""
 
     def __init__(self, vertices):
-        self.vertices = tuple((_rat(x), _rat(y)) for x, y in vertices)
+        self.vertices = tuple((_coord(x), _coord(y)) for x, y in vertices)
         self._problems = None
 
     def __eq__(self, other):
@@ -182,8 +190,8 @@ def _seed_pair(k1, k1p, k2_right):
     b1 = _seed(k1, k1p if k2_right is None else k2_right)
     num = -1 - k1p * b1
     if num % k1 != 0:
-        raise GraphError("bottom corner is not smooth: weights %d, %d with "
-                         "chain data admit no integral normals" % (k1, k1p))
+        raise GraphError("internal failure: bottom corner is not smooth: "
+                         "weights %d, %d" % (k1, k1p))
     return b1, num // k1
 
 
@@ -232,11 +240,26 @@ def graph_to_polygon(g):
     corner is a strict left turn, the directions point up on the right
     and down on the left, and the turns add up to exactly 2 pi: the
     polygon is simple, strictly convex and counterclockwise, with
-    primitive normals of determinant 1 at each corner.  The ChainError
-    conversion and the bottom-corner refusal stay, unproved: no known
-    graph that passes validate_graph reaches either since every recorded
-    sphere must have an integer self-intersection, but no proof shows
-    that none can.
+    primitive normals of determinant 1 at each corner.
+
+    Every division is exact, so the bottom-corner refusal and the
+    ChainError conversion are internal failures.  A chain sphere of
+    weight k_i between spheres k_{i-1} and k_{i+1} has S.S =
+    -(k_{i-1} + k_{i+1})/k_i (graph_core._sphere_table; an added free
+    sphere has k_i = 1), an integer on a valid graph, so
+    k_{i+1} = -k_{i-1} (mod k_i).  Then, by induction on
+    k_{i-1} b_i - b_{i-1} k_i = 1, which gives k_{i-1} b_i = 1
+    (mod k_i), the step 1 + b_i k_{i+1} = 1 - b_i k_{i-1} = 0 (mod k_i)
+    of _normals is exact.  Its first step is exact by the seed: at a
+    surface minimum k1 = k1' = 1; at an isolated one b1 k2 = -1 (mod k1)
+    on the right, and on the left k1 b1' = -1 (mod k1') from
+    _seed_pair.  At an isolated minimum with weights
+    {k1, k1'} the first right sphere has S.S = (k1' - k2)/k1, so
+    k1' = k2 (mod k1) and k1' b1 = -1 (mod k1): _seed_pair's division
+    is exact (with one right sphere, b1 is seeded from k1' itself).  The
+    first left sphere has S.S = (k1 - k2')/k1', so k2' = k1 (mod k1')
+    and 1 + b1' k2' = 1 + b1' k1 = 0 (mod k1'): the left chain's first
+    step is exact.
 
     The polygon is built once per graph and kept on it (``_polygon``), so
     every later call returns the same object; a refusal is not kept, and
@@ -272,7 +295,7 @@ def _build_polygon(g):
         bs_r = _normals(ks_r, b1)
         bs_l = _normals(ks_l, b1p)
     except ChainError as exc:
-        raise GraphError(str(exc)) from exc
+        raise GraphError("internal failure: %s" % exc) from exc
 
     def side_points(chain, bs, x0, sign):
         # x over den = _scale * lcm(k of the chain, x0's denominator): a

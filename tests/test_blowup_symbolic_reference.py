@@ -10,17 +10,21 @@ graph as a pair (c0, c1) of labels c0 + c1 lambda, with c0 a
 those pairs.  At every blow-up site both must give the same supremum,
 and at sup/3, sup/2, sup, 2 sup and 1 the same graph: the same vertices
 in the same order, the same edges in the same order and the same
-validity mark.  The graphs are the small enumeration corpus with
-its flips, and the 25-prime chain (``_scale`` > 10^36) and the shifted
-corpus of the level-index reference with their flips.
+validity mark.  Each site's tag must be the one the reference's own
+four-branch ``reference_tag`` names.  The graphs are the small
+enumeration corpus with its flips, the graphs two blow-ups reach from
+cp2-surface, the three Hirzebruch variants and a genus-1 ruled surface
+with their flips, and the 25-prime chain (``_scale`` > 10^36) and the
+shifted corpus of the level-index reference with their flips.
 """
 
 from fractions import Fraction
 
 from hamgraphs import (DecoratedGraph, Edge, GraphError, Vertex,
-                       blowup_sites, blowup_symbolic, flip, instantiate,
-                       isotropy_weights, require_valid)
-from hamgraphs.blowup_calculus import _fresh, _tag
+                       blowup_sites, blowup_symbolic, enumerate_graphs, flip,
+                       instantiate, isotropy_weights, minimal_graph,
+                       require_valid)
+from hamgraphs.blowup_calculus import _fresh
 # the prime chain and the shifted corpus, with their flips, as the
 # level-index reference builds them
 from test_level_index_reference import indexed_graphs
@@ -57,6 +61,22 @@ class ReferenceBlowup:
                        default=None)
 
 
+def reference_tag(g, vid):
+    """The local model of a blow-up at the vertex vid of g, one branch
+    per model."""
+    v = g.vertex(vid)
+    lo = g.min_vertex().id
+    if v.kind == "surface":
+        return "SurfaceMin" if vid == lo else "SurfaceMax"
+    if vid == lo:
+        w11 = isotropy_weights(g, vid) == (1, 1)
+        return "IsolatedMin11" if w11 else "IsolatedMinDistinct"
+    if vid == g.max_vertex().id:
+        w11 = isotropy_weights(g, vid) == (-1, -1)
+        return "IsolatedMax11" if w11 else "IsolatedMaxDistinct"
+    return "Interior"
+
+
 def reference_blowup_symbolic(g, site):
     require_valid(g)
     p = g.vertex(site.vertex)
@@ -68,7 +88,7 @@ def reference_blowup_symbolic(g, site):
     edges = [e for e in g.edges if p.id not in (e.a, e.b)]
     touched = [e for e in g.edges if p.id in (e.a, e.b)]
     ids = set(sym_vertices)
-    tag = _tag(g, p.id)
+    tag = reference_tag(g, p.id)
     sgn = -1 if "Max" in tag else 1
     if tag == "Interior":
         wdn, wup = isotropy_weights(g, p.id)
@@ -133,6 +153,7 @@ def assert_same_blowups(g):
     """Check every blow-up site of g; returns the number of sites."""
     sites = blowup_sites(g)
     for site in sites:
+        assert site.tag == reference_tag(g, site.vertex), site
         sb = blowup_symbolic(g, site)
         ref = reference_blowup_symbolic(g, site)
         assert sb.sup == ref.sup, site
@@ -146,12 +167,28 @@ def assert_same_blowups(g):
     return len(sites)
 
 
+# the other minimal families: surface minima and maxima, and extrema
+# with distinct weights of more shapes than cp2's and ruled(0)'s
+FAMILY_SEEDS = [
+    ("cp2-surface", minimal_graph("cp2-surface")),
+    ("left", minimal_graph("hirzebruch", "left", 1, 1, 2)),
+    ("middle", minimal_graph("hirzebruch", "middle", 2, 1, 1, 3, 1)),
+    ("right", minimal_graph("hirzebruch", "right", 2, r=2, s=1)),
+    ("ruled-genus-1", minimal_graph("ruled", 1, 1, 2, 1)),
+]
+
+
 def test_matches_reference_on_small_corpus_and_flips(enumerated_small):
     sites = 0
     for rec in enumerated_small:
         sites += assert_same_blowups(rec.graph)
         sites += assert_same_blowups(flip(rec.graph))
     assert sites > 1800
+    sites = 0
+    for rec in enumerate_graphs(FAMILY_SEEDS, 2):
+        sites += assert_same_blowups(rec.graph)
+        sites += assert_same_blowups(flip(rec.graph))
+    assert sites == 674
 
 
 def test_matches_reference_on_prime_chain_and_shifted_corpus(

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hamgraphs import (DecoratedGraph, Edge, GraphError, PolygonError,
+from hamgraphs import (ChainError, DecoratedGraph, Edge, GraphError,
+                       PolygonError,
                        ValidationError, Vertex, affine_normal_form,
                        classify_isolated, density, graph_from_json,
                        graph_to_json, graph_to_polygon, is_isomorphic,
@@ -10,6 +11,8 @@ from hamgraphs import (DecoratedGraph, Edge, GraphError, PolygonError,
                        polygon_chop, polygon_from_json, polygon_pushforward,
                        polygon_to_fan, polygon_to_graph, total_mass,
                        validate_delzant, validate_fan, validate_graph)
+from hamgraphs import toric_geometry
+from hamgraphs.toric_geometry import DelzantPolygon
 from conftest import (CHOPPED_SHEARED, CHOPPED_SQUARE, P, PENTAGON,
                       PENTAGON_CHOPS, S2S2_POLYGONS, SHEARED, SQUARE_6x5,
                       TENT_POLYGONS, chopped_square_graph, s2s2_graph,
@@ -127,6 +130,21 @@ def test_chop_size_must_be_an_int_or_a_fraction():
                                    "Fraction, not " + name)
     # an int is the Fraction of the same value
     assert polygon_chop(PENTAGON, 0, 4) == polygon_chop(PENTAGON, 0, F(4))
+
+
+def test_polygon_coordinates_must_be_ints_or_fractions():
+    # Fraction(0.1) is a binary fraction near 1/10, and "1" and True
+    # would be read as 1
+    for bad, name in ((0.1, "float"), ("1", "str"), (True, "bool")):
+        for corner in ((bad, 0), (0, bad)):
+            with pytest.raises(GraphError) as info:
+                DelzantPolygon([corner, (1, 0), (1, 1), (0, 1)])
+            assert str(info.value) == ("polygon coordinate must be an int "
+                                       "or a Fraction, not " + name)
+    # an int is the Fraction of the same value
+    square = DelzantPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert square == P((0, 0), (1, 0), (1, 1), (0, 1))
+    assert all(type(c) is F for point in square.vertices for c in point)
 
 
 def test_chop_commutes_with_blowup(corpus_polygons):
@@ -260,6 +278,26 @@ def test_chain_without_normals_is_invalid():
         "2/3")
     with pytest.raises(ValidationError):
         graph_to_polygon(no_normals)
+
+
+def test_polygon_refusals_past_validation_are_internal_failures(
+        monkeypatch):
+    # every division by a weight is exact on a valid graph
+    # (graph_to_polygon's docstring), so a refusal there names a fault of
+    # the library
+    def no_normals(ks, b1):
+        raise ChainError("chain %r admits no integral normals with the "
+                         "forced seed" % (ks,))
+
+    monkeypatch.setattr(toric_geometry, "_normals", no_normals)
+    with pytest.raises(GraphError, match="^internal failure: chain "):
+        graph_to_polygon(minimal_graph("cp2", 1, 2))
+    monkeypatch.undo()
+    # a seed b1 = 0 leaves the bottom corner of weights 3, 2 no normals
+    monkeypatch.setattr(toric_geometry, "_seed", lambda k1, k2: 0)
+    with pytest.raises(GraphError, match="^internal failure: bottom corner "
+                       "is not smooth: weights 3, 2"):
+        graph_to_polygon(minimal_graph("cp2", 1, 2))
 
 
 def test_refused_graph_is_refused_on_every_call():

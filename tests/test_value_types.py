@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 import hamgraphs
-from hamgraphs.blowup_calculus import BlowdownSite, BlowupSite
+from hamgraphs.blowup_calculus import (BlowdownSite, BlowupSite,
+                                       SymbolicBlowup)
 from hamgraphs.chain_arith import WeightChain
 from hamgraphs.dh_measure import ExtremalData, PiecewiseLinearDensity
 from hamgraphs.graph_core import CanonicalForm, Edge, ExtendedGraph, Vertex
@@ -81,6 +82,21 @@ def test_density_checks_its_breakpoints():
     rho = PiecewiseLinearDensity([0, 1], [F(1), F(2)])
     with pytest.raises(ValueError, match="increase strictly"):
         rho._replace(breakpoints=[1, 0])
+
+
+def test_symbolic_blowup_is_a_named_tuple_with_tuple_edges():
+    g = hamgraphs.minimal_graph("cp2", 1, 2)
+    sb = hamgraphs.blowup_symbolic(g, BlowupSite("int", "Interior"))
+    assert type(sb) is SymbolicBlowup and sb == tuple(sb)
+    assert sb._fields == ("g", "p", "new", "edges", "sup", "area")
+    assert type(sb.edges) is tuple and sb.area is None
+    assert SymbolicBlowup(*sb[:5]) == sb
+    with pytest.raises(AttributeError):
+        sb.sup = 1
+    # a field replaced is read by instantiate
+    h = hamgraphs.instantiate(sb._replace(sup=sb.sup / 4), sb.sup / 2)
+    assert h._problems is None
+    assert hamgraphs.instantiate(sb, sb.sup / 2)._problems == ()
 
 
 def test_import_loads_no_dataclasses_inspect_or_render():
