@@ -497,44 +497,69 @@ def reduce_to_minimal(g):
     about k states instead of about 3^k.  Only the options a state
     expands have their graphs built (_rewrite), so a state that stops at
     its first option builds one.
+
+    The depth-first search runs as one loop over an explicit stack, one
+    frame per state being expanded: [graph, state, options, index of the
+    next option, bound, choice so far], where a choice is (rank, site,
+    graph after it, state of that graph).  Each graph the search needs
+    is first looked up by _state; a new one is decided by _minimal_family
+    and, when not minimal, pushed with its _ordered_sites options and its
+    _rank_bound, and its first option is rewritten (_rewrite) and needed
+    next.  A known entry goes to the frame on top, which takes it when it
+    ranks higher, then rewrites its next option or, with its options done
+    or the bound met, closes: it enters its choice in the memo and hands
+    it to the frame below.  So the helpers run in the order the recursive
+    dynamic program calls them (a state is expanded when it is first
+    needed, its options in order, and each option's sequence is known
+    before the next is tried), and every state makes the choice that
+    program makes.  Nothing refers back to the memo, so it is freed by
+    reference counting when the call returns, and the depth of the
+    search is bounded only by memory, not by the recursion limit.
     """
     require_valid(g)
     # state -> (rank, first site or None, graph after it, state of that
     # graph or None)
     best = {}
-
-    def solve(cur):
-        """The state of cur, with its entry in best filled."""
+    stack = []
+    cur = g
+    while True:
         state = _state(cur)
-        if state in best:
-            return state
-        family, options = _minimal_family(cur)
-        if family is not None:
-            choice = ((0, 0, -len(cur.vertices)), None, cur, None)
+        if state not in best:
+            family, options = _minimal_family(cur)
+            if family is None:
+                if options is None:
+                    options = _ordered_sites(cur)
+                if not options:
+                    raise GraphError("internal failure: graph matches no "
+                                     "minimal family and admits no blow-down")
+                stack.append([cur, state, options, 1, _rank_bound(cur), None])
+                cur = _rewrite(cur, options[0])
+                continue
+            best[state] = ((0, 0, -len(cur.vertices)), None, cur, None)
+        # cur's entry is known: the frame that needed it takes it, then
+        # tries its next option or closes and hands its own entry down
+        while stack:
+            frame = stack[-1]
+            prev, prev_state, options, i, bound, choice = frame
+            n_other, n_all, size = best[state][0]
+            site = options[i - 1]
+            rank = (n_other + (site.pattern != "D"), n_all + 1, size)
+            if choice is None or rank > choice[0]:
+                choice = frame[5] = (rank, site, cur, state)
+            if i < len(options) and choice[0] != bound:
+                frame[3] = i + 1
+                cur = _rewrite(prev, options[i])
+                break
+            stack.pop()
+            best[prev_state] = choice
+            cur, state = prev, prev_state
         else:
-            if options is None:
-                options = _ordered_sites(cur)
-            if not options:
-                raise GraphError("internal failure: graph matches no minimal "
-                                 "family and admits no blow-down")
-            bound = _rank_bound(cur)
-            choice = None
-            for site in options:
-                nxt = _rewrite(cur, site)
-                key = solve(nxt)
-                n_other, n_all, size = best[key][0]
-                rank = (n_other + (site.pattern != "D"), n_all + 1, size)
-                if choice is None or rank > choice[0]:
-                    choice = (rank, site, nxt, key)
-                    if rank == bound:
-                        break
-        best[state] = choice
-        return state
+            break
 
     # the best sequence follows the memo from g's state, each entry naming
     # the state after its step
     steps = []
-    _, site, cur, key = best[solve(g)]
+    _, site, cur, key = best[state]
     while site is not None:
         steps.append(site)
         _, site, cur, key = best[key]

@@ -37,12 +37,23 @@ def _json_int(text):
     return int(text)
 
 
+# one decoder for every read: json.load(..., parse_int=...) builds a new
+# decoder and scanner on each call
+_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
 def _read_json(path):
     try:
         if path is None or path == "-":
-            return json.load(sys.stdin, parse_int=_json_int)
-        with open(path) as fh:
-            return json.load(fh, parse_int=_json_int)
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
+        if text.startswith("\ufeff"):
+            # json.loads refuses a byte-order mark; the decoder does not
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise CliError("cannot read %s: %s" % (path or "stdin", exc), 1)
 

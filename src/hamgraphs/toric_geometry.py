@@ -76,11 +76,17 @@ def polygon_from_json(data):
 def primitive(dx, dy):
     """Primitive integer vector positively parallel to the rational (dx, dy).
     (a/b, c/d) is a positive multiple of the integer vector (a d, c b);
-    two ints, as affine_normal_form passes, are that vector already."""
-    if isinstance(dx, int) and isinstance(dy, int):
+    two ints, as affine_normal_form passes, are that vector already.  Each
+    coordinate is an int or a Fraction: a float, a string or a bool is
+    refused (graph_core._exact), as it would stand for some other number."""
+    if type(dx) is int and type(dy) is int:
         ix, iy = dx, dy
     else:
-        dx, dy = _rat(dx), _rat(dy)
+        # an int has numerator and denominator too
+        if type(dx) is not Fraction:
+            dx = _exact(dx, "vector coordinate")
+        if type(dy) is not Fraction:
+            dy = _exact(dy, "vector coordinate")
         ix = dx.numerator * dy.denominator
         iy = dy.numerator * dx.denominator
     if ix == iy == 0:

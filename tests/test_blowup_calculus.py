@@ -1,8 +1,11 @@
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import hamgraphs
 from hamgraphs import (GraphError, blowdown, blowup, blowup_sites,
                        blowup_symbolic, compare,
                        extremal_self_intersections, instantiate,
@@ -272,6 +275,34 @@ def test_reduce_builds_no_polygon(enumerated, monkeypatch):
         minimal, steps = reduce_to_minimal(rec.graph)
         assert len(steps) == rec.depth
         assert match_minimal_family(minimal) is not None
+
+
+DEEPER_THAN_THE_RECURSION_LIMIT = """
+import sys
+from hamgraphs import blowup, minimal_graph, reduce_to_minimal
+g = minimal_graph("ruled", 0, 0, 410, 3)
+for _ in range(400):
+    g = blowup(g, g.min_vertex().id, 1)
+steps = reduce_to_minimal(g)[1]
+sys.setrecursionlimit(200)
+assert reduce_to_minimal(g)[1] == steps
+print(len(steps), sorted({s.pattern for s in steps}))
+"""
+
+
+def test_reduce_deeper_than_the_recursion_limit():
+    # a 400-step twin chain, reduced again under a recursion limit of 200:
+    # the search keeps its own stack, so its depth is not the
+    # interpreter's; a subprocess keeps the limit out of this one
+    src = os.path.dirname(os.path.dirname(hamgraphs.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-c", DEEPER_THAN_THE_RECURSION_LIMIT], env=env,
+        capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, "400 ['B']\n", "")
 
 
 def test_symbolic_instantiate_matches_blowup():

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -10,8 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hamgraphs import blowdown, blowdown_sites, graph_to_json, minimal_graph
+from hamgraphs import (blowdown, blowdown_sites, blowup_sites, graph_to_json,
+                       is_toric_extendable, max_size, minimal_graph)
+from hamgraphs import density as density_of
 from hamgraphs.cli import _parser, run
+from hamgraphs.rational import fmt_rat
 from conftest import CHOPPED_SQUARE, S2S2_POLYGONS, s2s2_graph, tent_graph
 
 F = Fraction
@@ -412,6 +416,28 @@ def test_json_integer_past_the_digit_limit_exits_1(tmp_path, genus):
         (1, "", HUGE_INT % path)
 
 
+BOM = ("error: cannot read %s: Unexpected UTF-8 BOM (decode using "
+       "utf-8-sig): line 1 column 1 (char 0)\n")
+
+
+def test_byte_order_mark_exits_1_as_json_loads_refuses_it(tmp_path):
+    text = "\ufeff" + two_spheres_of_genus(0)
+    with pytest.raises(json.JSONDecodeError) as refused:
+        json.loads(text)
+    assert BOM % "stdin" == "error: cannot read stdin: %s\n" % refused.value
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    for command in IN_COMMANDS:
+        assert run_on_stdin([command], text) == (1, "", BOM % "stdin")
+        assert run_on_stdin([command, "--in", str(path)], "") == \
+            (1, "", BOM % path)
+    # the shared decoder reads the next document as before
+    code, out, err = run_on_stdin(["validate"], text[1:])
+    assert (code, json.loads(out), err) == (0, {"valid": True}, "")
+    assert run_on_stdin(["validate"], two_spheres_of_genus("7" * 4301)) == \
+        (1, "", HUGE_INT % "stdin")
+
+
 def test_json_integer_at_the_digit_limit_is_read(tmp_path):
     code, out, err = run_on_stdin(["validate"],
                                   two_spheres_of_genus("1" * 4300))
@@ -650,3 +676,84 @@ def test_usage_errors_and_help_read_as_the_full_parser_prints_them(
     assert run_on_stdin(argv, "") == want
     if "-h" in argv or "--help" in argv:
         assert parsed == [argv]
+
+
+# -- memory -------------------------------------------------------------------
+
+def garbage_left_by(argvs):
+    """{command: objects in reference cycles} left by run(argv) for the
+    argvs of each command, each run once with the collector off, then
+    counted by one collection that keeps every object it finds; the
+    collector's settings are restored after.  One call of each command
+    runs first, so the one-time set-up (the parser built once, a module
+    loaded on first use) is not counted."""
+    by_command = {}
+    for argv in argvs:
+        by_command.setdefault(argv[0], []).append(argv)
+    for group in by_command.values():
+        assert run(group[0]) == 0, group[0]
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    left = {}
+    try:
+        for command, group in by_command.items():
+            for argv in group:
+                assert run(argv) == 0, argv
+            found = gc.collect()
+            if found:
+                left[command] = found
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    return left
+
+
+def test_no_command_leaves_cyclic_garbage(tmp_path, enumerated_small):
+    # garbage in reference cycles waits for the collector, whose pauses
+    # land on whichever call comes next; reference counting frees the rest
+    # on return.  The usage-error path is left out: argparse's own
+    # HelpFormatter leaves a few objects in cycles on each message it
+    # formats, which is standard-library behaviour.
+    out = str(tmp_path / "out.json")
+    graphs = [rec.graph for rec in enumerated_small[::6]]
+    argvs = [["enumerate", "--seed", "cp2:1,2", "--seed", "ruled:0,1",
+              "--max-blowups", "1", "--out", str(tmp_path / "classes")]]
+    for i, g in enumerate(graphs):
+        path = str(tmp_path / ("g%d.json" % i))
+        with open(path, "w") as fh:
+            json.dump(graph_to_json(g), fh)
+        argvs += [[command, "--in", path, "--out", out] for command in
+                  ("validate", "dh", "blowup", "blowdown", "minimal",
+                   "render")]
+        argvs.append(["iso", path, path, "--mode", "shift", "--out", out])
+        site = blowup_sites(g)[-1]
+        argvs.append(["blowup", "--in", path, "--vertex", site.vertex,
+                      "--lambda", fmt_rat(max_size(g, site) / 2),
+                      "--out", out])
+        if blowdown_sites(g):
+            argvs.append(["blowdown", "--in", path, "--site", "0",
+                          "--out", out])
+        if is_toric_extendable(g):
+            argvs.append(["graph2polygon", "--in", path, "--out", out])
+        if not g.surfaces():
+            argvs.append(["classify", "--in", path, "--out", out])
+        if len(g.surfaces()) == 2:
+            argvs.append(["homology", "--in", path, "--out", out])
+    for i, polygon in enumerate([CHOPPED_SQUARE] + S2S2_POLYGONS):
+        path = str(tmp_path / ("p%d.json" % i))
+        with open(path, "w") as fh:
+            json.dump(polygon.to_json(), fh)
+        argvs += [[command, "--in", path, "--out", out]
+                  for command in ("validate", "polygon2graph", "render")]
+    density = str(tmp_path / "density.json")
+    with open(density, "w") as fh:
+        json.dump(density_of(graphs[0]).to_json(), fh)
+    argvs.append(["render", "--in", density, "--out", out])
+    commands = {argv[0] for argv in argvs}
+    assert commands == set(IN_COMMANDS) | {"iso", "enumerate"}
+    assert sum(argv[0] == "minimal" for argv in argvs) >= 30
+    assert garbage_left_by(argvs) == {}
